@@ -13,10 +13,6 @@ monotone solve -> certificate.  Exit codes are a stable contract:
     65  semantically invalid data (bad coefficients, degenerate grid, ...)
     66  missing input file
     70  internal numerical failure (no convergence, solver failure)
-
-The environment variable CONESOLVE_THREADS caps internal parallelism; the
-computation itself is single-threaded, the cap is forwarded to the BLAS
-layer.
 """
 
 from __future__ import annotations
@@ -29,15 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import Config, load_config
+from .config import Config, _validate, load_config
 from .errors import (ConesolveError, ConfigError, ExprError,
                      MonotonicityViolation, NoConvergence, SolverFailure)
-from .fixedpoint import (Direction, ProblemInstance, certify,
-                         check_supersolution, construct_subsolution,
-                         monotone_iterate)
+from .fixedpoint import (ProblemInstance, certify, check_supersolution,
+                         construct_subsolution, monotone_iterate)
 from .geometry import build_grid
 from .greens import k_one_norm, spectral_radius
-from .nonlinearity import (VectorGridFunction, check_growth, check_monotone)
+from .nonlinearity import check_growth, check_monotone
 from .operator import assemble
 from .ranges import ratio_curve, single_range, system_ranges
 
@@ -52,6 +47,8 @@ EXIT_SOFTWARE = 70
 
 DELTA_SWEEP = tuple(10.0 ** k for k in range(4, -3, -1))
 SPECTRAL_TOL = 1e-10
+# power-iteration budget; independent of the monotone iteration's max_iter
+SPECTRAL_MAX_ITER = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -89,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="override the iteration tolerance")
         p.add_argument("--max-iter", type=int, default=None,
-                       help="override the iteration budget")
+                       help="override the monotone iteration budget")
         p.add_argument("--seed", type=int, default=None,
                        help="override the sampling seed")
         p.add_argument("--out", default=".",
@@ -125,6 +122,7 @@ def _apply_overrides(cfg: Config, args) -> Config:
         cfg.max_iter = args.max_iter
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+    _validate(cfg)
     return cfg
 
 
@@ -143,7 +141,8 @@ def build_pipeline(cfg: Config) -> Pipeline:
     grid = build_grid(cfg.domain, cfg.h)
     op = assemble(grid, cfg.coefficients, cfg.bc)
     k1, k1_norm = k_one_norm(op)
-    spectrum = spectral_radius(op, tol=SPECTRAL_TOL, max_iter=cfg.max_iter)
+    spectrum = spectral_radius(op, tol=SPECTRAL_TOL,
+                               max_iter=SPECTRAL_MAX_ITER)
     return Pipeline(cfg, grid, op, cfg.nonlinearity(), k1, k1_norm, spectrum)
 
 
@@ -200,14 +199,29 @@ def _choose_beta(pipe: Pipeline) -> list:
     return [float(s[k])]
 
 
-def _write_solution_csv(path, u):
-    grid = u.grid
-    header = ["x1", "x2"] + [f"u{i + 1}" for i in range(u.n)]
-    stacked = u.stack()
+def _write_solution_csv(path, grid, u):
+    header = ["x1", "x2"] + [f"u{i + 1}" for i in range(len(u))]
     rows = [[float(grid.xs[k]), float(grid.ys[k])]
-            + [float(stacked[i, k]) for i in range(u.n)]
+            + [float(u[i, k]) for i in range(len(u))]
             for k in range(grid.interior_count)]
     _write_csv(path, header, rows)
+
+
+def _iterate(problem, alpha, beta, cfg):
+    """Iterate from both alpha (if any) and beta in one engine run.  When
+    that fails but beta alone succeeds, the failure was confined to the
+    lower half and only warrants a warning."""
+    if alpha is not None:
+        try:
+            return monotone_iterate(problem, alpha, beta, tol=cfg.tol,
+                                    max_iter=cfg.max_iter)
+        except (MonotonicityViolation, NoConvergence) as err:
+            lower_err = err
+    report = monotone_iterate(problem, beta=beta, tol=cfg.tol,
+                              max_iter=cfg.max_iter)
+    if alpha is not None:
+        print(f"warning: lower iteration did not complete: {lower_err}")
+    return report
 
 
 def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
@@ -260,7 +274,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
 
     problem = ProblemInstance(pipe.op, pipe.nl, tuple(cfg.lambdas))
     beta_levels = _choose_beta(pipe)
-    beta = VectorGridFunction.constant(pipe.grid, beta_levels)
+    beta = np.outer(beta_levels, np.ones(pipe.grid.interior_count))
     ok, margin = check_supersolution(problem, beta)
     print(f"supersolution check at beta = "
           f"({', '.join(f'{b:.6g}' for b in beta_levels)}): "
@@ -278,54 +292,42 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
         print("note: no subsolution found by the eigenfunction sweep; the "
               "iteration may reach the trivial fixed point")
     else:
-        print(f"subsolution found with amplitude {alpha.norm():.3e}")
+        print(f"subsolution found with amplitude "
+              f"{float(np.abs(alpha).max()):.3e}")
 
     try:
-        report = monotone_iterate(problem, beta, Direction.FROM_ABOVE,
-                                  tol=cfg.tol, max_iter=cfg.max_iter)
+        report = _iterate(problem, alpha, beta, cfg)
     except MonotonicityViolation as err:
         _write_checks(out_dir, checks)
         print(f"iteration aborted: {err}")
         return EXIT_HYPOTHESIS
-    print(report.to_text())
+    upper, low = report.upper, report.lower
+    print(upper.to_text())
+    if low is not None:
+        print(f"bracket: smallest fixed point norm {low.norm:.6g} <= "
+              f"greatest {upper.norm:.6g}")
+        if want_csv:
+            _write_solution_csv(os.path.join(out_dir, "solution_lower.csv"),
+                                pipe.grid, low.solution)
 
-    if alpha is not None:
-        try:
-            low = monotone_iterate(problem, alpha, Direction.FROM_BELOW,
-                                   tol=cfg.tol, max_iter=cfg.max_iter)
-        except (MonotonicityViolation, NoConvergence) as err:
-            print(f"warning: lower iteration did not complete: {err}")
-        else:
-            if not low.solution.le(report.solution, 1e-9):
-                print("warning: smallest fixed point exceeds greatest "
-                      "(numerical bracket inversion)")
-            else:
-                print(f"bracket: smallest fixed point norm "
-                      f"{low.solution.norm():.6g} <= greatest "
-                      f"{report.solution.norm():.6g}")
-            if want_csv:
-                _write_solution_csv(
-                    os.path.join(out_dir, "solution_lower.csv"),
-                    low.solution)
-
-    cert = certify(problem, report.solution, tol=cfg.tol)
+    cert = certify(problem, upper.solution, tol=cfg.tol)
     print(cert.to_text())
 
     _write_checks(out_dir, checks)
-    _write_solution_csv(os.path.join(out_dir, "solution.csv"),
-                        report.solution)
+    _write_solution_csv(os.path.join(out_dir, "solution.csv"), pipe.grid,
+                        upper.solution)
     with open(os.path.join(out_dir, "certificate.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(cert.to_text() + "\n")
     with open(os.path.join(out_dir, "iteration_report.txt"), "w",
               encoding="utf-8") as fh:
-        fh.write(report.to_text() + "\n")
+        fh.write(upper.to_text() + "\n")
     _write_csv(os.path.join(out_dir, "iterations.csv"),
                ["iteration", "norm"],
-               [[k, float(v)] for k, v in enumerate(report.history)])
+               [[k, float(v)] for k, v in enumerate(upper.history)])
 
-    if report.converged_to_zero or (cert.residual <= cfg.tol
-                                    and not cert.nonzero):
+    if upper.converged_to_zero or (cert.residual <= cfg.tol
+                                   and not cert.nonzero):
         print("no nonzero solution found in bracket (the iteration from "
               "above converged to zero)")
         return EXIT_TRIVIAL
@@ -385,7 +387,7 @@ def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
     os.makedirs(out_dir, exist_ok=True)
     grid = build_grid(cfg.domain, cfg.h)
     op = assemble(grid, cfg.coefficients, cfg.bc)
-    est = spectral_radius(op, tol=SPECTRAL_TOL, max_iter=cfg.max_iter)
+    est = spectral_radius(op, tol=SPECTRAL_TOL, max_iter=SPECTRAL_MAX_ITER)
     print(f"r(K)       = {_fmt(est.r)}")
     print(f"mu1        = {_fmt(est.mu1)}")
     print(f"iterations = {est.iterations}")
@@ -395,7 +397,7 @@ def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
         _write_csv(os.path.join(out_dir, "eigenfunction.csv"),
                    ["x1", "x2", "phi"],
                    [[float(grid.xs[k]), float(grid.ys[k]),
-                     float(phi.values[k])]
+                     float(phi[k])]
                     for k in range(grid.interior_count)])
     return EXIT_OK
 
@@ -414,26 +416,7 @@ def cmd_verify(args) -> int:
     return EXIT_HYPOTHESIS if failed else EXIT_OK
 
 
-def _cap_threads() -> int | None:
-    raw = os.environ.get("CONESOLVE_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        print(f"error: CONESOLVE_THREADS must be a positive integer, "
-              f"got {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(cap))
-    return cap
-
-
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,36 +1,34 @@
 """Monotone fixed-point iteration for u = T u with
 T(u) = (lambda_1 K F_1 u, ..., lambda_n K F_n u).
 
-A constant vector beta with T beta <= beta (supersolution) starts a nodewise
+A state is an (n, N) array: one row of nodal values per component.  A
+constant supersolution beta (T beta <= beta) starts a nodewise
 non-increasing sequence converging to the greatest fixed point below beta;
-a subsolution alpha with T alpha >= alpha starts a non-decreasing one.  The
-subsolution is constructed by placing a small multiple of the principal
-eigenfunction of K in one component and sweeping the amplitude downward.
-Monotonicity of every step is asserted, so a broken hypothesis (non-monotone
+a subsolution alpha (T alpha >= alpha) starts a non-decreasing one
+converging to the smallest fixed point above alpha (Amann 1976, SIAM Rev.
+18).  One engine advances both sequences as one stacked block, so every
+step applies T once.  The subsolution is constructed by placing a small
+multiple of the principal eigenfunction of K in one component and sweeping
+the amplitude downward.  The ordering alpha_k <= alpha_{k+1} <= beta_{k+1}
+<= beta_k is asserted at every step, so a broken hypothesis (non-monotone
 f, loss of positivity of K) surfaces as MonotonicityViolation instead of a
 silently wrong answer.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MonotonicityViolation, NoConvergence
-from .greens import GridFunction, SpectralEstimate, apply_K
-from .nonlinearity import Nonlinearity, VectorGridFunction, nemytskii_apply
+from .greens import SpectralEstimate, apply_K
+from .nonlinearity import Nonlinearity, nemytskii_apply
 from .operator import DiscreteOperator
 
 ORDER_SLACK = 1e-12      # tolerated roundoff in nodewise comparisons
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10_000
-
-
-class Direction(enum.Enum):
-    FROM_BELOW = "from_below"
-    FROM_ABOVE = "from_above"
 
 
 @dataclass(frozen=True)
@@ -49,24 +47,41 @@ class ProblemInstance:
 
 
 @dataclass
-class IterationReport:
-    solution: VectorGridFunction
+class Limit:
+    """Where one half of a monotone iteration ended: the last iterate v,
+    the exact residual |v - T v|, and the product sup norm of every iterate
+    from the start on."""
+
+    direction: str               # "from_below" or "from_above"
+    solution: np.ndarray
     residual: float
-    iterations: int
     history: list
-    direction: Direction
     converged_to_zero: bool
     iterates: list | None = None
 
+    @property
+    def norm(self) -> float:
+        return self.history[-1]
+
     def to_text(self) -> str:
         lines = [
-            f"direction:         {self.direction.value}",
-            f"iterations:        {self.iterations}",
+            f"direction:         {self.direction}",
+            f"iterations:        {len(self.history) - 1}",
             f"residual |u - Tu|: {self.residual:.3e}",
-            f"solution norm:     {self.solution.norm():.12g}",
+            f"solution norm:     {self.norm:.12g}",
             f"converged to zero: {'yes' if self.converged_to_zero else 'no'}",
         ]
         return "\n".join(lines)
+
+
+@dataclass
+class IterationReport:
+    """Result of monotone_iterate: the limit of each half that was iterated
+    (None for an absent half); both halves took `iterations` steps."""
+
+    iterations: int
+    lower: Limit | None
+    upper: Limit | None
 
 
 @dataclass
@@ -97,21 +112,21 @@ class Certificate:
         ])
 
 
-def apply_T(p: ProblemInstance, u: VectorGridFunction) -> VectorGridFunction:
-    """One application of T: componentwise lambda_i * K(F_i u)."""
-    comps = []
-    for i in range(p.nl.n):
-        fu = nemytskii_apply(p.nl, i, u)
-        comps.append(p.lambdas[i] * apply_K(p.op, fu))
-    return VectorGridFunction(tuple(comps))
+def apply_T(p: ProblemInstance, u) -> np.ndarray:
+    """One application of T to a state of shape (n, N), or to a stack of
+    states of shape (..., n, N): lambda_i K(F_i u) for every component,
+    with all right-hand sides solved in one call of apply_K."""
+    u = np.asarray(u, dtype=float)
+    f = np.stack([nemytskii_apply(p.nl, i, u, p.op.grid)
+                  for i in range(p.nl.n)], axis=-2)
+    ku = apply_K(p.op, f.reshape(-1, f.shape[-1])).reshape(f.shape)
+    return np.asarray(p.lambdas)[:, None] * ku
 
 
-def check_supersolution(p: ProblemInstance, beta: VectorGridFunction):
+def check_supersolution(p: ProblemInstance, beta):
     """Return (ok, margin) for T beta <= beta; margin is the worst nodewise
     value of beta - T beta over all components."""
-    t_beta = apply_T(p, beta)
-    margin = min(float((b.values - tb.values).min())
-                 for b, tb in zip(beta.components, t_beta.components))
+    margin = float((beta - apply_T(p, beta)).min())
     return margin >= -ORDER_SLACK, margin
 
 
@@ -121,145 +136,103 @@ def construct_subsolution(p: ProblemInstance, spectrum: SpectralEstimate,
     component i0 (phi the principal eigenfunction) and zero elsewhere.
 
     eps sweeps rho0, rho0/2, ..., rho0 * 2^-20; the first admissible alpha
-    is returned, or None if the sweep fails.  `delta` is the growth constant
-    the construction relies on (f_{i0} >= delta u_{i0} near zero); the sweep
-    itself decides admissibility.
+    is returned as an (n, N) array, or None if the sweep fails.  `delta` is
+    the growth constant the construction relies on (f_{i0} >= delta u_{i0}
+    near zero); the sweep itself decides admissibility.
     """
     if not (0 < rho0 < min(p.nl.box)):
         raise ValueError("need 0 < rho0 < min box bound")
-    grid = p.op.grid
     phi = spectrum.eigenfunction
-    if phi.grid is not grid:
+    if phi.shape != (p.op.grid.interior_count,):
         raise ValueError("spectral estimate computed on a different grid")
     for k in range(21):
-        eps = rho0 * 0.5 ** k
-        comps = [GridFunction.zeros(grid) for _ in range(p.nl.n)]
-        comps[i0] = GridFunction(grid, np.clip(eps * phi.values, 0.0, None))
-        alpha = VectorGridFunction(tuple(comps))
-        if alpha.le(apply_T(p, alpha), ORDER_SLACK):
+        alpha = np.zeros((p.nl.n, phi.size))
+        alpha[i0] = np.clip(rho0 * 0.5 ** k * phi, 0.0, None)
+        if np.all(alpha <= apply_T(p, alpha) + ORDER_SLACK):
             return alpha
     return None
 
 
-def _check_step(prev: VectorGridFunction, nxt: VectorGridFunction,
-                direction: Direction, what: str):
-    if direction is Direction.FROM_ABOVE:
-        ok = nxt.le(prev, ORDER_SLACK)
-    else:
-        ok = prev.le(nxt, ORDER_SLACK)
-    if not ok:
+def _check_order(v, tv, lower, upper, what: str):
+    """Raise unless the step v -> T v keeps alpha_k <= alpha_{k+1} <=
+    beta_{k+1} <= beta_k; lower and upper index the halves in the stacked
+    block, or are None for an absent half."""
+    for k, small, large, direction in ((lower, v, tv, "from_below"),
+                                       (upper, tv, v, "from_above")):
+        if k is not None and not np.all(small[k] <= large[k] + ORDER_SLACK):
+            raise MonotonicityViolation(
+                f"{what}: iterate ordering broken for direction {direction} "
+                "(non-monotone nonlinearity or non-M-matrix operator?)")
+    if (lower is not None and upper is not None
+            and not np.all(tv[lower] <= tv[upper] + ORDER_SLACK)):
         raise MonotonicityViolation(
-            f"{what}: iterate ordering broken for direction "
-            f"{direction.value} (non-monotone nonlinearity or "
-            "non-M-matrix operator?)")
+            f"{what}: lower iterate exceeded upper iterate")
 
 
-def monotone_iterate(p: ProblemInstance, start: VectorGridFunction,
-                     direction: Direction, tol: float = DEFAULT_TOL,
+def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
+                     tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER,
                      record_iterates: bool = False) -> IterationReport:
-    """Iterate u_{k+1} = T u_k from a sub- or supersolution.
+    """Iterate u_{k+1} = T u_k from a subsolution alpha (upward) and a
+    supersolution beta (downward); either may be None.
 
-    FROM_ABOVE requires T start <= start and produces a nodewise
-    non-increasing sequence; FROM_BELOW the mirror image.  Each step is
-    checked.  The returned solution v satisfies both
-    |v - previous iterate| <= tol and |v - T v| <= tol in the product sup
-    norm, with the exact residual reported.
+    The halves present advance as one stacked block, one application of T
+    per step, and every step is checked for alpha_k <= alpha_{k+1} <=
+    beta_{k+1} <= beta_k nodewise.  They stop together at the first step
+    where each half's iterate v satisfies both |v - previous iterate| <= tol
+    and |v - T v| <= tol in the product sup norm, with the exact residual
+    reported.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    u = start
+    halves = [(direction, start) for direction, start
+              in (("from_below", alpha), ("from_above", beta))
+              if start is not None]
+    if not halves:
+        raise ValueError("need a subsolution, a supersolution or both")
+    lower = 0 if alpha is not None else None
+    upper = len(halves) - 1 if beta is not None else None
+    u = np.stack([np.asarray(start, dtype=float) for _, start in halves])
     tu = apply_T(p, u)
-    _check_step(u, tu, direction, "start is not admissible")
-    history = [u.norm()]
+    _check_order(u, tu, lower, upper, "start is not admissible")
+    history = [np.abs(u).max(axis=(1, 2))]
     iterates = [u] if record_iterates else None
     for it in range(1, max_iter + 1):
         v = tu                      # v = T^it(start)
-        history.append(v.norm())
+        history.append(np.abs(v).max(axis=(1, 2)))
         if record_iterates:
             iterates.append(v)
-        diff = v.diff_norm(u)
+        diff = np.abs(v - u).max(axis=(1, 2))
         tv = apply_T(p, v)
-        _check_step(v, tv, direction, f"iteration {it}")
-        residual = v.diff_norm(tv)
-        if diff <= tol and residual <= tol:
-            return IterationReport(
-                solution=v, residual=residual, iterations=it,
-                history=history, direction=direction,
-                converged_to_zero=v.norm() <= 10.0 * tol,
-                iterates=iterates)
+        _check_order(v, tv, lower, upper, f"iteration {it}")
+        residual = np.abs(v - tv).max(axis=(1, 2))
+        if np.all(diff <= tol) and np.all(residual <= tol):
+            break
         u, tu = v, tv
-    raise NoConvergence(
-        f"monotone iteration did not converge in {max_iter} iterations")
+    else:
+        raise NoConvergence(
+            f"monotone iteration did not converge in {max_iter} iterations")
+    norms = np.array(history)
+    limits = [Limit(direction=direction, solution=v[k],
+                    residual=float(residual[k]),
+                    history=norms[:, k].tolist(),
+                    converged_to_zero=bool(norms[-1, k] <= 10.0 * tol),
+                    iterates=None if iterates is None
+                    else [x[k] for x in iterates])
+              for k, (direction, _) in enumerate(halves)]
+    return IterationReport(it, limits[0] if alpha is not None else None,
+                           limits[-1] if beta is not None else None)
 
 
-@dataclass
-class BracketReport:
-    lower: IterationReport
-    upper: IterationReport
-    sandwich_ok: bool
-
-
-def bracket_iterate(p: ProblemInstance, alpha: VectorGridFunction,
-                    beta: VectorGridFunction, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER,
-                    record_iterates: bool = False) -> BracketReport:
-    """Interleaved iteration from a subsolution alpha and supersolution beta.
-
-    Maintains alpha_k <= alpha_{k+1} <= beta_{k+1} <= beta_k nodewise at
-    every step (raising MonotonicityViolation otherwise) and returns both
-    limits; the lower limit is the smallest fixed point in [alpha, beta],
-    the upper one the greatest.
-    """
-    if not alpha.le(beta, ORDER_SLACK):
-        raise MonotonicityViolation("bracket requires alpha <= beta")
-    a, b = alpha, beta
-    ta, tb = apply_T(p, a), apply_T(p, b)
-    _check_step(a, ta, Direction.FROM_BELOW, "alpha is not a subsolution")
-    _check_step(tb, b, Direction.FROM_BELOW, "beta is not a supersolution")
-    hist_a, hist_b = [a.norm()], [b.norm()]
-    iters_a = [a] if record_iterates else None
-    iters_b = [b] if record_iterates else None
-    for it in range(1, max_iter + 1):
-        a_next, b_next = ta, tb
-        _check_step(a, a_next, Direction.FROM_BELOW, f"iteration {it}")
-        _check_step(b, b_next, Direction.FROM_ABOVE, f"iteration {it}")
-        if not a_next.le(b_next, ORDER_SLACK):
-            raise MonotonicityViolation(
-                f"iteration {it}: lower iterate exceeded upper iterate")
-        hist_a.append(a_next.norm())
-        hist_b.append(b_next.norm())
-        if record_iterates:
-            iters_a.append(a_next)
-            iters_b.append(b_next)
-        da, db = a_next.diff_norm(a), b_next.diff_norm(b)
-        ta, tb = apply_T(p, a_next), apply_T(p, b_next)
-        ra, rb = a_next.diff_norm(ta), b_next.diff_norm(tb)
-        if max(da, ra) <= tol and max(db, rb) <= tol:
-            low = IterationReport(a_next, ra, it, hist_a,
-                                  Direction.FROM_BELOW,
-                                  a_next.norm() <= 10.0 * tol, iters_a)
-            high = IterationReport(b_next, rb, it, hist_b,
-                                   Direction.FROM_ABOVE,
-                                   b_next.norm() <= 10.0 * tol, iters_b)
-            return BracketReport(low, high,
-                                 sandwich_ok=a_next.le(b_next, ORDER_SLACK))
-        a, b = a_next, b_next
-    raise NoConvergence(
-        f"bracket iteration did not converge in {max_iter} iterations")
-
-
-def certify(p: ProblemInstance, u: VectorGridFunction,
-            tol: float = DEFAULT_TOL) -> Certificate:
-    """Recompute T u and certify u as a nonzero positive fixed point."""
-    tu = apply_T(p, u)
-    residual = u.diff_norm(tu)
-    min_value = min(float(c.values.min()) for c in u.components)
-    norm = u.norm()
-    in_box = all(float(c.values.max()) <= rho + 1e-10
-                 for c, rho in zip(u.components, p.nl.box)) \
-        and min_value >= -1e-10
+def certify(p: ProblemInstance, u, tol: float = DEFAULT_TOL) -> Certificate:
+    """Recompute T u for a state u of shape (n, N) and certify u as a
+    nonzero positive fixed point."""
+    residual = float(np.abs(u - apply_T(p, u)).max())
+    min_value = float(u.min())
+    norm = float(np.abs(u).max())
     positive = min_value >= -1e-10
+    in_box = positive and all(float(c.max()) <= rho + 1e-10
+                              for c, rho in zip(u, p.nl.box))
     nonzero = norm >= 10.0 * tol
     return Certificate(
         residual=residual, min_value=min_value, norm=norm, in_box=in_box,

@@ -1,12 +1,13 @@
 """Nonlinearities f_i(x, u) on the grid and their structural checks.
 
 A Nonlinearity bundles n parsed expressions with the box I = prod [0, rho_j]
-they are defined on.  Applying one componentwise to a vector grid function is
-the superposition (Nemytskii) evaluation.  The structural hypotheses used by
-the existence theory, componentwise monotonicity and the linear lower growth
-bound near zero, are verified by seeded random sampling plus deterministic
-sweeps and reported as CheckReport values rather than raised as errors: a
-failed check is an answer, not a crash.
+they are defined on.  Applying one componentwise to a state, an (n, N) array
+of nodal values, is the superposition (Nemytskii) evaluation.  The
+structural hypotheses used by the existence theory, componentwise
+monotonicity and the linear lower growth bound near zero, are verified by
+seeded random sampling plus deterministic sweeps and reported as CheckReport
+values rather than raised as errors: a failed check is an answer, not a
+crash.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import BoxViolation, EvalDomainError
+from .errors import BoxViolation, EvalDomainError, GridMismatch
 from .geometry import DomainSpec, Grid, Rectangle, UnitDisk
-from .greens import GridFunction
 
 BOX_SLACK = 1e-10      # tolerated overshoot before clamping
 CHECK_SLACK = 1e-12    # slack for the sampled inequalities
@@ -74,57 +74,6 @@ class Nonlinearity:
         return out
 
 
-@dataclass(eq=False)
-class VectorGridFunction:
-    """n scalar grid functions sharing one grid; the norm is the maximum of
-    the component sup norms."""
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("need at least one component")
-        grid = comps[0].grid
-        for c in comps[1:]:
-            if c.grid is not grid:
-                raise ValueError("components must share one grid")
-        self.components = comps
-
-    @property
-    def grid(self) -> Grid:
-        return self.components[0].grid
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-    @classmethod
-    def constant(cls, grid, values):
-        return cls(tuple(GridFunction.constant(grid, v) for v in values))
-
-    @classmethod
-    def zeros(cls, grid, n):
-        return cls.constant(grid, [0.0] * n)
-
-    def norm(self) -> float:
-        return max(c.sup_norm() for c in self.components)
-
-    def stack(self) -> np.ndarray:
-        return np.stack([c.values for c in self.components])
-
-    def copy(self):
-        return VectorGridFunction(tuple(c.copy() for c in self.components))
-
-    def le(self, other, slack=0.0) -> bool:
-        return all(a.le(b, slack)
-                   for a, b in zip(self.components, other.components))
-
-    def diff_norm(self, other) -> float:
-        return max((a - b).sup_norm()
-                   for a, b in zip(self.components, other.components))
-
-
 @dataclass
 class CheckReport:
     """Outcome of a sampled hypothesis check."""
@@ -176,17 +125,21 @@ def _deterministic_points(domain: DomainSpec):
     return x, y
 
 
-def nemytskii_apply(nl: Nonlinearity, i: int, u: VectorGridFunction) -> GridFunction:
-    """Nodewise evaluation of f_i(x, u(x)).
+def nemytskii_apply(nl: Nonlinearity, i: int, u, grid: Grid) -> np.ndarray:
+    """Nodewise evaluation of f_i(x, u(x)) for a state u of shape (n, N),
+    or a stack of states of shape (..., n, N), on the N interior nodes of
+    grid; the result has shape (..., N).
 
     u must stay inside the box up to BOX_SLACK; values inside the tolerance
     band are clamped onto the box before evaluation.
     """
-    grid = u.grid
+    u = np.asarray(u, dtype=float)
+    if u.shape[-2:] != (nl.n, grid.interior_count):
+        raise GridMismatch(f"state of shape {u.shape} does not hold {nl.n} "
+                           f"components on {grid.interior_count} nodes")
     comps = []
-    for j, comp in enumerate(u.components):
-        rho = nl.box[j]
-        vals = comp.values
+    for j, rho in enumerate(nl.box):
+        vals = u[..., j, :]
         worst = max(float(-vals.min()), float(vals.max() - rho))
         if worst > BOX_SLACK:
             raise BoxViolation(
@@ -194,7 +147,7 @@ def nemytskii_apply(nl: Nonlinearity, i: int, u: VectorGridFunction) -> GridFunc
         comps.append(np.clip(vals, 0.0, rho))
     out = ex.eval_on_arrays(nl.exprs[i],
                             nl.bindings(grid.xs, grid.ys, comps))
-    return GridFunction(grid, np.broadcast_to(out, (grid.interior_count,)).copy())
+    return np.broadcast_to(out, u.shape[:-2] + u.shape[-1:]).copy()
 
 
 def check_monotone(nl: Nonlinearity, i: int, samples: int, seed: int,

@@ -26,6 +26,7 @@ stencil) average the two edge eliminations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -108,6 +109,11 @@ class DiscreteOperator:
         if self._lu is None:
             self._lu = spla.splu(self.matrix.tocsc())
         return self._lu
+
+    @cached_property
+    def norm_inf(self) -> float:
+        """|A|_inf, the largest absolute row sum of the matrix."""
+        return float(abs(self.matrix).sum(axis=1).max())
 
 
 def _sample(fn: Coefficient, xs, ys) -> np.ndarray:

@@ -20,13 +20,11 @@ import numpy as np
 from . import expr as ex
 from .config import parse_config
 from .errors import EvalDomainError
-from .fixedpoint import (Direction, ProblemInstance, bracket_iterate,
-                         check_supersolution, construct_subsolution,
-                         monotone_iterate)
+from .fixedpoint import (ProblemInstance, check_supersolution,
+                         construct_subsolution, monotone_iterate)
 from .geometry import Rectangle, UnitDisk, build_grid
-from .greens import GridFunction, apply_K, k_one_norm, spectral_radius
-from .nonlinearity import (Nonlinearity, VectorGridFunction, check_growth,
-                           check_monotone)
+from .greens import apply_K, k_one_norm, spectral_radius
+from .nonlinearity import Nonlinearity, check_growth, check_monotone
 from .operator import EllipticCoefficients, Dirichlet, assemble
 
 REFERENCE_H = 1.0 / 64.0
@@ -133,7 +131,7 @@ def _crit_green_fidelity(ctx: VerifyContext):
         k1, _ = ctx.k1("disk", h)
         grid = op.grid
         exact = 0.25 * (1.0 - grid.xs ** 2 - grid.ys ** 2)
-        return float(np.abs(k1.values - exact).max())
+        return float(np.abs(k1 - exact).max())
 
     err_fine = error_at(ctx.h)
     err_coarse = error_at(2.0 * ctx.h)
@@ -205,25 +203,24 @@ def _crit_end_to_end(ctx: VerifyContext):
     op = ctx.op("disk")
     nl = cfg.nonlinearity()
     problem = ProblemInstance(op, nl, tuple(cfg.lambdas))
-    beta = VectorGridFunction.constant(op.grid, cfg.rho)
+    beta = np.outer(cfg.rho, np.ones(op.grid.interior_count))
     ok_super, _ = check_supersolution(problem, beta)
     if not ok_super:
         return False, "supersolution check failed at beta = rho"
-    report = monotone_iterate(problem, beta, Direction.FROM_ABOVE,
-                              tol=cfg.tol, max_iter=cfg.max_iter,
-                              record_iterates=True)
+    report = monotone_iterate(problem, beta=beta, tol=cfg.tol,
+                              max_iter=cfg.max_iter, record_iterates=True)
+    upper = report.upper
     # independent nodewise re-check of the recorded sequence
     decreasing = all(
-        report.iterates[k + 1].le(report.iterates[k], 1e-12)
-        for k in range(len(report.iterates) - 1))
-    u = report.solution
-    min_val = min(float(c.values.min()) for c in u.components)
-    in_box = all(float(c.values.max()) <= rho + 1e-10
-                 for c, rho in zip(u.components, cfg.rho))
-    norm = u.norm()
-    ok = (report.residual <= 1e-9 and min_val > -1e-10 and in_box
+        np.all(upper.iterates[k + 1] <= upper.iterates[k] + 1e-12)
+        for k in range(len(upper.iterates) - 1))
+    u = upper.solution
+    min_val = float(u.min())
+    in_box = all(float(c.max()) <= rho + 1e-10 for c, rho in zip(u, cfg.rho))
+    norm = float(np.abs(u).max())
+    ok = (upper.residual <= 1e-9 and min_val > -1e-10 and in_box
           and norm > 1e-8 and decreasing)
-    return ok, (f"residual {report.residual:.2e} (<= 1e-9), min value "
+    return ok, (f"residual {upper.residual:.2e} (<= 1e-9), min value "
                 f"{min_val:.2e} (> -1e-10), in box {in_box}, norm "
                 f"{norm:.4f} (> 1e-8), monotone sequence {decreasing}, "
                 f"{report.iterations} iterations")
@@ -270,7 +267,7 @@ def _crit_bracketing(ctx: VerifyContext):
         attempted += 1
         problem, i0, delta, rho0 = _random_monotone_instance(
             rng, op, spectrum)
-        beta = VectorGridFunction.constant(op.grid, problem.nl.box)
+        beta = np.outer(problem.nl.box, np.ones(op.grid.interior_count))
         ok_super, _ = check_supersolution(problem, beta)
         if not ok_super:
             return False, "template instance lost its supersolution"
@@ -278,12 +275,13 @@ def _crit_bracketing(ctx: VerifyContext):
         if alpha is None:
             continue
         succeeded += 1
-        bracket = bracket_iterate(problem, alpha, beta, tol=1e-10,
-                                  max_iter=5000, record_iterates=True)
+        bracket = monotone_iterate(problem, alpha, beta, tol=1e-10,
+                                   max_iter=5000, record_iterates=True)
         pairs = zip(bracket.lower.iterates, bracket.upper.iterates)
-        if not all(a.le(b, 1e-9) for a, b in pairs):
+        if not all(np.all(a <= b + 1e-9) for a, b in pairs):
             return False, "alpha_k <= beta_k violated along the iteration"
-        if not bracket.lower.solution.le(bracket.upper.solution, 1e-9):
+        if not np.all(bracket.lower.solution
+                      <= bracket.upper.solution + 1e-9):
             return False, "smallest fixed point exceeds greatest"
     if succeeded < attempted // 2:
         return False, (f"only {succeeded}/{attempted} instances produced a "
@@ -296,32 +294,30 @@ def _crit_operator_properties(ctx: VerifyContext):
     failures = []
     for domain_key in ("disk", "square"):
         op = ctx.op(domain_key)
-        grid = op.grid
-        n = grid.interior_count
+        n = op.grid.interior_count
         rng = np.random.default_rng(911 if domain_key == "disk" else 912)
         for trial in range(100):
             g = rng.standard_normal(n)
             hvec = rng.standard_normal(n)
             a, b = rng.uniform(-2, 2, 2)
-            kg = apply_K(op, GridFunction(grid, g))
-            kh = apply_K(op, GridFunction(grid, hvec))
-            combo = apply_K(op, GridFunction(grid, a * g + b * hvec))
-            lin_err = float(np.abs(combo.values - a * kg.values
-                                   - b * kh.values).max())
+            kg = apply_K(op, g)
+            kh = apply_K(op, hvec)
+            combo = apply_K(op, a * g + b * hvec)
+            lin_err = float(np.abs(combo - a * kg - b * kh).max())
             lin_tol = 1e-9 * (abs(a) * float(np.abs(g).max())
                               + abs(b) * float(np.abs(hvec).max()))
             if lin_err > lin_tol:
                 failures.append(f"{domain_key} linearity trial {trial}: "
                                 f"{lin_err:.2e} > {lin_tol:.2e}")
             gpos = np.abs(g)
-            kpos = apply_K(op, GridFunction(grid, gpos))
-            if float(kpos.values.min()) < -1e-10 * float(gpos.max()):
+            kpos = apply_K(op, gpos)
+            if float(kpos.min()) < -1e-10 * float(gpos.max()):
                 failures.append(f"{domain_key} positivity trial {trial}")
             delta = np.abs(hvec)
-            k_lo = apply_K(op, GridFunction(grid, gpos))
-            k_hi = apply_K(op, GridFunction(grid, gpos + delta))
+            k_lo = apply_K(op, gpos)
+            k_hi = apply_K(op, gpos + delta)
             slack = 1e-10 * float(delta.max())
-            if not np.all(k_lo.values <= k_hi.values + slack):
+            if not np.all(k_lo <= k_hi + slack):
                 failures.append(f"{domain_key} monotonicity trial {trial}")
     if failures:
         return False, "; ".join(failures[:3])

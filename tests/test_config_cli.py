@@ -157,6 +157,23 @@ def test_solve_exit_2_for_tiny_lambda(tmp_path):
     assert code == 2
 
 
+def test_lower_half_failure_is_a_warning(tmp_path, capsys):
+    # with swept growth parameters the subsolution is tiny: the upper half
+    # converges in 45 steps, the lower one needs 47, so a budget of 46
+    # fails only the lower half
+    text = SYSTEM_CFG.replace("delta = 10\n", "").replace("rho0 = 0.01\n",
+                                                          "")
+    cfg = write(tmp_path, "swept.cfg", text)
+    out = tmp_path / "o"
+    code = main(["solve", "--config", cfg, "--max-iter", "46",
+                 "--out", str(out), "--csv"])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "warning: lower iteration did not complete" in printed
+    assert "iterations:        45" in printed
+    assert not (out / "solution_lower.csv").exists()
+
+
 def test_lambda_range_exits(tmp_path):
     cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
     assert main(["lambda-range", "--config", cfg,
@@ -207,19 +224,37 @@ def test_verify_list(capsys):
     assert len(out.strip().splitlines()) == 10
 
 
-def test_reports_are_bit_identical(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["lambda-range", "solve"])
+def test_reports_are_bit_identical(tmp_path, capsys, command):
     cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
-    main(["lambda-range", "--config", cfg, "--out", str(tmp_path / "r1")])
-    first = capsys.readouterr().out
-    main(["lambda-range", "--config", cfg, "--out", str(tmp_path / "r2")])
-    second = capsys.readouterr().out
-    assert first == second
+    runs = []
+    for name in ("r1", "r2"):
+        out = tmp_path / name
+        main([command, "--config", cfg, "--out", str(out), "--csv"])
+        artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((capsys.readouterr().out, artifacts))
+    assert runs[0][1], "the run wrote no artifacts"
+    assert runs[0] == runs[1]
 
 
-def test_threads_env_var_validation(monkeypatch):
-    monkeypatch.setenv("CONESOLVE_THREADS", "banana")
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--list"])
-    assert err.value.code == 64
-    monkeypatch.setenv("CONESOLVE_THREADS", "2")
-    assert main(["verify", "--list"]) == 0
+@pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "0"),
+                                        ("--max-iter", "0")])
+def test_invalid_overrides_exit_64(tmp_path, capsys, flag, value):
+    cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
+    code = main(["solve", "--config", cfg, flag, value,
+                 "--out", str(tmp_path / "o")])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_shipped_system_certifies_at_h_1_128(tmp_path, capsys):
+    from importlib.resources import files
+    text = (files("conesolve") / "configs" / "system_disk.cfg").read_text()
+    cfg = write(tmp_path, "system_disk.cfg", text)
+    fine = ["--config", cfg, "--h", "0.0078125"]
+    assert main(["spectrum", *fine, "--out", str(tmp_path / "s")]) == 0
+    assert main(["solve", *fine, "--out", str(tmp_path / "o")]) == 0
+    certificate = (tmp_path / "o" / "certificate.txt").read_text()
+    assert "verdict:            certified nonzero positive solution" \
+        in certificate

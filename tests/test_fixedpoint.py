@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conesolve import (Direction, GridFunction, Nonlinearity,
-                       ProblemInstance, VectorGridFunction,
-                       apply_T, bracket_iterate, certify,
+from conesolve import (Nonlinearity, ProblemInstance, apply_T, certify,
                        check_supersolution, construct_subsolution,
                        k_one_norm, monotone_iterate, spectral_radius)
 from conesolve.errors import MonotonicityViolation, NoConvergence
 
 RHO = 15 * math.pi / 64
+
+
+def constant_state(grid, levels):
+    return np.outer(levels, np.ones(grid.interior_count))
 
 
 def reference_problem(disk_op, lambdas=(1.6, 5.0)):
@@ -28,59 +30,63 @@ def test_constant_nonlinearity_gives_k1(disk_op):
     p = constant_problem(disk_op)
     k1, _ = k_one_norm(disk_op)
     for val in (0.0, 0.3, 1.0):
-        u = VectorGridFunction.constant(disk_op.grid, (val,))
-        tu = apply_T(p, u)
-        assert np.array_equal(tu.components[0].values, k1.values)
+        tu = apply_T(p, constant_state(disk_op.grid, (val,)))
+        assert np.array_equal(tu[0], k1)
 
 
 def test_zero_is_fixed_point(disk_op):
     p = reference_problem(disk_op)
-    zero = VectorGridFunction.zeros(disk_op.grid, 2)
-    tz = apply_T(p, zero)
-    assert tz.norm() == 0.0
+    tz = apply_T(p, np.zeros((2, disk_op.grid.interior_count)))
+    assert np.abs(tz).max() == 0.0
 
 
 def test_apply_T_constant_field_is_lambda_m_K1(disk_op):
     p = reference_problem(disk_op)
     k1, _ = k_one_norm(disk_op)
-    u = VectorGridFunction.constant(disk_op.grid, (RHO, RHO))
-    tu = apply_T(p, u)
+    tu = apply_T(p, constant_state(disk_op.grid, (RHO, RHO)))
     m1 = math.sqrt(RHO) + math.tan(RHO)
     m2 = RHO * RHO
     for i, m in enumerate((m1, m2)):
-        expected = p.lambdas[i] * m * k1.values
-        assert tu.components[i].values == pytest.approx(expected, rel=1e-12)
+        expected = p.lambdas[i] * m * k1
+        assert tu[i] == pytest.approx(expected, rel=1e-12)
+
+
+def test_apply_T_on_a_stack_matches_each_state(disk_op):
+    p = reference_problem(disk_op)
+    grid = disk_op.grid
+    a = constant_state(grid, (RHO / 2, RHO / 3))
+    b = constant_state(grid, (RHO, RHO / 5))
+    stacked = apply_T(p, np.stack([a, b]))
+    assert stacked.shape == (2, 2, grid.interior_count)
+    for state, t in ((a, stacked[0]), (b, stacked[1])):
+        assert t == pytest.approx(apply_T(p, state), rel=1e-12, abs=1e-15)
 
 
 def test_lambda_scaling(disk_op):
     p1 = reference_problem(disk_op, (0.8, 2.5))
     p2 = reference_problem(disk_op, (1.6, 5.0))
-    u = VectorGridFunction.constant(disk_op.grid, (RHO / 2, RHO / 3))
-    t1 = apply_T(p1, u)
-    t2 = apply_T(p2, u)
-    for a, b in zip(t1.components, t2.components):
-        assert b.values == pytest.approx(2.0 * a.values, rel=1e-12)
+    u = constant_state(disk_op.grid, (RHO / 2, RHO / 3))
+    assert apply_T(p2, u) == pytest.approx(2.0 * apply_T(p1, u), rel=1e-12)
 
 
 def test_supersolution_constant_one(disk_op):
     nl = Nonlinearity.from_strings(["1"], (1.0,))
     p = ProblemInstance(disk_op, nl, (1.0,))
-    beta = VectorGridFunction.constant(disk_op.grid, (1.0,))
-    ok, margin = check_supersolution(p, beta)
+    ok, margin = check_supersolution(p, constant_state(disk_op.grid, (1.0,)))
     assert ok
     assert margin == pytest.approx(0.75, abs=1e-9)
 
 
 def test_supersolution_reference_lambdas(disk_op):
     p = reference_problem(disk_op)
-    beta = VectorGridFunction.constant(disk_op.grid, (RHO, RHO))
+    beta = constant_state(disk_op.grid, (RHO, RHO))
     ok, margin = check_supersolution(p, beta)
     assert ok and margin > 0
 
 
 def test_supersolution_fails_for_large_lambda(disk_op):
     p = reference_problem(disk_op, (16.0, 50.0))
-    beta = VectorGridFunction.constant(disk_op.grid, (RHO, RHO))
+    beta = constant_state(disk_op.grid, (RHO, RHO))
     ok, margin = check_supersolution(p, beta)
     assert not ok and margin < 0
 
@@ -102,60 +108,66 @@ def test_subsolution_reference_system(disk_op):
     # delta = 10 validated for rho0 = 0.01: mu1 / 10 < 1.6
     alpha = construct_subsolution(p, est, 0, 10.0, 0.01)
     assert alpha is not None
-    t_alpha = apply_T(p, alpha)
-    assert alpha.le(t_alpha, 1e-12)
-    assert np.all(alpha.components[1].values == 0.0)
+    assert np.all(alpha <= apply_T(p, alpha) + 1e-12)
+    assert np.all(alpha[1] == 0.0)
 
 
 def test_monotone_iterate_constant_two_steps(disk_op):
     p = constant_problem(disk_op)
     k1, _ = k_one_norm(disk_op)
-    beta = VectorGridFunction.constant(disk_op.grid, (1.0,))
-    rep = monotone_iterate(p, beta, Direction.FROM_ABOVE, tol=1e-12)
+    beta = constant_state(disk_op.grid, (1.0,))
+    rep = monotone_iterate(p, beta=beta, tol=1e-12)
     assert rep.iterations <= 2
-    assert rep.residual == 0.0
-    assert np.array_equal(rep.solution.components[0].values, k1.values)
+    assert rep.lower is None
+    assert rep.upper.residual == 0.0
+    assert np.array_equal(rep.upper.solution[0], k1)
 
 
 def test_monotone_iterate_zero_start(disk_op):
     p = reference_problem(disk_op)
-    zero = VectorGridFunction.zeros(disk_op.grid, 2)
-    rep = monotone_iterate(p, zero, Direction.FROM_BELOW, tol=1e-10)
+    zero = np.zeros((2, disk_op.grid.interior_count))
+    rep = monotone_iterate(p, alpha=zero, tol=1e-10)
     assert rep.iterations == 1
-    assert rep.converged_to_zero
-    assert rep.solution.norm() == 0.0
+    assert rep.upper is None
+    assert rep.lower.converged_to_zero
+    assert rep.lower.norm == 0.0
 
 
 def test_monotone_iterate_reference_system(disk_op):
     p = reference_problem(disk_op)
-    beta = VectorGridFunction.constant(disk_op.grid, (RHO, RHO))
-    rep = monotone_iterate(p, beta, Direction.FROM_ABOVE, tol=1e-9,
-                           record_iterates=True)
+    beta = constant_state(disk_op.grid, (RHO, RHO))
+    rep = monotone_iterate(p, beta=beta, tol=1e-9,
+                           record_iterates=True).upper
     assert rep.residual <= 1e-9
     assert not rep.converged_to_zero
-    assert 0 < rep.solution.norm() <= RHO
+    assert 0 < rep.norm <= RHO
     # history of norms is non-increasing and the iterates are nodewise
     # non-increasing
     assert all(a >= b - 1e-12 for a, b in zip(rep.history, rep.history[1:]))
     for a, b in zip(rep.iterates, rep.iterates[1:]):
-        assert b.le(a, 1e-12)
+        assert np.all(b <= a + 1e-12)
 
 
 def test_monotone_iterate_rejects_bad_start(disk_op):
     p = reference_problem(disk_op)
-    tiny = VectorGridFunction.constant(disk_op.grid, (1e-3, 1e-3))
+    tiny = constant_state(disk_op.grid, (1e-3, 1e-3))
     with pytest.raises(MonotonicityViolation):
         # T(tiny) is far above tiny, so tiny is not a supersolution
-        monotone_iterate(p, tiny, Direction.FROM_ABOVE)
+        monotone_iterate(p, beta=tiny)
 
 
 def test_monotone_iterate_detects_nonmonotone_f(disk_op):
     # f = 1 - u1 is decreasing: the second step breaks the ordering
     nl = Nonlinearity.from_strings(["1 - u1"], (1.0,))
     p = ProblemInstance(disk_op, nl, (1.0,))
-    beta = VectorGridFunction.constant(disk_op.grid, (1.0,))
+    beta = constant_state(disk_op.grid, (1.0,))
     with pytest.raises(MonotonicityViolation):
-        monotone_iterate(p, beta, Direction.FROM_ABOVE, tol=1e-10)
+        monotone_iterate(p, beta=beta, tol=1e-10)
+
+
+def test_monotone_iterate_needs_a_start(disk_op):
+    with pytest.raises(ValueError):
+        monotone_iterate(reference_problem(disk_op))
 
 
 def test_T_monotone_on_ordered_pairs(disk_op):
@@ -163,42 +175,48 @@ def test_T_monotone_on_ordered_pairs(disk_op):
     rng = np.random.default_rng(42)
     grid = disk_op.grid
     for _ in range(10):
-        u_vals = rng.uniform(0, RHO, (2, grid.interior_count))
-        v_vals = np.minimum(u_vals + rng.uniform(0, RHO / 2,
-                                                 u_vals.shape), RHO)
-        u = VectorGridFunction(tuple(GridFunction(grid, row)
-                                     for row in u_vals))
-        v = VectorGridFunction(tuple(GridFunction(grid, row)
-                                     for row in v_vals))
-        assert apply_T(p, u).le(apply_T(p, v), 1e-10)
+        u = rng.uniform(0, RHO, (2, grid.interior_count))
+        v = np.minimum(u + rng.uniform(0, RHO / 2, u.shape), RHO)
+        assert np.all(apply_T(p, u) <= apply_T(p, v) + 1e-10)
 
 
-def test_bracket_iterate_sandwich(disk_op):
+def test_two_sided_iterate_sandwich(disk_op):
     est = spectral_radius(disk_op)
     p = reference_problem(disk_op)
     alpha = construct_subsolution(p, est, 0, 10.0, 0.01)
-    beta = VectorGridFunction.constant(disk_op.grid, (RHO, RHO))
-    report = bracket_iterate(p, alpha, beta, tol=1e-10,
-                             record_iterates=True)
-    assert report.sandwich_ok
+    beta = constant_state(disk_op.grid, (RHO, RHO))
+    report = monotone_iterate(p, alpha, beta, tol=1e-10,
+                              record_iterates=True)
     for a, b in zip(report.lower.iterates, report.upper.iterates):
-        assert a.le(b, 1e-9)
-    assert report.lower.solution.le(report.upper.solution, 1e-9)
+        assert np.all(a <= b + 1e-9)
+    assert len(report.lower.iterates) == report.iterations + 1
+    assert report.lower.residual <= 1e-10 and report.upper.residual <= 1e-10
     # upper limit is the greatest fixed point, lower the smallest
-    assert report.lower.solution.norm() <= report.upper.solution.norm() + 1e-9
+    assert report.lower.norm <= report.upper.norm + 1e-9
+
+
+def test_two_sided_iterate_checks_the_sandwich(disk_op):
+    # f = 1 - u1 is decreasing: 0 is a subsolution and 1 a supersolution,
+    # yet T 0 = K(1) lies above T 1 = 0, so the first step crosses
+    nl = Nonlinearity.from_strings(["1 - u1"], (1.0,))
+    p = ProblemInstance(disk_op, nl, (1.0,))
+    zero = constant_state(disk_op.grid, (0.0,))
+    one = constant_state(disk_op.grid, (1.0,))
+    with pytest.raises(MonotonicityViolation, match="exceeded"):
+        monotone_iterate(p, zero, one)
 
 
 def test_certify_constant_solution(disk_op):
     p = constant_problem(disk_op)
     k1, _ = k_one_norm(disk_op)
-    cert = certify(p, VectorGridFunction((k1,)), tol=1e-9)
+    cert = certify(p, k1[None, :], tol=1e-9)
     assert cert.certified
     assert cert.residual <= 1e-12
 
 
 def test_certify_zero_not_nonzero(disk_op):
     p = reference_problem(disk_op)
-    cert = certify(p, VectorGridFunction.zeros(disk_op.grid, 2), tol=1e-9)
+    cert = certify(p, np.zeros((2, disk_op.grid.interior_count)), tol=1e-9)
     assert not cert.certified
     assert cert.residual == 0.0
     assert "trivial" in cert.verdict()
@@ -207,8 +225,7 @@ def test_certify_zero_not_nonzero(disk_op):
 def test_certify_rejects_perturbed_solution(disk_op):
     p = constant_problem(disk_op)
     k1, _ = k_one_norm(disk_op)
-    shifted = VectorGridFunction((GridFunction(
-        disk_op.grid, np.minimum(k1.values + 0.1, 1.0)),))
+    shifted = np.minimum(k1 + 0.1, 1.0)[None, :]
     cert = certify(p, shifted, tol=1e-9)
     assert not cert.certified
     assert cert.residual > 1e-9
@@ -218,10 +235,10 @@ def test_from_below_limit_below_from_above_limit(disk_op):
     est = spectral_radius(disk_op)
     p = reference_problem(disk_op)
     alpha = construct_subsolution(p, est, 0, 10.0, 0.01)
-    beta = VectorGridFunction.constant(disk_op.grid, (RHO, RHO))
-    low = monotone_iterate(p, alpha, Direction.FROM_BELOW, tol=1e-10)
-    high = monotone_iterate(p, beta, Direction.FROM_ABOVE, tol=1e-10)
-    assert low.solution.le(high.solution, 1e-9)
+    beta = constant_state(disk_op.grid, (RHO, RHO))
+    low = monotone_iterate(p, alpha=alpha, tol=1e-10).lower
+    high = monotone_iterate(p, beta=beta, tol=1e-10).upper
+    assert np.all(low.solution <= high.solution + 1e-9)
 
 
 def test_problem_instance_validation(disk_op):
@@ -234,7 +251,6 @@ def test_problem_instance_validation(disk_op):
 
 def test_monotone_iterate_budget_exhaustion(disk_op):
     p = reference_problem(disk_op)
-    beta = VectorGridFunction.constant(disk_op.grid, (RHO, RHO))
+    beta = constant_state(disk_op.grid, (RHO, RHO))
     with pytest.raises(NoConvergence):
-        monotone_iterate(p, beta, Direction.FROM_ABOVE, tol=1e-12,
-                         max_iter=2)
+        monotone_iterate(p, beta=beta, tol=1e-12, max_iter=2)

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conesolve import (Dirichlet, EllipticCoefficients, GridFunction,
-                       Rectangle, UnitDisk, apply_K, assemble, build_grid,
-                       e_positivity_probe, k_one_norm, spectral_radius)
-from conesolve.errors import (GridMismatch, NoConvergence,
-                              NotPositive)
+from conesolve import (Dirichlet, EllipticCoefficients, Rectangle, UnitDisk,
+                       apply_K, assemble, build_grid, e_positivity_probe,
+                       k_one_norm, spectral_radius)
+from conesolve import greens
+from conesolve.errors import (GridMismatch, NoConvergence, NotPositive,
+                              SolverFailure)
 from conesolve.verify import disk_mu1_reference, first_j0_zero
 
 
 def test_zero_rhs_gives_zero(disk_op):
-    z = apply_K(disk_op, GridFunction.zeros(disk_op.grid))
-    assert np.all(z.values == 0.0)
+    z = apply_K(disk_op, np.zeros(disk_op.grid.interior_count))
+    assert np.all(z == 0.0)
 
 
 def test_disk_k1_matches_closed_form(disk_op):
@@ -22,7 +23,7 @@ def test_disk_k1_matches_closed_form(disk_op):
     exact = 0.25 * (1.0 - grid.xs ** 2 - grid.ys ** 2)
     # the quadratic profile is reproduced exactly by the stencil, so the
     # only error is solver roundoff
-    assert np.abs(k1.values - exact).max() < 1e-12
+    assert np.abs(k1 - exact).max() < 1e-12
 
 
 def test_square_manufactured_solution_second_order():
@@ -31,8 +32,8 @@ def test_square_manufactured_solution_second_order():
         grid = build_grid(Rectangle(0, 1, 0, 1), h)
         op = assemble(grid, EllipticCoefficients.laplacian(), Dirichlet())
         exact = np.sin(np.pi * grid.xs) * np.sin(np.pi * grid.ys)
-        z = apply_K(op, GridFunction(grid, 2.0 * np.pi ** 2 * exact))
-        errs.append(np.abs(z.values - exact).max())
+        z = apply_K(op, 2.0 * np.pi ** 2 * exact)
+        errs.append(np.abs(z - exact).max())
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.6)
     assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.6)
 
@@ -45,8 +46,8 @@ def test_disk_quartic_manufactured_solution_order():
         grid = build_grid(UnitDisk(), h)
         op = assemble(grid, EllipticCoefficients.laplacian(), Dirichlet())
         r2 = grid.xs ** 2 + grid.ys ** 2
-        z = apply_K(op, GridFunction(grid, 8.0 - 16.0 * r2))
-        errs.append(np.abs(z.values - (1.0 - r2) ** 2).max())
+        z = apply_K(op, 8.0 - 16.0 * r2)
+        errs.append(np.abs(z - (1.0 - r2) ** 2).max())
     assert 2.5 <= errs[0] / errs[1] <= 4.5
     assert 2.5 <= errs[1] / errs[2] <= 4.5
 
@@ -69,13 +70,59 @@ def test_k1_deterministic(disk_op):
     a, na = k_one_norm(disk_op)
     b, nb = k_one_norm(disk_op)
     assert na == nb
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_grid_mismatch_detected(disk_op, square_op):
-    g = GridFunction.constant(square_op.grid, 1.0)
+    g = np.ones(square_op.grid.interior_count)
     with pytest.raises(GridMismatch):
         apply_K(disk_op, g)
+    with pytest.raises(GridMismatch):
+        apply_K(disk_op, np.ones((2, square_op.grid.interior_count)))
+    with pytest.raises(GridMismatch):
+        apply_K(disk_op, np.ones((1, 1, disk_op.grid.interior_count)))
+
+
+def test_block_solve_matches_single_solves(disk_op):
+    rng = np.random.default_rng(7)
+    block = rng.standard_normal((3, disk_op.grid.interior_count))
+    z = apply_K(disk_op, block)
+    assert z.shape == block.shape
+    for row, zrow in zip(block, z):
+        assert zrow == pytest.approx(apply_K(disk_op, row), rel=1e-12,
+                                     abs=1e-15)
+
+
+class _CountingLU:
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        return self.lu.solve(rhs)
+
+
+def test_block_is_one_lu_solve_within_the_backward_error(disk_op,
+                                                         monkeypatch):
+    counting = _CountingLU(disk_op.factorization())
+    monkeypatch.setattr(disk_op, "factorization", lambda: counting)
+    block = np.ones((4, disk_op.grid.interior_count))
+    z = apply_K(disk_op, block)
+    assert counting.calls == 1
+    assert greens._backward_errors(disk_op, block.T, z.T).max() <= 1.0
+
+
+def test_failed_refinement_raises_solver_failure(disk_op, monkeypatch):
+    # no solve with a nonzero residual meets a zero backward-error bound:
+    # the one refinement step is taken, then the solve is rejected
+    counting = _CountingLU(disk_op.factorization())
+    monkeypatch.setattr(disk_op, "factorization", lambda: counting)
+    monkeypatch.setattr(greens, "BACKWARD_ERROR_C", 0.0)
+    rhs = np.random.default_rng(3).standard_normal(
+        disk_op.grid.interior_count)
+    with pytest.raises(SolverFailure, match="refinement"):
+        apply_K(disk_op, rhs)
+    assert counting.calls == 2
 
 
 def test_bessel_oracle_value():
@@ -89,8 +136,8 @@ def test_spectral_disk_matches_bessel_oracle(disk_op):
     assert abs(est.mu1 - ref) / ref < 0.01
     assert est.mu1 * est.r == pytest.approx(1.0, rel=1e-15)
     assert est.residual <= 1e-10
-    assert est.eigenfunction.sup_norm() == pytest.approx(1.0)
-    assert est.eigenfunction.values.min() >= -1e-12
+    assert np.abs(est.eigenfunction).max() == pytest.approx(1.0)
+    assert est.eigenfunction.min() >= -1e-12
 
 
 def test_spectral_square_matches_analytic(square_op):
@@ -111,41 +158,39 @@ def test_eigen_residual_and_lower_bound(disk_op):
     est = spectral_radius(disk_op, tol=tol)
     phi = est.eigenfunction
     kphi = apply_K(disk_op, phi)
-    assert np.abs(kphi.values - est.r * phi.values).max() <= tol
+    assert np.abs(kphi - est.r * phi).max() <= tol
     # discrete form of the comparison K phi >= (r - tol) phi
-    assert np.all(kphi.values >= (est.r - tol) * phi.values)
+    assert np.all(kphi >= (est.r - tol) * phi)
 
 
 def test_linearity_positivity_monotonicity(disk_op):
-    grid = disk_op.grid
-    n = grid.interior_count
+    n = disk_op.grid.interior_count
     rng = np.random.default_rng(1701)
     for _ in range(30):
         g = rng.standard_normal(n)
         h = rng.standard_normal(n)
         a, b = rng.uniform(-2, 2, 2)
-        kg = apply_K(disk_op, GridFunction(grid, g)).values
-        kh = apply_K(disk_op, GridFunction(grid, h)).values
-        combo = apply_K(disk_op, GridFunction(grid, a * g + b * h)).values
+        kg = apply_K(disk_op, g)
+        kh = apply_K(disk_op, h)
+        combo = apply_K(disk_op, a * g + b * h)
         bound = 1e-9 * (abs(a) * np.abs(g).max() + abs(b) * np.abs(h).max())
         assert np.abs(combo - a * kg - b * kh).max() <= bound
 
         gpos = np.abs(g)
-        kpos = apply_K(disk_op, GridFunction(grid, gpos)).values
+        kpos = apply_K(disk_op, gpos)
         assert kpos.min() >= -1e-10 * gpos.max()
 
         step = np.abs(h)
-        hi = apply_K(disk_op, GridFunction(grid, gpos + step)).values
+        hi = apply_K(disk_op, gpos + step)
         assert np.all(kpos <= hi + 1e-10 * step.max())
 
 
 def test_e_positivity_probe_constant(disk_op):
-    alpha, beta = e_positivity_probe(
-        disk_op, GridFunction.constant(disk_op.grid, 1.0))
+    ones = np.ones(disk_op.grid.interior_count)
+    alpha, beta = e_positivity_probe(disk_op, ones)
     assert alpha == pytest.approx(1.0, rel=1e-12)
     assert beta == pytest.approx(1.0, rel=1e-12)
-    alpha2, beta2 = e_positivity_probe(
-        disk_op, GridFunction.constant(disk_op.grid, 2.0))
+    alpha2, beta2 = e_positivity_probe(disk_op, 2.0 * ones)
     assert alpha2 == pytest.approx(2.0, rel=1e-12)
     assert beta2 == pytest.approx(2.0, rel=1e-12)
 
@@ -154,16 +199,16 @@ def test_e_positivity_probe_bump(disk_op):
     grid = disk_op.grid
     bump = np.where(grid.xs ** 2 + grid.ys ** 2 < 0.01, 1.0, 0.0)
     assert bump.sum() > 0
-    alpha, beta = e_positivity_probe(disk_op, GridFunction(grid, bump))
+    alpha, beta = e_positivity_probe(disk_op, bump)
     assert 0.0 < alpha <= beta < math.inf
 
 
 def test_e_positivity_probe_rejects_bad_input(disk_op):
-    grid = disk_op.grid
+    zeros = np.zeros(disk_op.grid.interior_count)
     with pytest.raises(NotPositive):
-        e_positivity_probe(disk_op, GridFunction.constant(grid, -1.0))
+        e_positivity_probe(disk_op, zeros - 1.0)
     with pytest.raises(NotPositive):
-        e_positivity_probe(disk_op, GridFunction.zeros(grid))
+        e_positivity_probe(disk_op, zeros)
 
 
 def test_spectral_budget_exhaustion(disk_op):
@@ -171,8 +216,8 @@ def test_spectral_budget_exhaustion(disk_op):
         spectral_radius(disk_op, tol=1e-14, max_iter=1)
 
 
-def test_grid_function_rejects_nan(disk_grid):
-    vals = np.zeros(disk_grid.interior_count)
+def test_grid_function_rejects_nan(disk_op):
+    vals = np.zeros(disk_op.grid.interior_count)
     vals[0] = np.nan
-    with pytest.raises(ValueError):
-        GridFunction(disk_grid, vals)
+    with pytest.raises(SolverFailure):
+        apply_K(disk_op, vals)

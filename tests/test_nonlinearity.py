@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conesolve import (GridFunction, Nonlinearity, Rectangle, UnitDisk,
-                       VectorGridFunction, build_grid, check_growth,
-                       check_monotone, max_over_domain, nemytskii_apply)
-from conesolve.errors import BoxViolation, EvalDomainError
+from conesolve import (Nonlinearity, Rectangle, UnitDisk, build_grid,
+                       check_growth, check_monotone, max_over_domain,
+                       nemytskii_apply)
+from conesolve.errors import BoxViolation, EvalDomainError, GridMismatch
 
 RHO = 15 * math.pi / 64
 M1 = math.sqrt(RHO) + math.tan(RHO)          # 1.7644326998289304
 M2 = RHO * RHO                               # 0.5421535620715588
+
+
+def constant_state(grid, levels):
+    return np.outer(levels, np.ones(grid.interior_count))
 
 
 def reference_system():
@@ -20,52 +24,68 @@ def reference_system():
 
 def test_nemytskii_square_component_at_box_corner(disk_grid):
     nl = reference_system()
-    u = VectorGridFunction.constant(disk_grid, (RHO, RHO))
-    out = nemytskii_apply(nl, 1, u)
-    assert out.values == pytest.approx(np.full(disk_grid.interior_count, M2),
+    u = constant_state(disk_grid, (RHO, RHO))
+    out = nemytskii_apply(nl, 1, u, disk_grid)
+    assert out == pytest.approx(np.full(disk_grid.interior_count, M2),
                                        rel=1e-14)
     assert M2 == pytest.approx(0.5421535620715588, rel=1e-12)
 
 
 def test_nemytskii_zero_stays_zero(disk_grid):
     nl = reference_system()
-    u = VectorGridFunction.zeros(disk_grid, 2)
+    u = np.zeros((2, disk_grid.interior_count))
     for i in range(2):
-        out = nemytskii_apply(nl, i, u)
-        assert np.all(out.values == 0.0)
+        out = nemytskii_apply(nl, i, u, disk_grid)
+        assert np.all(out == 0.0)
 
 
 def test_nemytskii_sqrt_tan_component(disk_grid):
     nl = reference_system()
-    u = VectorGridFunction.constant(disk_grid, (RHO, RHO))
-    out = nemytskii_apply(nl, 0, u)
-    assert out.values == pytest.approx(np.full(disk_grid.interior_count, M1),
+    u = constant_state(disk_grid, (RHO, RHO))
+    out = nemytskii_apply(nl, 0, u, disk_grid)
+    assert out == pytest.approx(np.full(disk_grid.interior_count, M1),
                                        rel=1e-14)
     assert M1 == pytest.approx(1.7644326998289304, rel=1e-12)
 
 
 def test_box_violation_raised(disk_grid):
     nl = reference_system()
-    u = VectorGridFunction.constant(disk_grid, (RHO + 1e-6, 0.0))
+    u = constant_state(disk_grid, (RHO + 1e-6, 0.0))
     with pytest.raises(BoxViolation):
-        nemytskii_apply(nl, 0, u)
+        nemytskii_apply(nl, 0, u, disk_grid)
+
+
+def test_nemytskii_on_a_stack_of_states(disk_grid):
+    nl = reference_system()
+    a = constant_state(disk_grid, (RHO, RHO))
+    b = np.zeros_like(a)
+    out = nemytskii_apply(nl, 0, np.stack([a, b]), disk_grid)
+    assert out.shape == (2, disk_grid.interior_count)
+    assert np.array_equal(out[0], nemytskii_apply(nl, 0, a, disk_grid))
+    assert np.all(out[1] == 0.0)
+
+
+def test_nemytskii_rejects_a_state_of_the_wrong_shape(disk_grid):
+    nl = reference_system()
+    with pytest.raises(GridMismatch):
+        nemytskii_apply(nl, 0, constant_state(disk_grid, (RHO,)), disk_grid)
 
 
 def test_eval_domain_error_propagates(disk_grid):
     nl = Nonlinearity.from_strings(["tan(u1)"], (3.0,))
-    u = VectorGridFunction.constant(disk_grid, (math.pi / 2,))
+    u = constant_state(disk_grid, (math.pi / 2,))
     with pytest.raises(EvalDomainError):
-        nemytskii_apply(nl, 0, u)
+        nemytskii_apply(nl, 0, u, disk_grid)
 
 
 def test_clamping_is_idempotent(disk_grid):
     nl = reference_system()
-    raw = VectorGridFunction.constant(disk_grid, (RHO + 5e-11, -5e-11))
-    clamped = VectorGridFunction.constant(disk_grid, (RHO, 0.0))
+    raw = constant_state(disk_grid, (RHO + 5e-11, -5e-11))
+    clamped = constant_state(disk_grid, (RHO, 0.0))
     for i in range(2):
-        a = nemytskii_apply(nl, i, raw)
-        b = nemytskii_apply(nl, i, clamped)
-        assert np.array_equal(a.values, b.values)
+        a = nemytskii_apply(nl, i, raw, disk_grid)
+        b = nemytskii_apply(nl, i, clamped, disk_grid)
+        assert np.array_equal(a, b)
 
 
 def test_check_monotone_accepts_reference_system():
@@ -164,10 +184,3 @@ def test_max_over_domain_validates_beta(disk_grid):
     nl = reference_system()
     with pytest.raises(BoxViolation):
         max_over_domain(nl, 0, (2 * RHO, RHO), disk_grid)
-
-
-def test_vector_grid_function_norm(disk_grid):
-    u = VectorGridFunction(
-        (GridFunction.constant(disk_grid, 0.25),
-         GridFunction.constant(disk_grid, -0.5)))
-    assert u.norm() == 0.5
