@@ -55,13 +55,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """Write a table given by columns in one pass: float columns as %.17g
+    (which round-trips every double), other columns as %s."""
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
+                    for col in columns) + "\n"
+    rows = zip(*(col.tolist() for col in columns))
+    text = ",".join(header) + "\n" + "".join(line % row for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                _fmt(v) if isinstance(v, float) else str(v)
-                for v in row) + "\n")
+        fh.write(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,10 +204,7 @@ def _choose_beta(pipe: Pipeline) -> list:
 
 def _write_solution_csv(path, grid, u):
     header = ["x1", "x2"] + [f"u{i + 1}" for i in range(len(u))]
-    rows = [[float(grid.xs[k]), float(grid.ys[k])]
-            + [float(u[i, k]) for i in range(len(u))]
-            for k in range(grid.interior_count)]
-    _write_csv(path, header, rows)
+    _write_csv(path, header, [grid.xs, grid.ys, *u])
 
 
 def _iterate(problem, alpha, beta, cfg):
@@ -324,7 +324,8 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
         fh.write(upper.to_text() + "\n")
     _write_csv(os.path.join(out_dir, "iterations.csv"),
                ["iteration", "norm"],
-               [[k, float(v)] for k, v in enumerate(upper.history)])
+               [np.arange(len(upper.history)),
+                np.asarray(upper.history, dtype=float)])
 
     if upper.converged_to_zero or (cert.residual <= cfg.tol
                                    and not cert.nonzero):
@@ -340,7 +341,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
 def _write_checks(out_dir, checks):
     _write_csv(os.path.join(out_dir, "checks.csv"),
                ["condition", "result", "witness"],
-               [rep.csv_row() for rep in checks])
+               list(zip(*(rep.csv_row() for rep in checks))))
 
 
 def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:
@@ -360,23 +361,22 @@ def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:
     for rng in ranges:
         print(rng.describe())
     if want_csv:
+        rows = [[rng.component + 1, float(rng.lower), float(rng.upper),
+                 int(rng.empty), float(rng.provenance.m_value),
+                 float(rng.provenance.k1_norm),
+                 "" if rng.provenance.mu1 is None
+                 else _fmt(float(rng.provenance.mu1)),
+                 "" if rng.provenance.delta is None
+                 else _fmt(float(rng.provenance.delta))]
+                for rng in ranges]
         _write_csv(os.path.join(out_dir, "ranges.csv"),
                    ["component", "lower", "upper", "empty", "m_value",
-                    "k1_norm", "mu1", "delta"],
-                   [[rng.component + 1, float(rng.lower), float(rng.upper),
-                     int(rng.empty), float(rng.provenance.m_value),
-                     float(rng.provenance.k1_norm),
-                     "" if rng.provenance.mu1 is None
-                     else float(rng.provenance.mu1),
-                     "" if rng.provenance.delta is None
-                     else float(rng.provenance.delta)]
-                    for rng in ranges])
+                    "k1_norm", "mu1", "delta"], list(zip(*rows)))
         if cfg.n == 1:
             s, ratios = ratio_curve(pipe.nl, cfg.rho[0], pipe.k1_norm,
                                     cfg.grid_points, pipe.grid)
             _write_csv(os.path.join(out_dir, "ratio_curve.csv"),
-                       ["s", "ratio"],
-                       [[float(a), float(b)] for a, b in zip(s, ratios)])
+                       ["s", "ratio"], [s, ratios])
     if any(rng.empty for rng in ranges):
         print("at least one admissible interval is empty")
         return EXIT_EMPTY_RANGE
@@ -393,12 +393,9 @@ def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
     print(f"iterations = {est.iterations}")
     print(f"residual   = {est.residual:.3e}")
     if want_csv:
-        phi = est.eigenfunction
         _write_csv(os.path.join(out_dir, "eigenfunction.csv"),
                    ["x1", "x2", "phi"],
-                   [[float(grid.xs[k]), float(grid.ys[k]),
-                     float(phi[k])]
-                    for k in range(grid.interior_count)])
+                   [grid.xs, grid.ys, est.eigenfunction])
     return EXIT_OK
 
 

@@ -107,9 +107,12 @@ def _tokenize(source):
                         j += 1
             text = source[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ExprSyntaxError(f"malformed number '{text}'", pos)
+            if not np.isfinite(value):
+                raise ExprSyntaxError(
+                    f"number '{text}' overflows a double", pos)
             tokens.append(_Token("num", text, pos))
             i = j
         elif ch.isalpha() or ch == "_":

@@ -79,9 +79,6 @@ class Grid:
     def interior_count(self) -> int:
         return len(self.nodes)
 
-    def node_xy(self, i, j):
-        return self.x0 + i * self.h, self.y0 + j * self.h
-
     def classify(self, i, j) -> int:
         if 0 <= i < self.nx and 0 <= j < self.ny:
             return int(self.classification[j, i])

@@ -20,7 +20,8 @@ the outward normal derivative:
 
 so z_B = (4 z_1 - z_2) / (3 + 2 h b), where z_1, z_2 are the next two nodes
 along the inward lattice line.  Corner values (needed only by the cross
-stencil) average the two edge eliminations.
+stencil) average the two edge eliminations.  These rules form a sparse map
+P from lattice values to unknowns, so that A = A_II + A_IB P.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (CoefficientViolation, EllipticityViolation,
                      NeumannRequiresZerothOrder, UnsupportedBC)
-from .geometry import BOUNDARY, INTERIOR, Grid, Rectangle, UnitDisk
+from .geometry import BOUNDARY, Grid, Rectangle, UnitDisk
 
 Coefficient = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -135,78 +136,70 @@ def _check_ellipticity(a11, a12, a22):
     return mu0
 
 
-class _Eliminator:
-    """Expresses boundary node values as combinations of interior unknowns."""
+def _expand(lattice_map, rows, targets, weights):
+    """COO entries of the terms weights * z(targets) in rows `rows`, with
+    each lattice value replaced by its row of `lattice_map`; a term's
+    entries follow in column order and keep the order of the terms."""
+    start = lattice_map.indptr[targets]
+    count = lattice_map.indptr[targets + 1] - start
+    pos = (np.repeat(start - np.cumsum(count) + count, count)
+           + np.arange(count.sum()))
+    return (np.repeat(rows, count), lattice_map.indices[pos],
+            np.repeat(weights, count) * lattice_map.data[pos])
 
-    def __init__(self, grid: Grid, bc: BoundarySpec):
-        self.grid = grid
-        self.bc = bc
-        self.cache = {}
 
-    def combo(self, i, j):
-        """Return [(unknown index, weight), ...] for boundary node (i, j)."""
-        if isinstance(self.bc, Dirichlet):
-            return []
-        key = (i, j)
-        if key not in self.cache:
-            self.cache[key] = self._eliminate(i, j)
-        return self.cache[key]
+def _coo_to_csr(entries, shape):
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
-    def _robin_b(self, i, j):
-        if isinstance(self.bc, Neumann):
-            return 0.0
-        x, y = self.grid.node_xy(i, j)
-        return float(np.asarray(self.bc.b(np.asarray(x), np.asarray(y))))
 
-    def _inward_directions(self, i, j):
-        dirs = []
-        if i == 0:
-            dirs.append((1, 0))
-        if i == self.grid.nx - 1:
-            dirs.append((-1, 0))
-        if j == 0:
-            dirs.append((0, 1))
-        if j == self.grid.ny - 1:
-            dirs.append((0, -1))
-        return dirs
+def _lattice_map(grid: Grid, bc: BoundarySpec, robin_b) -> sp.csr_matrix:
+    """The sparse map P from lattice node values to interior unknowns.
 
-    def _eliminate(self, i, j):
-        dirs = self._inward_directions(i, j)
-        if not dirs:
-            raise UnsupportedBC(
-                f"node ({i}, {j}) is not on a rectangle edge")
-        b = self._robin_b(i, j)
-        if b < 0:
-            raise CoefficientViolation(
-                f"Robin coefficient negative at boundary node ({i}, {j})")
-        denom = 3.0 + 2.0 * self.grid.h * b
-        share = 1.0 / len(dirs)      # corners average the two edge rules
-        combo = {}
-        for di, dj in dirs:
-            for step, w in ((1, 4.0 / denom), (2, -1.0 / denom)):
-                ii, jj = i + step * di, j + step * dj
-                cls = self.grid.classify(ii, jj)
-                if cls == INTERIOR:
-                    k = int(self.grid.interior_ids[jj, ii])
-                    combo[k] = combo.get(k, 0.0) + share * w
-                elif cls == BOUNDARY:
-                    for k, w2 in self._eliminate(ii, jj):
-                        combo[k] = combo.get(k, 0.0) + share * w * w2
-                else:
-                    raise UnsupportedBC(
-                        "grid too coarse for one-sided boundary elimination "
-                        "(need at least 3 subdivisions per axis)")
-        return sorted(combo.items())
+    Row j*nx + i of P holds the value at lattice node (i, j): the unit vector
+    of its unknown at an interior node, nothing at exterior nodes and
+    Dirichlet boundary nodes (value 0).  A Neumann / Robin boundary node
+    applies z_B = (4 z_1 - z_2) / (3 + 2 h b) along each inward lattice line
+    and, at a corner, averages the two lines.  Corner lines end on edge
+    nodes, so corner rows are resolved through the edge rows.
+    """
+    ids = grid.interior_ids.ravel()
+    shape = (ids.size, grid.interior_count)
+    q = np.flatnonzero(ids >= 0)
+    entries = [(q, ids[q], np.ones(q.size))]
+    lattice_map = _coo_to_csr(entries, shape)
+    if isinstance(bc, Dirichlet):
+        return lattice_map
+    nx, ny = grid.nx, grid.ny
+    jb, ib = np.nonzero(grid.classification == BOUNDARY)
+    qb = jb * nx + ib
+    denom = 3.0 + 2.0 * grid.h * robin_b
+    lines = [(ib == 0, 1), (ib == nx - 1, -1), (jb == 0, nx),
+             (jb == ny - 1, -nx)]
+    n_lines = np.sum([on for on, _ in lines], axis=0)
+    share = 1.0 / n_lines
+    for count in (1, 2):        # edge lines end inside, corner lines on edges
+        for on, inward in lines:
+            sel = on & (n_lines == count)
+            for step, w in ((1, 4.0), (2, -1.0)):
+                entries.append(_expand(lattice_map, qb[sel],
+                                       qb[sel] + step * inward,
+                                       (share * (w / denom))[sel]))
+        lattice_map = _coo_to_csr(entries, shape)
+    return lattice_map
 
 
 def _validate_bc(grid, bc, c_vals):
+    """Check `bc` against the grid; return the Robin coefficient sampled at
+    the boundary nodes in row-major order (zero for Neumann)."""
     if isinstance(bc, (Neumann, Robin)) and isinstance(grid.spec, UnitDisk):
         raise UnsupportedBC("the disk supports Dirichlet conditions only")
     if isinstance(bc, Neumann) and not np.any(c_vals > 0):
         raise NeumannRequiresZerothOrder(
             "Neumann conditions require a nonvanishing zero-order term")
+    jj, ii = np.nonzero(grid.classification == BOUNDARY)
+    bvals = np.zeros(ii.size)
     if isinstance(bc, Robin):
-        jj, ii = np.nonzero(grid.classification == BOUNDARY)
         bx = grid.x0 + ii * grid.h
         by = grid.y0 + jj * grid.h
         bvals = _sample(bc.b, bx, by)
@@ -221,11 +214,18 @@ def _validate_bc(grid, bc, c_vals):
             raise UnsupportedBC(
                 "Neumann/Robin elimination needs at least 3 subdivisions "
                 "per axis")
+    return bvals
 
 
 def assemble(grid: Grid, coeffs: EllipticCoefficients,
              bc: BoundarySpec) -> DiscreteOperator:
     """Assemble the sparse system for (L, B) on `grid`.
+
+    Each interior node contributes its stencil terms w * z(lattice node) in
+    a fixed order (legs E W N S, the cross stencil NE SW SE NW, upwind x,
+    upwind y, then the diagonal).  Mapping every lattice value through
+    `_lattice_map` gives A = A_II + A_IB P, and one COO -> CSR conversion
+    sums the duplicates in that order.
 
     Returns a DiscreteOperator whose diagnostics report the sampled
     ellipticity constant and whether the matrix is an M-matrix (positive
@@ -244,85 +244,53 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
         k = int(np.argmin(c))
         raise CoefficientViolation(
             f"zero-order coefficient negative ({c[k]:.3e}) at node {k}")
-    _validate_bc(grid, bc, c)
+    lattice_map = _lattice_map(grid, bc, _validate_bc(grid, bc, c))
 
-    elim = _Eliminator(grid, bc)
     h = grid.h
     n = grid.interior_count
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
+    te, tw, tn, ts = grid.arms.T
+    # interior nodes never sit on the outermost lattice ring, so these
+    # shifted flat indices stay on the node's row and column lines
+    node = grid.nodes[:, 1] * grid.nx + grid.nodes[:, 0]
+    east, west, north, south = 1, -1, grid.nx, -grid.nx
 
-    def add(row, i, j, w):
-        """Add w * z(i, j) to the row, eliminating non-interior values."""
-        if w == 0.0:
-            return
-        cls = grid.classify(i, j)
-        if cls == INTERIOR:
-            rows.append(row)
-            cols.append(int(grid.interior_ids[j, i]))
-            vals.append(w)
-        elif cls == BOUNDARY:
-            for k, w2 in elim.combo(i, j):
-                rows.append(row)
-                cols.append(k)
-                vals.append(w * w2)
-        # exterior lattice values never appear: shortened legs end on the
-        # boundary, and curved domains are Dirichlet (value 0)
+    # -a11 z_xx, -a22 z_yy with shortened legs; a leg with arm < 1 ends
+    # at the boundary crossing where the Dirichlet value is 0
+    terms = [
+        (east, -2.0 * a11 / (h * h * te * (te + tw)), te == 1.0),
+        (west, -2.0 * a11 / (h * h * tw * (te + tw)), tw == 1.0),
+        (north, -2.0 * a22 / (h * h * tn * (tn + ts)), tn == 1.0),
+        (south, -2.0 * a22 / (h * h * ts * (tn + ts)), ts == 1.0),
+    ]
+    # -2 a12 z_xy by the 4-point cross stencil
+    w = a12 / (2.0 * h * h)
+    cross = a12 != 0.0
+    terms += [(north + east, -w, cross), (south + west, -w, cross),
+              (south + east, w, cross), (north + west, w, cross)]
+    # upwind first-order terms
+    up1, up2 = b1 >= 0.0, b2 >= 0.0
+    terms += [
+        (np.where(up1, west, east), np.where(up1, -b1 / (tw * h),
+                                             b1 / (te * h)),
+         np.where(up1, tw, te) == 1.0),
+        (np.where(up2, south, north), np.where(up2, -b2 / (ts * h),
+                                               b2 / (tn * h)),
+         np.where(up2, ts, tn) == 1.0),
+    ]
+    diag = 2.0 * a11 / (h * h * te * tw)
+    diag += 2.0 * a22 / (h * h * tn * ts)
+    diag += np.where(up1, b1 / (tw * h), -b1 / (te * h))
+    diag += np.where(up2, b2 / (ts * h), -b2 / (tn * h))
+    diag += c
 
-    for k in range(n):
-        i, j = int(grid.nodes[k, 0]), int(grid.nodes[k, 1])
-        te, tw, tn, ts = grid.arms[k]
-
-        # -a11 z_xx, -a22 z_yy with shortened legs; a leg with arm < 1 ends
-        # at the boundary crossing where the Dirichlet value is 0
-        aa = a11[k]
-        diag[k] += 2.0 * aa / (h * h * te * tw)
-        if te == 1.0:
-            add(k, i + 1, j, -2.0 * aa / (h * h * te * (te + tw)))
-        if tw == 1.0:
-            add(k, i - 1, j, -2.0 * aa / (h * h * tw * (te + tw)))
-        aa = a22[k]
-        diag[k] += 2.0 * aa / (h * h * tn * ts)
-        if tn == 1.0:
-            add(k, i, j + 1, -2.0 * aa / (h * h * tn * (tn + ts)))
-        if ts == 1.0:
-            add(k, i, j - 1, -2.0 * aa / (h * h * ts * (tn + ts)))
-
-        # -2 a12 z_xy by the 4-point cross stencil
-        if a12[k] != 0.0:
-            w = a12[k] / (2.0 * h * h)
-            add(k, i + 1, j + 1, -w)
-            add(k, i - 1, j - 1, -w)
-            add(k, i + 1, j - 1, w)
-            add(k, i - 1, j + 1, w)
-
-        # upwind first-order terms
-        bb = b1[k]
-        if bb >= 0.0:
-            diag[k] += bb / (tw * h)
-            if tw == 1.0:
-                add(k, i - 1, j, -bb / (tw * h))
-        else:
-            diag[k] += -bb / (te * h)
-            if te == 1.0:
-                add(k, i + 1, j, bb / (te * h))
-        bb = b2[k]
-        if bb >= 0.0:
-            diag[k] += bb / (ts * h)
-            if ts == 1.0:
-                add(k, i, j - 1, -bb / (ts * h))
-        else:
-            diag[k] += -bb / (tn * h)
-            if tn == 1.0:
-                add(k, i, j + 1, bb / (tn * h))
-
-        diag[k] += c[k]
-
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diag)
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    matrix.sum_duplicates()
+    entries = []
+    for step, weight, on in terms:
+        on = on & (weight != 0.0)
+        entries.append(_expand(lattice_map, np.flatnonzero(on),
+                               (node + step)[on], weight[on]))
+    rows = np.arange(n)
+    entries.append((rows, rows, diag))
+    matrix = _coo_to_csr(entries, (n, n))
 
     coo = matrix.tocoo()
     off = coo.row != coo.col

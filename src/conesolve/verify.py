@@ -6,7 +6,7 @@ and the property suites for the iteration, the operator, the hypothesis
 checkers and the expression engine.  The CLI `verify` command and the
 acceptance tests both run these; each criterion reports one PASS / FAIL /
 SKIP line.  On a grid coarser than the reference step (--h override) the
-grid-sensitive criteria downgrade a tolerance miss to SKIP.
+grid-sensitive criteria (2, 3, 4, 6) downgrade a tolerance miss to SKIP.
 """
 
 from __future__ import annotations
@@ -421,8 +421,11 @@ class Criterion:
 
 
 CRITERIA = [
+    # the refinement ratio stays in its band on coarse grids too (3.61 at
+    # h = 1/8, 3.88 at h = 1/32): a failure there is a fault, not a
+    # tolerance miss, so it is never downgraded
     Criterion(1, "green operator fidelity on the disk",
-              _crit_green_fidelity, True),
+              _crit_green_fidelity, False),
     Criterion(2, "sup norm of K(1) on the disk", _crit_k1_norm, True),
     Criterion(3, "principal characteristic value (disk and square)",
               _crit_mu1, True),

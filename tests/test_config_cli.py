@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conesolve.cli import main
+from conesolve.cli import _write_csv, main
 from conesolve.config import parse_config
 from conesolve.errors import ConfigError
 from conesolve.geometry import Rectangle, UnitDisk
@@ -204,6 +205,31 @@ def test_spectrum_command(tmp_path, capsys):
     assert len(rows) == 794                    # header + interior nodes
 
 
+def _cell_by_cell_csv(header, rows):
+    """Reference writer: one cell at a time, floats as f"{x:.17g}"."""
+    def cell(v):
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+def test_csv_writer_matches_cell_by_cell_formatting(tmp_path):
+    witness = json.dumps({"s": 0.1, "x": [-0.0, 5e-324], "f": "a,b"})
+    rows = [[0, -0.0, 5e-324, "pass", witness],
+            [1, 1e-300, 0.1, "", ""],
+            [22, -1.7976931348623157e308, math.inf, "fail", "{}"],
+            [-3, 2.0 / 3.0, 1e16, "pass (sampled)", witness]]
+    header = ["k", "a", "b", "result", "witness"]
+    path = tmp_path / "table.csv"
+    _write_csv(path, header, list(zip(*rows)))
+    assert path.read_bytes() == _cell_by_cell_csv(header, rows).encode()
+    _write_csv(path, ["iteration", "norm"],
+               [np.arange(3), np.array([-0.0, 0.1, 1e-300])])
+    assert path.read_text() == _cell_by_cell_csv(
+        ["iteration", "norm"], [[0, -0.0], [1, 0.1], [2, 1e-300]])
+    _write_csv(path, ["x"], [np.array([])])
+    assert path.read_text() == "x\n"
+
+
 def test_missing_config_exit_66(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 66
 
@@ -211,6 +237,13 @@ def test_missing_config_exit_66(tmp_path):
 def test_malformed_config_exit_64(tmp_path):
     cfg = write(tmp_path, "broken.cfg", "h = 0.5\n")
     assert main(["solve", "--config", cfg]) == 64
+
+
+def test_overflowing_literal_in_config_exit_64(tmp_path, capsys):
+    text = SYSTEM_CFG.replace('f2 = "max(u1,u2)^2"', 'f2 = "1e999 * u1"')
+    cfg = write(tmp_path, "overflow.cfg", text)
+    assert main(["solve", "--config", cfg]) == 64
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_usage_error_exit_64():

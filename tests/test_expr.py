@@ -53,6 +53,20 @@ def test_syntax_errors_carry_positions():
         assert err.value.position == col
 
 
+@pytest.mark.parametrize("src,col", [("1e999", 1), ("2 * 1.8e308", 5),
+                                     ("-1e400 + u1", 2),
+                                     ("max(u1, 1e309)", 9)])
+def test_overflowing_literals_rejected(src, col):
+    with pytest.raises(ExprSyntaxError, match="overflows") as err:
+        parse(src, UV)
+    assert err.value.position == col
+
+
+def test_largest_double_literal_parses():
+    assert eval_expr(parse("1.7976931348623157e308", UV), {}) \
+        == 1.7976931348623157e308
+
+
 @pytest.mark.parametrize("src,expected", PRECEDENCE_CASES)
 def test_precedence_vector(src, expected):
     assert eval_expr(parse(src, {"s"}), {"s": 0.0}) == expected

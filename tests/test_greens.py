@@ -78,11 +78,17 @@ def test_green_fidelity_rejects_a_first_order_operator():
 
 
 def test_green_fidelity_passes_on_the_coarse_grid():
-    # on a coarse grid a tolerance miss would be downgraded to SKIP, so a
-    # PASS here shows the refinement ratio holds at h = 1/32 as well
     result = run_criterion(CRITERIA[0], VerifyContext(1.0 / 32.0))
     assert result.status == "PASS", result.line()
     assert _refinement_ratio(result.detail) == pytest.approx(3.88, abs=0.05)
+
+
+def test_green_fidelity_failure_is_not_downgraded_on_a_coarse_grid():
+    ctx = _ZeroOrderDiskContext(1.0 / 32.0)
+    assert ctx.coarse
+    result = run_criterion(CRITERIA[0], ctx)
+    assert result.status == "FAIL", result.line()
+    assert _refinement_ratio(result.detail) < 2.5
 
 
 def test_k1_norm_disk(disk_op):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conesolve import (Dirichlet, EllipticCoefficients, Neumann, Rectangle,
                        Robin, UnitDisk, apply_K, assemble, build_grid)
+from conesolve.config import parse_config
 from conesolve.errors import (CoefficientViolation, EllipticityViolation,
                               NeumannRequiresZerothOrder, UnsupportedBC)
 from conesolve.operator import constant
@@ -232,3 +234,96 @@ def test_neumann_second_order_convergence():
         errs.append(np.abs(z - exact).max())
     assert errs[0] / errs[1] > 2.5
     assert errs[1] / errs[2] > 2.5
+
+
+def _coeffs(a11=1.0, a12=0.0, a22=1.0, b1=0.0, b2=0.0, c=0.0):
+    return EllipticCoefficients(*(f if callable(f) else constant(f)
+                                  for f in (a11, a12, a22, b1, b2, c)))
+
+
+RECT_ROBIN_CFG = """
+domain = rectangle 0 1 0 1
+h = 0.03125
+bc = robin "1 + x1"
+n = 1
+a11 = "1 + 0.5*x1"
+a22 = "1 + 0.5*x2"
+b1 = "2"
+b2 = "-1 + x1"
+c = "1"
+f1 = "(1 + 0.5*x1*x2) * (sqrt(s) + exp(s) - 1)"
+rho1 = 1.0
+"""
+
+
+def _golden_case(name):
+    # coefficients and steps that are not dyadic, so that reordering the
+    # terms of a sum changes its rounding
+    square = Rectangle(0, 1, 0, 1)
+    if name == "disk-laplacian":
+        return (build_grid(UnitDisk(), 1 / 16),
+                EllipticCoefficients.laplacian(), Dirichlet())
+    if name == "square-dirichlet":
+        return (build_grid(square, 0.1),
+                _coeffs(a11=lambda x, y: 1.0 + 0.3 * x * x,
+                        a22=lambda x, y: 2.0 + 0.7 * y, c=0.3), Dirichlet())
+    if name == "square-neumann":
+        return (build_grid(square, 0.1),
+                _coeffs(a11=lambda x, y: 1.0 + 0.3 * x, b1=0.7, b2=-0.3,
+                        c=lambda x, y: 0.1 + y), Neumann())
+    if name == "rect-robin":
+        cfg = parse_config(RECT_ROBIN_CFG)
+        return build_grid(cfg.domain, cfg.h), cfg.coefficients, cfg.bc
+    if name == "mixed-robin-corners":
+        return (build_grid(Rectangle(0, 1.5, 0, 1), 0.1),
+                _coeffs(a12=lambda x, y: 0.2 + 0.1 * x * y, b1=0.7,
+                        c=0.3), Robin(lambda x, y: 0.3 + x * y))
+    if name == "upwind-both-signs":
+        # b1 and b2 vanish exactly on the lines x = 1/2 and y = 1/2
+        return (build_grid(square, 1 / 8),
+                _coeffs(a11=1.3, b1=lambda x, y: 10.0 * (x - 0.5),
+                        b2=lambda x, y: 8.0 - 16.0 * y, c=0.1), Dirichlet())
+    if name == "disk-mixed-upwind":
+        return (build_grid(UnitDisk(), 1 / 8),
+                _coeffs(a11=lambda x, y: 2.0 + 0.3 * x,
+                        a12=lambda x, y: 0.3 * x * y,
+                        a22=lambda x, y: 2.0 + 0.7 * y,
+                        b1=lambda x, y: 3.1 * x, b2=lambda x, y: -2.3 * y,
+                        c=0.1), Dirichlet())
+    raise KeyError(name)
+
+
+def _csr_digest(matrix):
+    digest = hashlib.sha256()
+    for arr, dtype in ((matrix.indptr, "<i8"), (matrix.indices, "<i8"),
+                       (matrix.data, "<f8")):
+        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
+# SHA-256 of the CSR arrays (indptr, indices, data) as assembled by the
+# per-node reference assembly; the array assembly must reproduce every
+# index and every bit of every entry
+GOLDEN_CSR = {
+    "disk-laplacian":
+        "6a3ab5eff44c9f33383af17d1e446930fe6c036b43ca12a30d281540514f0545",
+    "square-dirichlet":
+        "cbacaff72072a338af2611136257138fbe76c0370a19c6a1e45b13e3a762f242",
+    "square-neumann":
+        "3501af7591e4bcfd49ed4a447c904d029d379a0edcea5b8ba6cf323568302528",
+    "rect-robin":
+        "a19d23c4c3dedd8b05573d4c8cea3062fed7545cad7256c88f7461a63c164a53",
+    "mixed-robin-corners":
+        "a4338ca93e0efb5c1c965392de1b76727510e658ed6a4d259b24b98e15205e42",
+    "upwind-both-signs":
+        "d036ed364e5af576fb7bcf737b25176ce07af934cc0978d0357a9e847fc59dcc",
+    "disk-mixed-upwind":
+        "f7f97984bc7766c79ef54c738c0784b1b1352ef6148084a73f0d2dae06e06207",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSR))
+def test_assembly_matches_golden_csr(name):
+    op = assemble(*_golden_case(name))
+    assert op.matrix.has_canonical_format
+    assert _csr_digest(op.matrix) == GOLDEN_CSR[name]
