@@ -338,10 +338,19 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
     return EXIT_OK
 
 
+def _csv_field(text: str) -> str:
+    """A text cell as csv.QUOTE_MINIMAL writes it: quoted, with inner
+    quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_checks(out_dir, checks):
+    # conditions such as "on [0,rho0]^n" and JSON witnesses hold commas
+    rows = [[_csv_field(cell) for cell in rep.csv_row()] for rep in checks]
     _write_csv(os.path.join(out_dir, "checks.csv"),
-               ["condition", "result", "witness"],
-               list(zip(*(rep.csv_row() for rep in checks))))
+               ["condition", "result", "witness"], list(zip(*rows)))
 
 
 def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:

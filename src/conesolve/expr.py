@@ -17,6 +17,7 @@ EvalDomainError instead of producing NaN or infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,83 +336,97 @@ def _pow(name, base, expo):
     expo = np.asarray(expo, dtype=float)
     _check_domain(name, base, (base < 0) & (expo != np.floor(expo)))
     _check_domain(name, base, (base == 0) & (expo < 0))
-    with np.errstate(all="ignore"):
-        out = np.power(base, expo)
-    return _check_finite(name, base, out)
+    return _check_finite(name, base, np.power(base, expo))
 
 
 def _call(name, args):
     a = args[0]
-    with np.errstate(all="ignore"):
-        if name == "sqrt":
-            _check_domain(name, a, np.asarray(a) < 0)
-            return np.sqrt(a)
-        if name == "tan":
-            _check_domain(name, a, _tan_pole_mask(a))
-            return _check_finite(name, a, np.tan(a))
-        if name == "sin":
-            return np.sin(a)
-        if name == "cos":
-            return np.cos(a)
-        if name == "exp":
-            return _check_finite(name, a, np.exp(a))
-        if name == "log":
-            _check_domain(name, a, np.asarray(a) <= 0)
-            return np.log(a)
-        if name == "abs":
-            return np.abs(a)
-        if name == "min":
-            out = args[0]
-            for b in args[1:]:
-                out = np.minimum(out, b)
-            return out
-        if name == "max":
-            out = args[0]
-            for b in args[1:]:
-                out = np.maximum(out, b)
-            return out
-        if name == "pow":
-            return _pow(name, args[0], args[1])
+    if name == "sqrt":
+        _check_domain(name, a, np.asarray(a) < 0)
+        return np.sqrt(a)
+    if name == "tan":
+        _check_domain(name, a, _tan_pole_mask(a))
+        return _check_finite(name, a, np.tan(a))
+    if name == "sin":
+        return np.sin(a)
+    if name == "cos":
+        return np.cos(a)
+    if name == "exp":
+        return _check_finite(name, a, np.exp(a))
+    if name == "log":
+        _check_domain(name, a, np.asarray(a) <= 0)
+        return np.log(a)
+    if name == "abs":
+        return np.abs(a)
+    if name == "min":
+        out = args[0]
+        for b in args[1:]:
+            out = np.minimum(out, b)
+        return out
+    if name == "max":
+        out = args[0]
+        for b in args[1:]:
+            out = np.maximum(out, b)
+        return out
+    if name == "pow":
+        return _pow(name, args[0], args[1])
     raise UnknownFunction(f"unknown function '{name}'", 1)
 
 
-def _walk(node, bindings):
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply}
+
+
+def _walk(node, bindings, checked=False):
+    """Evaluate the tree.  Bindings and the results of +, - and * are
+    checked for finiteness only when `checked` is set: _evaluate checks the
+    root instead, and walks again with checks only to name the operation
+    when the root is not finite."""
     if isinstance(node, Constant):
         return node.value
     if isinstance(node, Var):
         try:
-            return bindings[node.name]
+            value = bindings[node.name]
         except KeyError:
             raise MissingBinding(f"no value bound for '{node.name}'") from None
+        return _check_finite(node.name, value, value) if checked else value
     if isinstance(node, Unary):
-        return np.negative(_walk(node.operand, bindings))
+        return np.negative(_walk(node.operand, bindings, checked))
     if isinstance(node, Binary):
-        left = _walk(node.left, bindings)
-        right = _walk(node.right, bindings)
-        if node.op == "+":
-            return np.add(left, right)
-        if node.op == "-":
-            return np.subtract(left, right)
-        if node.op == "*":
-            return np.multiply(left, right)
+        left = _walk(node.left, bindings, checked)
+        right = _walk(node.right, bindings, checked)
+        if node.op in _ARITHMETIC:
+            out = _ARITHMETIC[node.op](left, right)
+            return _check_finite(node.op, left, out) if checked else out
         if node.op == "/":
             _check_domain("/", right, np.asarray(right) == 0)
-            with np.errstate(all="ignore"):
-                out = np.divide(left, right)
+            out = np.divide(left, right)
             return _check_finite("/", right, out)
         return _pow("^", left, right)
-    return _call(node.func, [_walk(a, bindings) for a in node.args])
+    return _call(node.func, [_walk(a, bindings, checked) for a in node.args])
+
+
+def _evaluate(expr: Expr, bindings):
+    """Evaluate, raising EvalDomainError where the value is not finite."""
+    with np.errstate(all="ignore"):
+        out = _walk(expr, bindings)
+        # numpy takes microseconds per scalar test, math.isfinite a tenth
+        finite = (math.isfinite(out) if isinstance(out, float)
+                  else np.isfinite(out).all())
+        if not finite:
+            _walk(expr, bindings, checked=True)
+    return out
 
 
 def eval_expr(expr: Expr, bindings) -> float:
     """Evaluate at scalar bindings; returns a float.
 
     Raises MissingBinding for uncovered free variables and EvalDomainError
-    wherever IEEE evaluation would produce NaN or infinity.
+    wherever IEEE evaluation would produce NaN or infinity, overflow of
+    +, - and * included.
     """
-    return float(_walk(expr, bindings))
+    return float(_evaluate(expr, bindings))
 
 
 def eval_on_arrays(expr: Expr, bindings) -> np.ndarray:
     """Elementwise evaluation with numpy array bindings (broadcasting)."""
-    return np.asarray(_walk(expr, bindings), dtype=float)
+    return np.asarray(_evaluate(expr, bindings), dtype=float)

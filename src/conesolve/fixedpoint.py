@@ -7,16 +7,19 @@ non-increasing sequence converging to the greatest fixed point below beta;
 a subsolution alpha (T alpha >= alpha) starts a non-decreasing one
 converging to the smallest fixed point above alpha (Amann 1976, SIAM Rev.
 18).  One engine advances both sequences as one stacked block, so every
-step applies T once.  The subsolution is constructed by placing a small
-multiple of the principal eigenfunction of K in one component and sweeping
-the amplitude downward.  The ordering alpha_k <= alpha_{k+1} <= beta_{k+1}
-<= beta_k is asserted at every step, so a broken hypothesis (non-monotone
-f, loss of positivity of K) surfaces as MonotonicityViolation instead of a
-silently wrong answer.
+step applies T once, and shortens them with safeguarded Anderson steps
+(Walker & Ni 2011, SIAM J. Numer. Anal. 49) that are kept only when they
+are again sub- or supersolutions.  The subsolution is constructed by
+placing a small multiple of the principal eigenfunction of K in one
+component and sweeping the amplitude downward.  The ordering alpha_k <=
+alpha_{k+1} <= beta_{k+1} <= beta_k holds at every step, and a plain step
+that breaks it (non-monotone f, loss of positivity of K) surfaces as
+MonotonicityViolation instead of a silently wrong answer.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,7 @@ from .operator import DiscreteOperator
 ORDER_SLACK = 1e-12      # tolerated roundoff in nodewise comparisons
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10_000
+ANDERSON_M = 5           # differences kept per half for a candidate
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,8 @@ class Limit:
     history: list
     converged_to_zero: bool
     iterates: list | None = None
+    proposed: int = 0            # Anderson candidates proposed
+    accepted: int = 0            # ... and kept
 
     @property
     def norm(self) -> float:
@@ -70,6 +76,8 @@ class Limit:
             f"residual |u - Tu|: {self.residual:.3e}",
             f"solution norm:     {self.norm:.12g}",
             f"converged to zero: {'yes' if self.converged_to_zero else 'no'}",
+            f"anderson steps:    {self.accepted} accepted of "
+            f"{self.proposed} proposed",
         ]
         return "\n".join(lines)
 
@@ -153,35 +161,106 @@ def construct_subsolution(p: ProblemInstance, spectrum: SpectralEstimate,
     return None
 
 
+def _is_bound(v, tv, k, lower) -> bool:
+    """Whether half k of the block v is a subsolution (T v >= v, the lower
+    half) or a supersolution (T v <= v), up to ORDER_SLACK."""
+    small, large = (v[k], tv[k]) if k == lower else (tv[k], v[k])
+    return bool(np.all(small <= large + ORDER_SLACK))
+
+
+def _crossed(tv, lower, upper) -> bool:
+    return (lower is not None and upper is not None
+            and not np.all(tv[lower] <= tv[upper] + ORDER_SLACK))
+
+
 def _check_order(v, tv, lower, upper, what: str):
-    """Raise unless the step v -> T v keeps alpha_k <= alpha_{k+1} <=
-    beta_{k+1} <= beta_k; lower and upper index the halves in the stacked
-    block, or are None for an absent half."""
-    for k, small, large, direction in ((lower, v, tv, "from_below"),
-                                       (upper, tv, v, "from_above")):
-        if k is not None and not np.all(small[k] <= large[k] + ORDER_SLACK):
+    """Raise unless the state v, with images tv, is admissible: its lower
+    half a subsolution, its upper half a supersolution, and T v_lower <=
+    T v_upper.  lower and upper index the halves in the stacked block, or
+    are None for an absent half.  For a plain step v = T u this is
+    alpha_k <= alpha_{k+1} <= beta_{k+1} <= beta_k one step ahead."""
+    for k, direction in ((lower, "from_below"), (upper, "from_above")):
+        if k is not None and not _is_bound(v, tv, k, lower):
             raise MonotonicityViolation(
                 f"{what}: iterate ordering broken for direction {direction} "
                 "(non-monotone nonlinearity or non-M-matrix operator?)")
-    if (lower is not None and upper is not None
-            and not np.all(tv[lower] <= tv[upper] + ORDER_SLACK)):
+    if _crossed(tv, lower, upper):
         raise MonotonicityViolation(
             f"{what}: lower iterate exceeded upper iterate")
+
+
+class _Anderson:
+    """One half's Anderson(m) proposer (type II, undamped; Walker & Ni
+    2011, SIAM J. Numer. Anal. 49): it keeps the last ANDERSON_M
+    differences of the accepted states' residuals f = T x - x and images
+    g = T x, flattened, and proposes w = g - dG gamma with gamma the
+    least-squares solution of dF gamma ~ f."""
+
+    def __init__(self, x, tx):
+        self.df = deque(maxlen=ANDERSON_M)
+        self.dg = deque(maxlen=ANDERSON_M)
+        self.f, self.g = (tx - x).ravel(), tx.ravel()
+        self.rest = 0            # plain steps left before the next proposal
+        self.failures = 0        # candidates rejected in a row
+        self.proposed = self.accepted = 0
+
+    def push(self, x, tx):
+        f, g = (tx - x).ravel(), tx.ravel()
+        self.df.append(f - self.f)
+        self.dg.append(g - self.g)
+        self.f, self.g = f, g
+
+    def candidate(self):
+        """The next candidate as a flat array, or None while the half has
+        no history or rests after rejections."""
+        if self.rest or not self.df:
+            self.rest = max(self.rest - 1, 0)
+            return None
+        self.proposed += 1
+        gamma = np.linalg.lstsq(np.column_stack(self.df), self.f,
+                                rcond=None)[0]
+        return self.g - np.column_stack(self.dg) @ gamma
+
+    def judge(self, accepted: bool):
+        """Count the verdict on the last candidate; after j rejections in a
+        row the half takes j plain steps before it proposes again."""
+        if accepted:
+            self.accepted += 1
+            self.failures = 0
+        else:
+            self.failures += 1
+            self.rest = self.failures
+
+
+def _advance(u, tu, slots, ts, moved):
+    """The next state and its image: the halves that moved take their
+    slot, the others keep their state."""
+    moved = np.array(moved)[:, None, None]
+    return np.where(moved, slots, u), np.where(moved, ts, tu)
 
 
 def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
                      tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER,
                      record_iterates: bool = False) -> IterationReport:
-    """Iterate u_{k+1} = T u_k from a subsolution alpha (upward) and a
-    supersolution beta (downward); either may be None.
+    """Iterate from a subsolution alpha (upward) and a supersolution beta
+    (downward); either may be None.
 
-    The halves present advance as one stacked block, one application of T
-    per step, and every step is checked for alpha_k <= alpha_{k+1} <=
-    beta_{k+1} <= beta_k nodewise.  They stop together at the first step
-    where each half's iterate v satisfies both |v - previous iterate| <= tol
-    and |v - T v| <= tol in the product sup norm, with the exact residual
-    reported.
+    Each half holds an admissible state x with its image T x: the lower
+    half a subsolution, the upper a supersolution, and T x_lower <=
+    T x_upper.  A step fills one slot per half with either the plain step
+    T x or, once the half has a history, its Anderson candidate projected
+    onto [T x_lower, T x_upper] (the box bounds stand in for an absent
+    half), and applies T once to the stacked slots.  A candidate is kept
+    only if it is again a sub- or supersolution and T w_lower <= T w_upper
+    still holds; a rejected half keeps its state and takes plain steps for
+    a while.  A plain slot must pass the same test or the step raises
+    MonotonicityViolation, so every accepted state satisfies alpha_k <=
+    alpha_{k+1} <= beta_{k+1} <= beta_k nodewise and brackets a fixed
+    point.  The halves stop together at the first step where each state x
+    satisfies |x - T x| <= tol in the product sup norm, the exact residual
+    the certificate recomputes.  `iterations` counts the steps, that is
+    the applications of T after the first.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -195,19 +274,40 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
     u = np.stack([np.asarray(start, dtype=float) for _, start in halves])
     tu = apply_T(p, u)
     _check_order(u, tu, lower, upper, "start is not admissible")
+    box = np.asarray(p.nl.box, dtype=float)[:, None]
+    proposers = [_Anderson(u[k], tu[k]) for k in range(len(halves))]
     history = [np.abs(u).max(axis=(1, 2))]
     iterates = [u] if record_iterates else None
     for it in range(1, max_iter + 1):
-        v = tu                      # v = T^it(start)
+        floor = tu[lower] if lower is not None else 0.0
+        ceiling = tu[upper] if upper is not None else box
+        slots = tu.copy()
+        proposed = []
+        for k, proposer in enumerate(proposers):
+            w = proposer.candidate()
+            if w is not None:
+                slots[k] = np.clip(w.reshape(u.shape[1:]), floor, ceiling)
+                proposed.append(k)
+        ts = apply_T(p, slots)
+        # a plain slot always moves; a candidate only if it is admissible
+        moved = [k not in proposed or _is_bound(slots, ts, k, lower)
+                 for k in range(len(halves))]
+        v, tv = _advance(u, tu, slots, ts, moved)
+        if _crossed(tv, lower, upper) and any(moved[k] for k in proposed):
+            moved = [k not in proposed for k in range(len(halves))]
+            v, tv = _advance(u, tu, slots, ts, moved)
+        for k in proposed:
+            proposers[k].judge(moved[k])
+        _check_order(v, tv, lower, upper, f"iteration {it}")
         history.append(np.abs(v).max(axis=(1, 2)))
         if record_iterates:
             iterates.append(v)
-        diff = np.abs(v - u).max(axis=(1, 2))
-        tv = apply_T(p, v)
-        _check_order(v, tv, lower, upper, f"iteration {it}")
         residual = np.abs(v - tv).max(axis=(1, 2))
-        if np.all(diff <= tol) and np.all(residual <= tol):
+        if np.all(residual <= tol):
             break
+        for k, proposer in enumerate(proposers):
+            if moved[k]:
+                proposer.push(v[k], tv[k])
         u, tu = v, tv
     else:
         raise NoConvergence(
@@ -218,7 +318,9 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
                     history=norms[:, k].tolist(),
                     converged_to_zero=bool(norms[-1, k] <= 10.0 * tol),
                     iterates=None if iterates is None
-                    else [x[k] for x in iterates])
+                    else [x[k] for x in iterates],
+                    proposed=proposers[k].proposed,
+                    accepted=proposers[k].accepted)
               for k, (direction, _) in enumerate(halves)]
     return IterationReport(it, limits[0] if alpha is not None else None,
                            limits[-1] if beta is not None else None)

@@ -392,6 +392,10 @@ GUARD_CASES = [
     ("1/s", {"s": 0.0}),
     ("exp(s)", {"s": 1e9}),
     ("s^0.5", {"s": -2.0}),
+    ("1e308*10", {"s": 0.0}),
+    ("-s-s", {"s": 1e308}),
+    ("s+s", {"s": 1e308}),
+    ("s*s*0", {"s": 1e200}),
 ]
 
 

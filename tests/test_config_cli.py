@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -150,6 +152,25 @@ def test_solve_exit_1_on_monotonicity_failure(tmp_path):
     assert code == 1
 
 
+def test_checks_csv_round_trips_through_csv_reader(tmp_path):
+    # the failing check's witness is JSON with commas and quotes
+    text = SYSTEM_CFG.replace('f1 = "sqrt(max(u1,u2)) + tan(max(u1,u2))"',
+                              'f1 = "u1 - u2"')
+    cfg = write(tmp_path, "bad.cfg", text)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    raw = (out / "checks.csv").read_text()
+    rows = list(csv.reader(io.StringIO(raw)))
+    assert rows[0] == ["condition", "result", "witness"]
+    assert [len(row) for row in rows] == [3] * len(rows)
+    (condition, result, witness), = rows[1:]
+    assert (condition, result) == ("(a) f1 non-decreasing", "fail")
+    assert set(json.loads(witness)) == {"x", "u", "v", "f_u", "f_v"}
+    again = io.StringIO()
+    csv.writer(again, lineterminator="\n").writerows(rows)
+    assert again.getvalue() == raw
+
+
 def test_solve_exit_2_for_tiny_lambda(tmp_path):
     text = SYSTEM_CFG.replace("lambda1 = 1.6", "lambda1 = 1e-6")
     text = text.replace("lambda2 = 5.0", "lambda2 = 1e-6")
@@ -159,19 +180,19 @@ def test_solve_exit_2_for_tiny_lambda(tmp_path):
 
 
 def test_lower_half_failure_is_a_warning(tmp_path, capsys):
-    # with swept growth parameters the subsolution is tiny: the upper half
-    # converges in 45 steps, the lower one needs 47, so a budget of 46
-    # fails only the lower half
-    text = SYSTEM_CFG.replace("delta = 10\n", "").replace("rho0 = 0.01\n",
-                                                          "")
-    cfg = write(tmp_path, "swept.cfg", text)
+    # on the shipped scalar problem at h = 1/32 the swept subsolution is
+    # tiny: the upper half converges in 10 steps, the lower one needs 14, so
+    # a budget of 12 fails only the lower half
+    from importlib.resources import files
+    text = (files("conesolve") / "configs" / "scalar_disk.cfg").read_text()
+    cfg = write(tmp_path, "scalar.cfg", text)
     out = tmp_path / "o"
-    code = main(["solve", "--config", cfg, "--max-iter", "46",
-                 "--out", str(out), "--csv"])
+    code = main(["solve", "--config", cfg, "--h", "0.03125", "--max-iter",
+                 "12", "--out", str(out), "--csv"])
     assert code == 0
     printed = capsys.readouterr().out
     assert "warning: lower iteration did not complete" in printed
-    assert "iterations:        45" in printed
+    assert "iterations:        10" in printed
     assert not (out / "solution_lower.csv").exists()
 
 

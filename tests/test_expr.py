@@ -89,6 +89,34 @@ def test_domain_guards_raise(src, bindings):
         eval_expr(parse(src, {"s"}), bindings)
 
 
+@pytest.mark.parametrize("src,op,value", [
+    ("1e308*10", "*", 1e308),
+    ("-s-s", "-", -1e308),
+    ("s+1 + s", "+", 1e308),
+    ("sqrt(s) * s * s", "*", 1e154),
+])
+def test_overflow_names_the_operation(src, op, value):
+    # the reported value is the left operand of the overflowing operation
+    with pytest.raises(EvalDomainError) as err:
+        eval_expr(parse(src, {"s"}), {"s": 1e308})
+    assert (err.value.function, err.value.value) == (op, value)
+
+
+def test_overflow_on_arrays_reports_the_operand():
+    tree = parse("u1 * u2", UV)
+    with pytest.raises(EvalDomainError) as err:
+        eval_on_arrays(tree, {"u1": np.array([1.0, 1e200, 2.0]),
+                              "u2": np.array([3.0, 1e200, 4.0])})
+    assert (err.value.function, err.value.value) == ("*", 1e200)
+
+
+def test_non_finite_binding_rejected():
+    with pytest.raises(EvalDomainError) as err:
+        eval_on_arrays(parse("sin(u1) + u2", UV),
+                       {"u1": np.array([0.0, np.inf]), "u2": 1.0})
+    assert err.value.function == "u1"
+
+
 def test_tan_guard_window():
     tree = parse("tan(s)", {"s"})
     with pytest.raises(EvalDomainError) as err:
@@ -163,3 +191,40 @@ def test_fuzz_roundtrip_and_total_evaluation(tree, u1, u2, x1):
     except EvalDomainError:
         return
     assert math.isfinite(value)
+
+
+_huge_leaf = st.one_of(
+    st.floats(min_value=-1.7976931348623157e308,
+              max_value=1.7976931348623157e308).map(Constant),
+    _names.map(Var))
+
+
+def _arithmetic(children):
+    return st.one_of(
+        children.map(lambda c: Unary("neg", c)),
+        st.tuples(st.sampled_from("+-*"), children, children).map(
+            lambda t: Binary(t[0], t[1], t[2])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=st.recursive(_huge_leaf, _arithmetic, max_leaves=8),
+       u=st.lists(st.floats(-1e308, 1e308), min_size=3, max_size=3))
+def test_fuzz_arithmetic_overflow_is_an_error(tree, u):
+    # values near the largest double overflow +, - and *; evaluation must
+    # then raise, on scalars and on arrays alike
+    points = [dict(zip(["u1", "u2", "x1"], u)),
+              {"u1": 0.0, "u2": 0.0, "x1": 0.0}]
+    values = []
+    for bindings in points:
+        try:
+            values.append(eval_expr(tree, bindings))
+        except EvalDomainError:
+            values.append(None)
+    assert all(math.isfinite(v) for v in values if v is not None)
+    arrays = {k: np.array([p[k] for p in points]) for k in points[0]}
+    try:
+        vec = eval_on_arrays(tree, arrays)
+    except EvalDomainError:
+        assert None in values
+    else:
+        assert np.broadcast_to(vec, (2,)).tolist() == values

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conesolve import (Nonlinearity, ProblemInstance, apply_T, certify,
-                       check_supersolution, construct_subsolution,
-                       k_one_norm, monotone_iterate, spectral_radius)
+from conesolve import (Dirichlet, EllipticCoefficients, Nonlinearity,
+                       ProblemInstance, UnitDisk, apply_T, assemble,
+                       build_grid, certify, check_supersolution,
+                       construct_subsolution, k_one_norm, monotone_iterate,
+                       spectral_radius)
+from conesolve import fixedpoint
 from conesolve.errors import MonotonicityViolation, NoConvergence
+from conesolve.verify import CRITERIA, VerifyContext, run_criterion
 
 RHO = 15 * math.pi / 64
 
@@ -254,3 +258,108 @@ def test_monotone_iterate_budget_exhaustion(disk_op):
     beta = constant_state(disk_op.grid, (RHO, RHO))
     with pytest.raises(NoConvergence):
         monotone_iterate(p, beta=beta, tol=1e-12, max_iter=2)
+
+
+def _bracket(op):
+    p = reference_problem(op)
+    alpha = construct_subsolution(p, spectral_radius(op), 0, 10.0, 0.01)
+    return p, alpha, constant_state(op.grid, (RHO, RHO))
+
+
+def _plain_limit(p, start, tol):
+    """u <- T u until |u - T u| <= tol; returns (steps, last iterate)."""
+    u = start
+    for steps in range(1000):
+        tu = apply_T(p, u)
+        if np.abs(u - tu).max() <= tol:
+            return steps, u
+        u = tu
+    raise AssertionError("plain iteration did not converge")
+
+
+def test_rejected_candidates_keep_the_order_and_the_limit(disk_op,
+                                                          monkeypatch):
+    # halve every candidate, which puts it below the fixed point where
+    # T w <= w fails
+    p = reference_problem(disk_op)
+    beta = constant_state(disk_op.grid, (RHO, RHO))
+    honest = monotone_iterate(p, beta=beta, tol=1e-10).upper
+    propose = fixedpoint._Anderson.candidate
+
+    def spoiled(self):
+        w = propose(self)
+        return None if w is None else 0.5 * w
+
+    monkeypatch.setattr(fixedpoint._Anderson, "candidate", spoiled)
+    report = monotone_iterate(p, beta=beta, tol=1e-10, record_iterates=True)
+    upper = report.upper
+    assert upper.proposed > 0 and upper.accepted == 0
+    assert len(upper.iterates) == report.iterations + 1
+    for k, b in enumerate(upper.iterates):
+        assert np.all(apply_T(p, b) <= b + 1e-12)
+        assert k == 0 or np.all(b <= upper.iterates[k - 1] + 1e-12)
+    assert upper.residual <= 1e-10
+    assert np.abs(upper.solution - honest.solution).max() <= 1e-9
+
+
+def test_crossing_candidates_are_rejected_together(disk_op, monkeypatch):
+    # a monotone map with stable fixed points near 0.107 and 0.893: 0.85 is
+    # a subsolution and 0.15 a supersolution, but T 0.85 > T 0.15, so the
+    # pair of candidates would cross and both must be rejected
+    def staircase(p, u):
+        return 0.5 + 0.4 * np.tanh(6.0 * (np.asarray(u) - 0.5))
+
+    def crossing(self):
+        w = propose(self)
+        if w is None:
+            return None
+        return np.full_like(w, 0.85 if self.f.sum() > 0 else 0.15)
+
+    propose = fixedpoint._Anderson.candidate
+    monkeypatch.setattr(fixedpoint, "apply_T", staircase)
+    monkeypatch.setattr(fixedpoint._Anderson, "candidate", crossing)
+    p = reference_problem(disk_op)
+    zero = constant_state(disk_op.grid, (0.0, 0.0))
+    one = constant_state(disk_op.grid, (1.0, 1.0))
+    report = monotone_iterate(p, zero, one, tol=1e-12)
+    for half in (report.lower, report.upper):
+        assert half.proposed > 0 and half.accepted == 0
+    assert report.lower.norm == pytest.approx(0.1070, abs=1e-3)
+    assert report.upper.norm == pytest.approx(0.8930, abs=1e-3)
+
+
+def test_anderson_steps_cut_the_plain_iteration():
+    grid = build_grid(UnitDisk(), 1.0 / 32.0)
+    op = assemble(grid, EllipticCoefficients.laplacian(), Dirichlet())
+    p, alpha, beta = _bracket(op)
+    tol = 1e-9
+    report = monotone_iterate(p, alpha, beta, tol=tol)
+    plain_steps = max(_plain_limit(p, alpha, tol)[0],
+                      _plain_limit(p, beta, tol)[0])
+    assert report.iterations <= 0.7 * plain_steps
+    assert report.upper.accepted > 0 and report.lower.accepted > 0
+    # the plain iterates, run to a tighter residual, meet the same limits
+    for start, half in ((alpha, report.lower), (beta, report.upper)):
+        _, limit = _plain_limit(p, start, 1e-13)
+        assert np.abs(half.solution - limit).max() <= tol
+
+
+def test_recorded_iterates_are_the_accepted_states(disk_op):
+    p, alpha, beta = _bracket(disk_op)
+    report = monotone_iterate(p, alpha, beta, tol=1e-10,
+                              record_iterates=True)
+    assert report.upper.accepted > 0
+    # every recorded state is a sub- (lower) or supersolution (upper), the
+    # halves are ordered, and each sequence is monotone
+    lows, highs = report.lower.iterates, report.upper.iterates
+    assert len(lows) == len(highs) == report.iterations + 1
+    for k, (a, b) in enumerate(zip(lows, highs)):
+        assert np.all(a <= apply_T(p, a) + 1e-12)
+        assert np.all(apply_T(p, b) <= b + 1e-12)
+        assert np.all(a <= b + 1e-12)
+        if k:
+            assert np.all(lows[k - 1] <= a + 1e-12)
+            assert np.all(b <= highs[k - 1] + 1e-12)
+    ctx = VerifyContext(1.0 / 32.0)
+    for cid in (6, 7):
+        assert run_criterion(CRITERIA[cid - 1], ctx).status == "PASS"
