@@ -32,7 +32,7 @@ from .fixedpoint import (ProblemInstance, certify, check_supersolution,
                          construct_subsolution, monotone_iterate)
 from .geometry import build_grid
 from .greens import k_one_norm, spectral_radius
-from .nonlinearity import check_growth, check_monotone
+from .nonlinearity import check_growth, check_monotone, growth_sample
 from .operator import assemble
 from .ranges import ratio_curve, single_range, system_ranges
 
@@ -152,10 +152,12 @@ def build_pipeline(cfg: Config) -> Pipeline:
 def _growth_parameters(pipe: Pipeline):
     """Resolve (delta, rho0, report): use the configured values when given,
     otherwise sweep delta over decades (largest validated first) and rho0
-    geometrically downward."""
+    geometrically downward.  Every candidate is checked on one random
+    draw."""
     cfg = pipe.cfg
     nl = pipe.nl
     rho_min = min(nl.box)
+    sample = growth_sample(nl, cfg.samples, cfg.seed, cfg.domain)
 
     def rho0_candidates():
         if cfg.rho0 is not None:
@@ -166,35 +168,47 @@ def _growth_parameters(pipe: Pipeline):
     for delta in deltas:
         for rho0 in rho0_candidates():
             report = check_growth(nl, cfg.i0, delta, rho0, cfg.samples,
-                                  cfg.seed, cfg.domain)
+                                  cfg.seed, cfg.domain, sample)
             if report.passed:
                 return delta, rho0, report
     return None, None, report
 
 
-def _compute_ranges(pipe: Pipeline, delta: float, rho0: float | None = None):
+def _single_curve(pipe: Pipeline):
+    """The sampled curve s -> s / (M(s) |K1|) of a single equation, built
+    once per op and shared by the range, the supersolution level and
+    ratio_curve.csv; None for systems."""
+    cfg = pipe.cfg
+    if cfg.n > 1:
+        return None
+    return ratio_curve(pipe.nl, cfg.rho[0], pipe.k1_norm, cfg.grid_points,
+                       pipe.grid)
+
+
+def _compute_ranges(pipe: Pipeline, curve, delta: float,
+                    rho0: float | None = None):
     cfg = pipe.cfg
     if cfg.n == 1:
         rng = single_range(pipe.nl, cfg.rho[0], delta,
                            rho0 or cfg.rho0 or min(cfg.rho) / 2,
                            pipe.k1_norm, pipe.spectrum.mu1,
-                           grid_points=cfg.grid_points, grid=pipe.grid)
+                           grid_points=cfg.grid_points, grid=pipe.grid,
+                           curve=curve)
         return [rng]
     return system_ranges(pipe.nl, cfg.rho, cfg.i0, delta, pipe.k1_norm,
                          pipe.spectrum.mu1, pipe.grid,
                          m_safety=cfg.m_safety)
 
 
-def _choose_beta(pipe: Pipeline) -> list:
+def _choose_beta(pipe: Pipeline, curve) -> list:
     """Supersolution level: the box top for systems; for a single equation
-    the sampled maximizer of s / (M(s) |K1|), which leaves the largest
-    margin lambda M(beta) |K1| < beta when lambda is admissible."""
+    the sampled maximizer of s / (M(s) |K1|) on `curve`, which leaves the
+    largest margin lambda M(beta) |K1| < beta when lambda is admissible."""
     cfg = pipe.cfg
-    if cfg.n > 1:
+    if curve is None:
         return list(cfg.rho)
     lam = cfg.lambdas[0]
-    s, ratios = ratio_curve(pipe.nl, cfg.rho[0], pipe.k1_norm,
-                            cfg.grid_points, pipe.grid)
+    s, ratios = curve
     margins = s * (1.0 - lam / ratios)
     k = int(np.argmax(margins))
     if margins[k] <= 0:
@@ -259,7 +273,8 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
     print(f"growth parameters: delta = {delta:g}, rho0 = {rho0:g}")
 
     try:
-        ranges = _compute_ranges(pipe, delta, rho0)
+        curve = _single_curve(pipe)
+        ranges = _compute_ranges(pipe, curve, delta, rho0)
     except ConesolveError as err:
         _write_checks(out_dir, checks)
         print(f"hypothesis (c) fails: {err}")
@@ -273,7 +288,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
                   "(the bound is sufficient, not necessary)")
 
     problem = ProblemInstance(pipe.op, pipe.nl, tuple(cfg.lambdas))
-    beta_levels = _choose_beta(pipe)
+    beta_levels = _choose_beta(pipe, curve)
     beta = np.outer(beta_levels, np.ones(pipe.grid.interior_count))
     ok, margin = check_supersolution(problem, beta)
     print(f"supersolution check at beta = "
@@ -366,7 +381,8 @@ def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:
     else:
         print(f"growth parameters: delta = {delta:g}, rho0 = {rho0:g} "
               "(validated by sampling)")
-    ranges = _compute_ranges(pipe, delta)
+    curve = _single_curve(pipe)
+    ranges = _compute_ranges(pipe, curve, delta)
     for rng in ranges:
         print(rng.describe())
     if want_csv:
@@ -381,11 +397,9 @@ def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:
         _write_csv(os.path.join(out_dir, "ranges.csv"),
                    ["component", "lower", "upper", "empty", "m_value",
                     "k1_norm", "mu1", "delta"], list(zip(*rows)))
-        if cfg.n == 1:
-            s, ratios = ratio_curve(pipe.nl, cfg.rho[0], pipe.k1_norm,
-                                    cfg.grid_points, pipe.grid)
+        if curve is not None:
             _write_csv(os.path.join(out_dir, "ratio_curve.csv"),
-                       ["s", "ratio"], [s, ratios])
+                       ["s", "ratio"], list(curve))
     if any(rng.empty for rng in ranges):
         print("at least one admissible interval is empty")
         return EXIT_EMPTY_RANGE

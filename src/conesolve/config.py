@@ -308,6 +308,8 @@ def _validate(cfg: Config):
         raise ConfigError("max_iter and samples must be at least 1")
     if cfg.m_safety < 1.0:
         raise ConfigError("m_safety must be at least 1")
+    if cfg.n == 1 and cfg.grid_points < 100:
+        raise ConfigError("grid_points must be at least 100")
     try:
         cfg.nonlinearity()
     except (ex.ExprSyntaxError, ValueError) as err:

@@ -185,18 +185,33 @@ def check_monotone(nl: Nonlinearity, i: int, samples: int, seed: int,
     return CheckReport(condition, True, samples, seed)
 
 
+def growth_sample(nl: Nonlinearity, samples: int, seed: int,
+                  domain: DomainSpec):
+    """The random draw of check_growth, which does not depend on
+    (delta, rho0): domain points x1, x2 and unit uniforms of shape
+    (n, samples), which rho0 scales onto the sub-box.  Draw it once to
+    check several (delta, rho0) pairs."""
+    rng = np.random.default_rng(seed)
+    x1, x2 = sample_domain(domain, rng, samples)
+    return x1, x2, rng.random((nl.n, samples))
+
+
 def check_growth(nl: Nonlinearity, i0: int, delta: float, rho0: float,
-                 samples: int, seed: int, domain: DomainSpec) -> CheckReport:
+                 samples: int, seed: int, domain: DomainSpec,
+                 sample=None) -> CheckReport:
     """Sampled lower growth bound f_{i0}(x, u) >= delta * u_{i0} on the
-    sub-box prod [0, rho0], plus a deterministic diagonal sweep."""
+    sub-box prod [0, rho0], plus a deterministic diagonal sweep.  `sample`
+    is what growth_sample(nl, samples, seed, domain) returns, when the
+    caller has drawn it already."""
     condition = f"(b) f{i0 + 1} >= {delta:g}*u{i0 + 1} on [0,{rho0:g}]^n"
     if not (0 < rho0 < min(nl.box)):
         raise ValueError("need 0 < rho0 < min box bound")
     if not (delta > 0):
         raise ValueError("delta must be positive")
-    rng = np.random.default_rng(seed)
-    x1, x2 = sample_domain(domain, rng, samples)
-    u = rng.uniform(0.0, rho0, (nl.n, samples))
+    if sample is None:
+        sample = growth_sample(nl, samples, seed, domain)
+    x1, x2, unit = sample
+    u = rho0 * unit     # bitwise rng.uniform(0.0, rho0, ...) on the same draw
 
     # deterministic diagonal sweep u = (s, ..., s) over fixed domain points
     s_lin = np.linspace(rho0 / 64, rho0, 64)

@@ -16,11 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import ConditionCViolation, NonpositiveM
+from .errors import (BoxViolation, ConditionCViolation, ConesolveError,
+                     NonpositiveM)
 from .geometry import Grid
-from .nonlinearity import Nonlinearity, max_over_domain
+from .nonlinearity import BOX_SLACK, Nonlinearity, max_over_domain
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Largest (s, node) array ratio_curve evaluates at once: 2**16 doubles
+# (512 kB) per temporary, whatever the mesh.
+CURVE_BLOCK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -106,28 +110,61 @@ def system_ranges(nl: Nonlinearity, beta, i0: int, delta: float,
 def ratio_curve(nl: Nonlinearity, rho: float, k1_norm: float,
                 grid_points: int, grid: Grid | None = None):
     """Sampled curve s -> s / (M(s) k1_norm) on a log-uniform grid of
-    (0, rho]; returns (s values, ratios)."""
+    (0, rho]; returns (s values, ratios).
+
+    M is evaluated for a block of s values at a time, on an (s, node)
+    array of at most CURVE_BLOCK_ELEMENTS entries.  The curve is bitwise
+    that of evaluating each s on its own, and a failure names the first
+    failing s as that would."""
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
     s = np.geomspace(rho * 1e-8, rho, grid_points)
-    return s, np.array([_ratio(nl, float(v), k1_norm, grid) for v in s])
+    m = np.empty_like(s)
+    nodes = grid.interior_count if nl.uses_x(0) and grid is not None else 1
+    rows = max(1, CURVE_BLOCK_ELEMENTS // nodes)
+    for start in range(0, grid_points, rows):
+        block = s[start:start + rows]
+        try:
+            m_block = _max_f(nl, block, grid)
+        except ConesolveError:
+            for v in block:     # raises at the first failing s
+                _ratio(nl, float(v), k1_norm, grid)
+            raise
+        bad = m_block <= 0
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise _nonpositive(float(block[k]), float(m_block[k]))
+        m[start:start + rows] = m_block
+    return s, s / (m * k1_norm)
 
 
-def _max_f(nl: Nonlinearity, s: float, grid: Grid | None) -> float:
-    if nl.uses_x(0):
-        if grid is None:
-            raise ValueError("x-dependent nonlinearity needs a grid to "
-                             "sample M(s)")
-        return max_over_domain(nl, 0, [s], grid)
-    comps = [np.clip(s, 0.0, nl.box[0])]
-    return float(np.max(ex.eval_on_arrays(
-        nl.exprs[0], nl.bindings(0.0, 0.0, comps))))
+def _max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
+    """M at every entry of the 1-D array s: the max over the grid nodes of
+    f on the (s, node) array, or f on s alone when f does not use x."""
+    u = np.clip(s, 0.0, nl.box[0])
+    if not nl.uses_x(0):
+        out = ex.eval_on_arrays(nl.exprs[0], nl.bindings(0.0, 0.0, [u]))
+        return np.broadcast_to(out, s.shape)
+    if grid is None:
+        raise ValueError("x-dependent nonlinearity needs a grid to "
+                         "sample M(s)")
+    outside = (s < -BOX_SLACK) | (s > nl.box[0] + BOX_SLACK)
+    if outside.any():
+        raise BoxViolation(f"beta entry {float(s[np.argmax(outside)])} "
+                           f"outside the box [0, {nl.box[0]}]")
+    out = ex.eval_on_arrays(nl.exprs[0],
+                            nl.bindings(grid.xs, grid.ys, [u[:, None]]))
+    return np.broadcast_to(out, (len(s), grid.interior_count)).max(axis=1)
+
+
+def _nonpositive(s: float, m: float) -> NonpositiveM:
+    return NonpositiveM(f"M({s:g}) = {m:g} <= 0")
 
 
 def _ratio(nl, s, k1_norm, grid):
-    m = _max_f(nl, s, grid)
+    m = float(_max_f(nl, np.array([s]), grid)[0])
     if m <= 0:
-        raise NonpositiveM(f"M({s:g}) = {m:g} <= 0")
+        raise _nonpositive(s, m)
     return s / (m * k1_norm)
 
 
@@ -156,9 +193,10 @@ def _golden_max(fn, lo, hi):
 
 def single_range(nl: Nonlinearity, rho: float, delta: float, rho0: float,
                  k1_norm: float, mu1: float, grid_points: int = 1000,
-                 grid: Grid | None = None) -> LambdaRange:
+                 grid: Grid | None = None, curve=None) -> LambdaRange:
     """Admissible interval [mu1/delta, sup_s s/(M(s) |K1|)) for a single
-    equation (n = 1)."""
+    equation (n = 1).  `curve` is the (s, ratios) pair ratio_curve returns
+    for these arguments, when the caller has already built it."""
     if nl.n != 1:
         raise ValueError("single_range needs a one-component nonlinearity")
     if not (0 < rho0 < rho):
@@ -167,7 +205,9 @@ def single_range(nl: Nonlinearity, rho: float, delta: float, rho0: float,
         raise ValueError("delta must be positive")
     if grid_points < 100:
         raise ValueError("need at least 100 sample points")
-    s, ratios = ratio_curve(nl, rho, k1_norm, grid_points, grid)
+    if curve is None:
+        curve = ratio_curve(nl, rho, k1_norm, grid_points, grid)
+    s, ratios = curve
     k = int(np.argmax(ratios))
     lo = s[max(k - 1, 0)]
     hi = s[min(k + 1, len(s) - 1)]
@@ -177,7 +217,8 @@ def single_range(nl: Nonlinearity, rho: float, delta: float, rho0: float,
             lambda v: _ratio(nl, float(v), k1_norm, grid), float(lo), float(hi))
         sup = max(sup, refined)
     lower = mu1 / delta
+    m_rho = float(_max_f(nl, np.array([rho]), grid)[0])
     return LambdaRange(
         lower=lower, upper=sup, empty=lower >= sup, component=0,
-        provenance=RangeProvenance(_max_f(nl, rho, grid), k1_norm, mu1, delta),
+        provenance=RangeProvenance(m_rho, k1_norm, mu1, delta),
         lower_strict=False, upper_strict=True)

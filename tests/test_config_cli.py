@@ -312,3 +312,110 @@ def test_shipped_system_certifies_at_h_1_128(tmp_path, capsys):
     certificate = (tmp_path / "o" / "certificate.txt").read_text()
     assert "verdict:            certified nonzero positive solution" \
         in certificate
+
+
+# The rect-robin benchmark problem: Robin rectangle, single equation with an
+# x-dependent nonlinearity.
+ROBIN_CFG = """
+domain = rectangle 0 1 0 1
+h = 0.03125
+bc = robin "1 + x1"
+n = 1
+a11 = "1 + 0.5*x1"
+a22 = "1 + 0.5*x2"
+b1 = "2"
+b2 = "-1 + x1"
+c = "1"
+f1 = "(1 + 0.5*x1*x2) * (sqrt(s) + exp(s) - 1)"
+rho1 = 1.0
+lambda1 = 1.0
+i0 = 1
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "lambda-range"])
+def test_ratio_curve_is_built_once_per_op(tmp_path, monkeypatch, command):
+    from conesolve import cli, ranges
+    calls = {"cli": 0, "ranges": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "ratio_curve",
+                        counting("cli", cli.ratio_curve))
+    monkeypatch.setattr(ranges, "ratio_curve",
+                        counting("ranges", ranges.ratio_curve))
+    cfg = write(tmp_path, "robin.cfg", ROBIN_CFG)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--csv"]) == 0
+    assert calls == {"cli": 1, "ranges": 0}
+    if command == "lambda-range":
+        curve = (out / "ratio_curve.csv").read_text().splitlines()
+        assert len(curve) == 1 + 1000
+
+
+def _nested_growth_sweep(cfg):
+    """The growth sweep as a loop that draws a fresh sample per candidate:
+    the reference for the one-draw sweep."""
+    from conesolve.cli import DELTA_SWEEP
+    from conesolve.nonlinearity import check_growth
+    nl = cfg.nonlinearity()
+    report = None
+    for delta in DELTA_SWEEP:
+        for k in range(1, 21):
+            rho0 = min(nl.box) * 0.5 ** k
+            report = check_growth(nl, cfg.i0, delta, rho0, cfg.samples,
+                                  cfg.seed, cfg.domain)
+            if report.passed:
+                return delta, rho0, report
+    return None, None, report
+
+
+@pytest.mark.parametrize("case", ["system_disk", "no pair passes"])
+def test_growth_sweep_draws_once_and_matches_the_nested_loop(monkeypatch,
+                                                              case):
+    from importlib.resources import files
+    from conesolve import cli, nonlinearity
+    text = (files("conesolve") / "configs" / "system_disk.cfg").read_text()
+    if case == "no pair passes":
+        # f1 = u1^2 grows slower than any delta*u1 near 0
+        text = text.replace('f1 = "sqrt(max(u1,u2)) + tan(max(u1,u2))"',
+                            'f1 = "u1^2"')
+    cfg = parse_config(text)
+    delta_ref, rho0_ref, rep_ref = _nested_growth_sweep(cfg)
+
+    draws, checks = [], []
+    sample_domain = nonlinearity.sample_domain
+    check_growth = cli.check_growth
+    monkeypatch.setattr(nonlinearity, "sample_domain",
+                        lambda *a: draws.append(1) or sample_domain(*a))
+    monkeypatch.setattr(cli, "check_growth",
+                        lambda *a: checks.append(1) or check_growth(*a))
+    pipe = cli.Pipeline(cfg, None, None, cfg.nonlinearity(), None, 0.0,
+                        None)
+    delta, rho0, rep = cli._growth_parameters(pipe)
+    assert (delta, rho0) == (delta_ref, rho0_ref)
+    assert rep.to_text() == rep_ref.to_text()
+    assert rep.csv_row() == rep_ref.csv_row()
+    assert len(draws) == 1
+    if case == "system_disk":
+        assert delta == 1000.0
+        assert rho0 == cfg.rho[0] * 2.0 ** -20
+        assert len(checks) == 40        # 39 failures, then the pass
+    else:
+        assert delta is None and not rep.passed
+        assert rep.witness is not None
+        assert len(checks) == 140
+
+
+def test_single_equation_grid_points_below_100_exit_64(tmp_path, capsys):
+    cfg = write(tmp_path, "robin.cfg", ROBIN_CFG + "grid_points = 50\n")
+    code = main(["lambda-range", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "grid_points" in err

@@ -7,6 +7,7 @@ from conesolve import (Nonlinearity, Rectangle, UnitDisk, build_grid,
                        check_growth, check_monotone, max_over_domain,
                        nemytskii_apply)
 from conesolve.errors import BoxViolation, EvalDomainError, GridMismatch
+from conesolve.nonlinearity import growth_sample, sample_domain
 
 RHO = 15 * math.pi / 64
 M1 = math.sqrt(RHO) + math.tan(RHO)          # 1.7644326998289304
@@ -122,6 +123,22 @@ def test_check_growth_rejects_square_with_witness():
     w = rep.witness
     assert w is not None
     assert w["f"] < w["delta_u"] - 1e-12
+
+
+@pytest.mark.parametrize("domain", [UnitDisk(), Rectangle(0.0, 1.0, 0.0, 2.0)])
+def test_growth_sample_scaled_by_rho0_is_a_fresh_draw(domain):
+    # check_growth on its own draws the domain points and then
+    # rng.uniform(0, rho0, (n, samples)) from a fresh generator; one shared
+    # sample scaled by each swept rho0 must give the same bits
+    nl = reference_system()
+    x1, x2, unit = growth_sample(nl, 1000, 7, domain)
+    for k in range(1, 21):
+        rho0 = RHO * 0.5 ** k
+        rng = np.random.default_rng(7)
+        px, py = sample_domain(domain, rng, 1000)
+        u = rng.uniform(0.0, rho0, (nl.n, 1000))
+        assert (x1.tobytes(), x2.tobytes()) == (px.tobytes(), py.tobytes())
+        assert (rho0 * unit).tobytes() == u.tobytes()
 
 
 def test_check_growth_vacuous_when_pivot_vanishes():

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conesolve import (Nonlinearity, UnitDisk, build_grid, ratio_curve,
-                       single_range, system_ranges)
-from conesolve.errors import ConditionCViolation, NonpositiveM
+from conesolve import (Nonlinearity, Rectangle, UnitDisk, build_grid,
+                       max_over_domain, ratio_curve, single_range,
+                       system_ranges)
+from conesolve import expr as expr_module
+from conesolve.errors import (ConditionCViolation, EvalDomainError,
+                              NonpositiveM)
+from conesolve.expr import eval_on_arrays
+from conesolve.ranges import CURVE_BLOCK_ELEMENTS
 
 RHO = 15 * math.pi / 64
 MU1_DISK = 5.783185962946785        # square of the first zero of J0
@@ -149,3 +154,91 @@ def test_contains_respects_strictness(disk_grid):
     assert r0.contains(r0.upper)            # upper bound is closed
     assert r0.contains(1.6)
     assert not r0.contains(5.0)
+
+
+# The rect-robin benchmark problem: x-dependent f on a 31 x 31 interior grid.
+ROBIN_F = "(1 + 0.5*x1*x2) * (sqrt(s) + exp(s) - 1)"
+
+
+def per_point_ratio(nl, s, k1_norm, grid):
+    """s / (M(s) k1_norm) for one s, M evaluated on its own: the reference
+    the blocked curve must reproduce bit for bit."""
+    if nl.uses_x(0):
+        m = max_over_domain(nl, 0, [s], grid)
+    else:
+        m = float(np.max(eval_on_arrays(
+            nl.exprs[0], nl.bindings(0.0, 0.0, [np.clip(s, 0.0, nl.box[0])]))))
+    if m <= 0:
+        raise NonpositiveM(f"M({s:g}) = {m:g} <= 0")
+    return s / (m * k1_norm)
+
+
+def per_point_curve(nl, rho, k1_norm, grid_points, grid):
+    s = np.geomspace(rho * 1e-8, rho, grid_points)
+    return s, np.array([per_point_ratio(nl, float(v), k1_norm, grid)
+                        for v in s])
+
+
+@pytest.mark.parametrize("case", ["rect-robin", "sqrt+tan"])
+def test_ratio_curve_is_bitwise_the_per_point_walk(case):
+    if case == "rect-robin":
+        nl = Nonlinearity.from_strings([ROBIN_F], (1.0,))
+        grid = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 1 / 32)
+    else:
+        nl = scalar_sqrt_tan()
+        grid = build_grid(UnitDisk(), 1 / 64)
+    rho = nl.box[0]
+    s, ratios = ratio_curve(nl, rho, 0.1234, 1000, grid)
+    s_ref, ratios_ref = per_point_curve(nl, rho, 0.1234, 1000, grid)
+    assert s.tobytes() == s_ref.tobytes()
+    assert ratios.tobytes() == ratios_ref.tobytes()
+
+
+@pytest.mark.parametrize("source,error", [
+    # M(s) = 0.3 - s once s > 0.3
+    ("(1 + x1) * (0.3 - s)", NonpositiveM),
+    ("0.3 - s", NonpositiveM),
+    # M(s) <= 0 on [0.3, 0.35) comes before the log's domain error, in the
+    # same block of s values
+    ("(1 + x1) * (0.3 - s) + 0*log(0.35 - s)", NonpositiveM),
+    ("(1 + x1) * sqrt(0.35 - s)", EvalDomainError),
+])
+def test_ratio_curve_failure_names_the_first_failing_s(source, error):
+    nl = Nonlinearity.from_strings([source], (1.0,))
+    grid = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 1 / 32)
+    with pytest.raises(error) as reference:
+        per_point_curve(nl, 1.0, 0.1, 1000, grid)
+    with pytest.raises(error) as blocked:
+        ratio_curve(nl, 1.0, 0.1, 1000, grid)
+    assert str(blocked.value) == str(reference.value)
+
+
+def test_ratio_curve_blocks_stay_within_the_element_budget(monkeypatch):
+    sizes = []
+
+    def recording(expr, bindings):
+        out = eval_on_arrays(expr, bindings)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(expr_module, "eval_on_arrays", recording)
+    grid = build_grid(UnitDisk(), 1 / 64)
+    nl = Nonlinearity.from_strings(["(1 + x1^2) * (sqrt(s) + tan(s))"],
+                                   (math.pi / 2 - 1e-6,))
+    ratio_curve(nl, nl.box[0], 0.25, 1000, grid)
+    rows = CURVE_BLOCK_ELEMENTS // grid.interior_count
+    assert max(sizes) <= CURVE_BLOCK_ELEMENTS
+    assert sizes == [rows * grid.interior_count] * (1000 // rows)
+    # a nonlinearity without x is one evaluation on the s values
+    sizes.clear()
+    ratio_curve(scalar_sqrt_tan(), math.pi / 2 - 1e-6, 0.25, 1000, grid)
+    assert sizes == [1000]
+
+
+def test_single_range_uses_a_given_curve():
+    nl = scalar_sqrt_tan()
+    rho = math.pi / 2 - 1e-6
+    curve = ratio_curve(nl, rho, 0.25, 1000)
+    given = single_range(nl, rho, 1.0, 0.7, 0.25, MU1_DISK, curve=curve)
+    built = single_range(nl, rho, 1.0, 0.7, 0.25, MU1_DISK)
+    assert given == built
