@@ -247,6 +247,35 @@ def check_growth(nl: Nonlinearity, i0: int, delta: float, rho0: float,
     return CheckReport(condition, True, samples, seed)
 
 
+def screen_growth(nl: Nonlinearity, i0: int, deltas, rho0s,
+                  sample) -> np.ndarray:
+    """Pairs of a (delta, rho0) ladder that check_growth is certain to fail.
+
+    One evaluation of f_{i0} covers the first samples // len(rho0s) points
+    of `sample` (as growth_sample returns it) at every rho0: bitwise the
+    (x, u) values check_growth evaluates for that rho0.  Entry [d, r] of
+    the (len(deltas), len(rho0s)) result is True where one of them breaks
+    the bound as check_growth compares it.  Nothing is marked when the
+    evaluation raises EvalDomainError."""
+    x1, x2, unit = sample
+    count = len(rho0s)
+    per_rho0 = unit.shape[1] // count
+    failed = np.zeros((len(deltas), count), dtype=bool)
+    u = (np.asarray(rho0s, dtype=float)[:, None]
+         * unit[:, None, :per_rho0]).reshape(nl.n, -1)
+    xs = np.tile(x1[:per_rho0], count)
+    ys = np.tile(x2[:per_rho0], count)
+    try:
+        f = ex.eval_on_arrays(nl.exprs[i0], nl.bindings(xs, ys, u))
+    except EvalDomainError:
+        return failed
+    f = np.broadcast_to(f, u.shape[1:])
+    for d, delta in enumerate(deltas):
+        bad = f < delta * u[i0] - CHECK_SLACK
+        failed[d] = bad.reshape(count, per_rho0).any(axis=1)
+    return failed
+
+
 def max_over_domain(nl: Nonlinearity, i: int, beta, grid: Grid) -> float:
     """max of f_i(x, beta) over the grid nodes (exact for x-independent f)."""
     beta = [float(b) for b in beta]

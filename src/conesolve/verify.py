@@ -4,9 +4,10 @@ Ten numbered criteria cover the numerical fidelity of the solution operator,
 the spectral data, the admissible parameter intervals, the end-to-end solve,
 and the property suites for the iteration, the operator, the hypothesis
 checkers and the expression engine.  The CLI `verify` command and the
-acceptance tests both run these; each criterion reports one PASS / FAIL /
-SKIP line.  On a grid coarser than the reference step (--h override) the
-grid-sensitive criteria (2, 3, 4, 6) downgrade a tolerance miss to SKIP.
+acceptance tests both run these; each criterion reports one PASS / FAIL
+line.  Every criterion is judged at any step (--h override): the targets
+hold on coarse grids, and criterion 3's widens with the O(h^2) error of
+the eigenvalue.
 """
 
 from __future__ import annotations
@@ -158,15 +159,21 @@ def _crit_k1_norm(ctx: VerifyContext):
 
 
 def _crit_mu1(ctx: VerifyContext):
+    """Relative error of mu1 on the disk and the square.  It behaves like
+    0.34 h^2 on the disk and 0.82 h^2 on the square, so the target is
+    max(1e-2, 2 h^2): 1e-2 for h <= 1/16, and wider only on coarser grids.
+    """
+    target = max(1e-2, 2.0 * ctx.h ** 2)
     mu_disk = ctx.spectrum("disk").mu1
     mu_square = ctx.spectrum("square").mu1
     ref_disk = disk_mu1_reference()
     rel_disk = abs(mu_disk - ref_disk) / ref_disk
     rel_square = abs(mu_square - SQUARE_MU1) / SQUARE_MU1
-    ok = rel_disk <= 0.01 and rel_square <= 0.01
+    ok = rel_disk <= target and rel_square <= target
     return ok, (f"disk mu1 = {mu_disk:.5f} vs {ref_disk:.5f} "
                 f"({rel_disk:.2e}); square mu1 = {mu_square:.5f} vs "
-                f"{SQUARE_MU1:.5f} ({rel_square:.2e}); targets <= 1e-2")
+                f"{SQUARE_MU1:.5f} ({rel_square:.2e}); targets <= "
+                f"{target:.2e}")
 
 
 def _crit_system_uppers(ctx: VerifyContext):
@@ -421,30 +428,25 @@ class Criterion:
     cid: int
     title: str
     runner: object
-    h_sensitive: bool
 
 
 CRITERIA = [
-    # the refinement ratio stays in its band on coarse grids too (3.61 at
-    # h = 1/8, 3.88 at h = 1/32): a failure there is a fault, not a
-    # tolerance miss, so it is never downgraded
-    Criterion(1, "green operator fidelity on the disk",
-              _crit_green_fidelity, False),
-    Criterion(2, "sup norm of K(1) on the disk", _crit_k1_norm, True),
+    Criterion(1, "green operator fidelity on the disk", _crit_green_fidelity),
+    Criterion(2, "sup norm of K(1) on the disk", _crit_k1_norm),
     Criterion(3, "principal characteristic value (disk and square)",
-              _crit_mu1, True),
-    Criterion(4, "system lambda upper bounds", _crit_system_uppers, True),
-    Criterion(5, "single-equation sup bound", _crit_scalar_sup, False),
+              _crit_mu1),
+    Criterion(4, "system lambda upper bounds", _crit_system_uppers),
+    Criterion(5, "single-equation sup bound", _crit_scalar_sup),
     Criterion(6, "end-to-end certified solve of the reference system",
-              _crit_end_to_end, True),
+              _crit_end_to_end),
     Criterion(7, "bracketing property suite (20 seeded instances)",
-              _crit_bracketing, False),
-    Criterion(8, "solution operator property suite", _crit_operator_properties,
-              False),
-    Criterion(9, "hypothesis checkers accept/reject", _crit_hypothesis_checkers,
-              False),
+              _crit_bracketing),
+    Criterion(8, "solution operator property suite",
+              _crit_operator_properties),
+    Criterion(9, "hypothesis checkers accept/reject",
+              _crit_hypothesis_checkers),
     Criterion(10, "expression engine precedence and guards",
-              _crit_expression_engine, False),
+              _crit_expression_engine),
 ]
 
 
@@ -452,7 +454,7 @@ CRITERIA = [
 class CriterionResult:
     cid: int
     title: str
-    status: str          # PASS / FAIL / SKIP
+    status: str          # PASS / FAIL
     detail: str
 
     def line(self) -> str:
@@ -461,14 +463,8 @@ class CriterionResult:
 
 def run_criterion(crit: Criterion, ctx: VerifyContext) -> CriterionResult:
     passed, detail = crit.runner(ctx)
-    if passed:
-        status = "PASS"
-    elif ctx.coarse and crit.h_sensitive:
-        status = "SKIP"
-        detail += " [coarse grid, tolerance miss downgraded]"
-    else:
-        status = "FAIL"
-    return CriterionResult(crit.cid, crit.title, status, detail)
+    return CriterionResult(crit.cid, crit.title,
+                           "PASS" if passed else "FAIL", detail)
 
 
 def run_all(h_override: float | None = None) -> list:

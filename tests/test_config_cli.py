@@ -278,6 +278,13 @@ def test_verify_list(capsys):
     assert len(out.strip().splitlines()) == 10
 
 
+def test_verify_on_a_coarse_grid_skips_nothing(capsys):
+    assert main(["verify", "--h", "0.125"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("[PASS]") for line in lines), lines
+
+
 @pytest.mark.parametrize("command", ["lambda-range", "solve"])
 def test_reports_are_bit_identical(tmp_path, capsys, command):
     cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
@@ -359,13 +366,14 @@ def test_ratio_curve_is_built_once_per_op(tmp_path, monkeypatch, command):
 
 
 def _nested_growth_sweep(cfg):
-    """The growth sweep as a loop that draws a fresh sample per candidate:
-    the reference for the one-draw sweep."""
+    """The growth sweep as a loop that draws a fresh sample per candidate
+    and checks every pair in full: the reference for the screened sweep."""
     from conesolve.cli import DELTA_SWEEP
     from conesolve.nonlinearity import check_growth
     nl = cfg.nonlinearity()
+    deltas = [cfg.delta] if cfg.delta is not None else DELTA_SWEEP
     report = None
-    for delta in DELTA_SWEEP:
+    for delta in deltas:
         for k in range(1, 21):
             rho0 = min(nl.box) * 0.5 ** k
             report = check_growth(nl, cfg.i0, delta, rho0, cfg.samples,
@@ -375,17 +383,45 @@ def _nested_growth_sweep(cfg):
     return None, None, report
 
 
-@pytest.mark.parametrize("case", ["system_disk", "no pair passes"])
-def test_growth_sweep_draws_once_and_matches_the_nested_loop(monkeypatch,
-                                                              case):
+SYSTEM_F1 = 'f1 = "sqrt(max(u1,u2)) + tan(max(u1,u2))"'
+GROWTH_CASES = ["system_disk", "no pair passes", "scalar_disk", "rect-robin",
+                "system_disk delta = 10", "domain error"]
+
+
+def _growth_case_config(case):
     from importlib.resources import files
-    from conesolve import cli, nonlinearity
-    text = (files("conesolve") / "configs" / "system_disk.cfg").read_text()
+    configs = files("conesolve") / "configs"
+    if case == "scalar_disk":
+        return parse_config((configs / "scalar_disk.cfg").read_text())
+    if case == "rect-robin":
+        return parse_config(ROBIN_CFG)
+    text = (configs / "system_disk.cfg").read_text()
     if case == "no pair passes":
         # f1 = u1^2 grows slower than any delta*u1 near 0
-        text = text.replace('f1 = "sqrt(max(u1,u2)) + tan(max(u1,u2))"',
-                            'f1 = "u1^2"')
-    cfg = parse_config(text)
+        text = text.replace(SYSTEM_F1, 'f1 = "u1^2"')
+    elif case == "system_disk delta = 10":
+        text += "delta = 10\n"
+    elif case == "domain error":
+        # every rho0 above 1e-5 leaves the domain of sqrt
+        text = text.replace(SYSTEM_F1, 'f1 = "sqrt(1e-5 - u1) + 1e3*u1"')
+    return parse_config(text)
+
+
+def _growth_ladder(cfg):
+    from conesolve.cli import DELTA_SWEEP
+    from conesolve.nonlinearity import growth_sample
+    nl = cfg.nonlinearity()
+    deltas = [cfg.delta] if cfg.delta is not None else list(DELTA_SWEEP)
+    rho0s = [min(nl.box) * 0.5 ** k for k in range(1, 21)]
+    return nl, deltas, rho0s, growth_sample(nl, cfg.samples, cfg.seed,
+                                            cfg.domain)
+
+
+@pytest.mark.parametrize("case", GROWTH_CASES)
+def test_growth_sweep_draws_once_and_matches_the_nested_loop(monkeypatch,
+                                                              case):
+    from conesolve import cli, nonlinearity
+    cfg = _growth_case_config(case)
     delta_ref, rho0_ref, rep_ref = _nested_growth_sweep(cfg)
 
     draws, checks = [], []
@@ -405,11 +441,54 @@ def test_growth_sweep_draws_once_and_matches_the_nested_loop(monkeypatch,
     if case == "system_disk":
         assert delta == 1000.0
         assert rho0 == cfg.rho[0] * 2.0 ** -20
-        assert len(checks) == 40        # 39 failures, then the pass
-    else:
+        assert len(checks) == 1         # the screen fails the other 39
+    elif case == "no pair passes":
         assert delta is None and not rep.passed
         assert rep.witness is not None
-        assert len(checks) == 140
+        assert len(checks) == 1
+    elif case == "domain error":
+        # the screen marks nothing: 20 full checks at delta = 1e4, then
+        # 17 at 1e3 until the first rho0 inside the domain of sqrt
+        assert delta == 1000.0 and rho0 == min(cfg.rho) * 2.0 ** -17
+        assert len(checks) == 37
+    else:
+        assert rep.passed and len(checks) == 1
+
+
+@pytest.mark.parametrize("case", GROWTH_CASES)
+def test_growth_screen_marks_only_pairs_the_full_check_fails(case):
+    from conesolve.nonlinearity import check_growth, screen_growth
+    cfg = _growth_case_config(case)
+    nl, deltas, rho0s, sample = _growth_ladder(cfg)
+    failed = screen_growth(nl, cfg.i0, deltas, rho0s, sample)
+    assert failed.shape == (len(deltas), len(rho0s))
+    for d, r in zip(*np.nonzero(failed)):
+        rep = check_growth(nl, cfg.i0, deltas[d], rho0s[r], cfg.samples,
+                           cfg.seed, cfg.domain, sample)
+        assert not rep.passed, (deltas[d], rho0s[r])
+    if case == "domain error":
+        assert not failed.any()
+    else:
+        assert failed.any()
+
+
+@pytest.mark.parametrize("case", GROWTH_CASES)
+def test_growth_screen_holds_at_most_one_check_of_entries(monkeypatch,
+                                                          case):
+    from conesolve import expr
+    from conesolve.nonlinearity import screen_growth
+    cfg = _growth_case_config(case)
+    nl, deltas, rho0s, sample = _growth_ladder(cfg)
+    sizes = []
+    eval_on_arrays = expr.eval_on_arrays
+
+    def recording(e, bindings):
+        sizes.extend(np.size(v) for v in bindings.values())
+        return eval_on_arrays(e, bindings)
+
+    monkeypatch.setattr(expr, "eval_on_arrays", recording)
+    screen_growth(nl, cfg.i0, deltas, rho0s, sample)
+    assert sizes and max(sizes) <= cfg.samples
 
 
 def test_single_equation_grid_points_below_100_exit_64(tmp_path, capsys):

@@ -91,6 +91,31 @@ def test_green_fidelity_failure_is_not_downgraded_on_a_coarse_grid():
     assert _refinement_ratio(result.detail) < 2.5
 
 
+class _ShiftedDiskContext(VerifyContext):
+    """Verification context whose disk operators carry the zero-order term
+    c = 1, which shifts the disk's mu1 by exactly 1 (about 17%)."""
+
+    def op(self, domain_key, h=None):
+        h = self.h if h is None else h
+        if domain_key == "disk" and (domain_key, h) not in self._ops:
+            self._ops[(domain_key, h)] = assemble(
+                build_grid(UnitDisk(), h),
+                EllipticCoefficients.diagonal(1.0, c=1.0), Dirichlet())
+        return super().op(domain_key, h)
+
+
+def test_mu1_miss_on_a_coarse_grid_reports_fail():
+    result = run_criterion(CRITERIA[2], _ShiftedDiskContext(1.0 / 8.0))
+    assert result.status == "FAIL", result.line()
+
+
+@pytest.mark.parametrize("h", [1.0 / 4.0, 1.0 / 8.0])
+def test_mu1_passes_within_its_coarse_target(h):
+    result = run_criterion(CRITERIA[2], VerifyContext(h))
+    assert result.status == "PASS", result.line()
+    assert f"targets <= {2.0 * h * h:.2e}" in result.detail
+
+
 def test_k1_norm_disk(disk_op):
     _, norm = k_one_norm(disk_op)
     assert norm == pytest.approx(0.25, rel=1e-10)
