@@ -13,7 +13,7 @@ mu1 = 1/r(K).
 __version__ = "0.1.0"
 
 from .errors import ConesolveError
-from .expr import eval_expr, eval_on_arrays, parse, to_source
+from .expr import eval_expr, eval_on_arrays, parse
 from .fixedpoint import (Certificate, IterationReport, Limit,
                          ProblemInstance, apply_T, certify,
                          check_supersolution, construct_subsolution,
@@ -28,7 +28,7 @@ from .operator import (BoundarySpec, Dirichlet, DiscreteOperator,
 from .ranges import LambdaRange, ratio_curve, single_range, system_ranges
 
 __all__ = [
-    "ConesolveError", "parse", "eval_expr", "eval_on_arrays", "to_source",
+    "ConesolveError", "parse", "eval_expr", "eval_on_arrays",
     "Rectangle", "UnitDisk", "DomainSpec", "Grid", "build_grid",
     "EllipticCoefficients", "Dirichlet", "Neumann", "Robin", "BoundarySpec",
     "DiscreteOperator", "assemble",

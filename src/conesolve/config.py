@@ -19,7 +19,7 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import expr as ex
 from .errors import ConfigError
@@ -63,7 +63,6 @@ class Config:
     samples: int
     m_safety: float
     grid_points: int
-    coefficient_sources: dict = field(default_factory=dict)
 
     def nonlinearity(self) -> Nonlinearity:
         return Nonlinearity.from_strings(self.f_sources, self.rho)
@@ -107,18 +106,6 @@ def _parse_scalar(value, key, lineno, caster):
     except ValueError:
         raise ConfigError(
             f"line {lineno}: cannot parse '{key}' value {value!r}") from None
-
-
-def _indexed(entries, base, n, required=True):
-    out = []
-    for k in range(1, n + 1):
-        key = f"{base}{k}"
-        if key not in entries:
-            if required:
-                raise ConfigError(f"missing key '{key}' (n = {n})")
-            return None
-        out.append(entries[key][0])
-    return out
 
 
 def parse_config(text: str) -> Config:
@@ -225,8 +212,7 @@ def parse_config(text: str) -> Config:
         delta=scalars.get("delta"), rho0=scalars.get("rho0"),
         tol=scalars["tol"], max_iter=scalars["max_iter"],
         seed=scalars["seed"], samples=scalars["samples"],
-        m_safety=scalars["m_safety"], grid_points=scalars["grid_points"],
-        coefficient_sources=coeff_sources)
+        m_safety=scalars["m_safety"], grid_points=scalars["grid_points"])
     _validate(cfg)
     return cfg
 

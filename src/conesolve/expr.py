@@ -237,56 +237,6 @@ def parse(source: str, allowed_vars) -> Expr:
     return _Parser(_tokenize(source), allowed_vars).parse()
 
 
-# ---------------------------------------------------------------------------
-# pretty printer (round-trips through parse for parser-produced trees)
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _node_level(node):
-    if isinstance(node, Binary):
-        if node.op in "+-":
-            return _LEVEL_ADD
-        if node.op in "*/":
-            return _LEVEL_MUL
-        return _LEVEL_POW
-    if isinstance(node, Unary):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
-
-def _emit(node, min_level):
-    text = _render(node)
-    if _node_level(node) < min_level:
-        return f"({text})"
-    return text
-
-
-def _render(node):
-    if isinstance(node, Constant):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Unary):
-        return "-" + _emit(node.operand, _LEVEL_UNARY)
-    if isinstance(node, Call):
-        return node.func + "(" + ", ".join(_emit(a, _LEVEL_ADD)
-                                           for a in node.args) + ")"
-    if node.op in "+-":
-        return f"{_emit(node.left, _LEVEL_ADD)} {node.op} " \
-               f"{_emit(node.right, _LEVEL_MUL)}"
-    if node.op in "*/":
-        return f"{_emit(node.left, _LEVEL_MUL)}{node.op}" \
-               f"{_emit(node.right, _LEVEL_UNARY)}"
-    # power: left operand must be atomic, exponent may be a signed unary
-    return f"{_emit(node.left, _LEVEL_ATOM)}^{_emit(node.right, _LEVEL_UNARY)}"
-
-
-def to_source(expr: Expr) -> str:
-    """Render a tree back to source text with minimal parentheses."""
-    return _render(expr)
-
-
 def free_vars(expr: Expr) -> set:
     if isinstance(expr, Var):
         return {expr.name}

@@ -45,9 +45,14 @@ class SpectralEstimate:
 
 
 def _backward_errors(op: DiscreteOperator, rhs, z) -> np.ndarray:
-    """Normwise backward error of each column of z, in unit roundoffs."""
-    residual = np.abs(rhs - op.matrix @ z).max(axis=0)
-    scale = op.norm_inf * np.abs(z).max(axis=0) + np.abs(rhs).max(axis=0)
+    """Normwise backward error of each column of z, in unit roundoffs.
+
+    rhs and z are (N,) or (N, m) as the LU solves them; the maxima are
+    taken over their (m, N) transposes, whose rows are contiguous when rhs
+    is the transpose of a C-ordered block."""
+    g = rhs.T
+    residual = np.abs(g - (op.matrix @ z).T).max(axis=-1)
+    scale = op.norm_inf * np.abs(z.T).max(axis=-1) + np.abs(g).max(axis=-1)
     return residual / (UNIT_ROUNDOFF * np.where(scale > 0, scale, 1.0))
 
 
@@ -79,9 +84,17 @@ def apply_K(op: DiscreteOperator, g) -> np.ndarray:
     return z.T
 
 
+def _k_one(op: DiscreteOperator) -> np.ndarray:
+    """K(1), solved once per operator and kept next to its cached LU."""
+    if op._k1 is None:
+        op._k1 = apply_K(op, np.ones(op.grid.interior_count))
+        op._k1.flags.writeable = False
+    return op._k1
+
+
 def k_one_norm(op: DiscreteOperator):
     """Return (K(1), ||K(1)||_inf)."""
-    k1 = apply_K(op, np.ones(op.grid.interior_count))
+    k1 = _k_one(op)
     return k1, float(np.abs(k1).max())
 
 
@@ -102,7 +115,7 @@ def spectral_radius(op: DiscreteOperator, tol: float = 1e-10,
     phi = np.ones(op.grid.interior_count)
     r_prev = None
     for it in range(1, max_iter + 1):
-        w = apply_K(op, phi)
+        w = _k_one(op) if it == 1 else apply_K(op, phi)
         r = float(np.abs(w).max())
         if r <= 0.0:
             raise NoConvergence("power iteration collapsed to zero")

@@ -255,8 +255,10 @@ def screen_growth(nl: Nonlinearity, i0: int, deltas, rho0s,
     of `sample` (as growth_sample returns it) at every rho0: bitwise the
     (x, u) values check_growth evaluates for that rho0.  Entry [d, r] of
     the (len(deltas), len(rho0s)) result is True where one of them breaks
-    the bound as check_growth compares it.  Nothing is marked when the
-    evaluation raises EvalDomainError."""
+    the bound as check_growth compares it.  When that evaluation raises
+    EvalDomainError, each rho0's slice is evaluated on its own; a slice
+    that raises marks its rho0 at every delta, because check_growth
+    evaluates those same points and fails on the error."""
     x1, x2, unit = sample
     count = len(rho0s)
     per_rho0 = unit.shape[1] // count
@@ -265,11 +267,22 @@ def screen_growth(nl: Nonlinearity, i0: int, deltas, rho0s,
          * unit[:, None, :per_rho0]).reshape(nl.n, -1)
     xs = np.tile(x1[:per_rho0], count)
     ys = np.tile(x2[:per_rho0], count)
+
+    def evaluate(cols):
+        f = ex.eval_on_arrays(nl.exprs[i0],
+                              nl.bindings(xs[cols], ys[cols], u[:, cols]))
+        return np.broadcast_to(f, u[0, cols].shape)
+
     try:
-        f = ex.eval_on_arrays(nl.exprs[i0], nl.bindings(xs, ys, u))
+        f = evaluate(slice(None))
     except EvalDomainError:
-        return failed
-    f = np.broadcast_to(f, u.shape[1:])
+        f = np.full(u.shape[1:], -np.inf)   # -inf fails every delta
+        for r in range(count):
+            cols = slice(r * per_rho0, (r + 1) * per_rho0)
+            try:
+                f[cols] = evaluate(cols)
+            except EvalDomainError:
+                pass
     for d, delta in enumerate(deltas):
         bad = f < delta * u[i0] - CHECK_SLACK
         failed[d] = bad.reshape(count, per_rho0).any(axis=1)

@@ -104,6 +104,7 @@ class DiscreteOperator:
 
     def __post_init__(self):
         self._lu = None
+        self._k1 = None     # K(1), solved once by greens on first use
 
     def factorization(self):
         """Cached sparse LU factorization; computed once, then read-only.

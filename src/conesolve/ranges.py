@@ -5,7 +5,9 @@ For systems, component j != i0 admits any lambda_j in
 needs lambda_{i0} > mu1 / delta, where delta comes from the lower growth
 bound of f_{i0} near zero.  For a single equation the upper bound sharpens
 to sup over s in (0, rho] of s / (M(s) |K1|) with M(s) = max_x f(x, s),
-computed by log-uniform sampling refined with a golden-section search.
+computed by log-uniform sampling refined with a bracket zoom: each round
+evaluates a block of points inside the bracket around the best ratio so
+far, and narrows the bracket to that point's two neighbours.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from .errors import (BoxViolation, ConditionCViolation, ConesolveError,
 from .geometry import Grid
 from .nonlinearity import BOX_SLACK, Nonlinearity, max_over_domain
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Largest (s, node) array ratio_curve evaluates at once: 2**16 doubles
-# (512 kB) per temporary, whatever the mesh.
+# Largest (s, node) array evaluated at once: 2**16 doubles (512 kB) per
+# temporary, whatever the mesh.
 CURVE_BLOCK_ELEMENTS = 2 ** 16
+# Interior points per round of the zoom that refines the sampled sup.
+ZOOM_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -119,23 +122,34 @@ def ratio_curve(nl: Nonlinearity, rho: float, k1_norm: float,
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
     s = np.geomspace(rho * 1e-8, rho, grid_points)
-    m = np.empty_like(s)
-    nodes = grid.interior_count if nl.uses_x(0) and grid is not None else 1
-    rows = max(1, CURVE_BLOCK_ELEMENTS // nodes)
-    for start in range(0, grid_points, rows):
-        block = s[start:start + rows]
-        try:
-            m_block = _max_f(nl, block, grid)
-        except ConesolveError:
-            for v in block:     # raises at the first failing s
-                _ratio(nl, float(v), k1_norm, grid)
-            raise
-        bad = m_block <= 0
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise _nonpositive(float(block[k]), float(m_block[k]))
-        m[start:start + rows] = m_block
+    rows = _block_rows(nl, grid)
+    m = np.concatenate([_checked_max_f(nl, s[start:start + rows], grid)
+                        for start in range(0, grid_points, rows)])
     return s, s / (m * k1_norm)
+
+
+def _block_rows(nl: Nonlinearity, grid: Grid | None) -> int:
+    """How many s values fit in one (s, node) block."""
+    nodes = grid.interior_count if nl.uses_x(0) and grid is not None else 1
+    return max(1, CURVE_BLOCK_ELEMENTS // nodes)
+
+
+def _checked_max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
+    """M on the ascending 1-D array s, failing as evaluating each s on its
+    own in turn would: at the first s whose evaluation raises or whose
+    M(s) <= 0, with that evaluation's error."""
+    try:
+        m = _max_f(nl, s, grid)
+    except ConesolveError:
+        if len(s) > 1:
+            for k in range(len(s)):     # raises at the first failing s
+                _checked_max_f(nl, s[k:k + 1], grid)
+        raise
+    bad = m <= 0
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NonpositiveM(f"M({float(s[k]):g}) = {float(m[k]):g} <= 0")
+    return m
 
 
 def _max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
@@ -157,40 +171,6 @@ def _max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
     return np.broadcast_to(out, (len(s), grid.interior_count)).max(axis=1)
 
 
-def _nonpositive(s: float, m: float) -> NonpositiveM:
-    return NonpositiveM(f"M({s:g}) = {m:g} <= 0")
-
-
-def _ratio(nl, s, k1_norm, grid):
-    m = float(_max_f(nl, np.array([s]), grid)[0])
-    if m <= 0:
-        raise _nonpositive(s, m)
-    return s / (m * k1_norm)
-
-
-def _golden_max(fn, lo, hi):
-    """Golden-section maximization; returns the best evaluated (s, value)."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_s, best_v = (c, fc) if fc >= fd else (d, fd)
-    while (b - a) > 1e-12 * max(1.0, abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-        if fc > best_v:
-            best_s, best_v = c, fc
-        if fd > best_v:
-            best_s, best_v = d, fd
-    return best_s, best_v
-
-
 def single_range(nl: Nonlinearity, rho: float, delta: float, rho0: float,
                  k1_norm: float, mu1: float, grid_points: int = 1000,
                  grid: Grid | None = None, curve=None) -> LambdaRange:
@@ -209,13 +189,21 @@ def single_range(nl: Nonlinearity, rho: float, delta: float, rho0: float,
         curve = ratio_curve(nl, rho, k1_norm, grid_points, grid)
     s, ratios = curve
     k = int(np.argmax(ratios))
-    lo = s[max(k - 1, 0)]
-    hi = s[min(k + 1, len(s) - 1)]
     sup = float(ratios[k])
-    if hi > lo:
-        _, refined = _golden_max(
-            lambda v: _ratio(nl, float(v), k1_norm, grid), float(lo), float(hi))
-        sup = max(sup, refined)
+    # zoom on the sampled best: each round evaluates ZOOM_POINTS interior
+    # points of the bracket as one block (fewer if the block would pass
+    # CURVE_BLOCK_ELEMENTS, never fewer than 2) and narrows the bracket to
+    # the best point's neighbours, until it is 1e-12 * max(1, |hi|) wide
+    lo, hi = float(s[max(k - 1, 0)]), float(s[min(k + 1, len(s) - 1)])
+    points = max(2, min(ZOOM_POINTS, _block_rows(nl, grid)))
+    while hi > lo:
+        t = np.linspace(lo, hi, points + 2)
+        zoom = t[1:-1] / (_checked_max_f(nl, t[1:-1], grid) * k1_norm)
+        j = int(np.argmax(zoom))
+        sup = max(sup, float(zoom[j]))
+        lo, hi = float(t[j]), float(t[j + 2])
+        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
+            break
     lower = mu1 / delta
     m_rho = float(_max_f(nl, np.array([rho]), grid)[0])
     return LambdaRange(

@@ -78,7 +78,6 @@ def disk_mu1_reference() -> float:
 class VerifyContext:
     def __init__(self, h: float = REFERENCE_H):
         self.h = h
-        self.coarse = h > REFERENCE_H * (1 + 1e-9)
         self._ops = {}
         self._k1 = {}
         self._spectra = {}

@@ -84,9 +84,7 @@ def test_green_fidelity_passes_on_the_coarse_grid():
 
 
 def test_green_fidelity_failure_is_not_downgraded_on_a_coarse_grid():
-    ctx = _ZeroOrderDiskContext(1.0 / 32.0)
-    assert ctx.coarse
-    result = run_criterion(CRITERIA[0], ctx)
+    result = run_criterion(CRITERIA[0], _ZeroOrderDiskContext(1.0 / 32.0))
     assert result.status == "FAIL", result.line()
     assert _refinement_ratio(result.detail) < 2.5
 
@@ -285,3 +283,45 @@ def test_grid_function_rejects_nan(disk_op):
     vals[0] = np.nan
     with pytest.raises(SolverFailure):
         apply_K(disk_op, vals)
+
+
+def _column_backward_errors(op, rhs, z):
+    """The backward error as reduced over the (N, m) columns, before the
+    row-layout reduction: the reference it must match bit for bit."""
+    residual = np.abs(rhs - op.matrix @ z).max(axis=0)
+    scale = op.norm_inf * np.abs(z).max(axis=0) + np.abs(rhs).max(axis=0)
+    return residual / (greens.UNIT_ROUNDOFF * np.where(scale > 0, scale, 1.0))
+
+
+@pytest.mark.parametrize("shape", ["(N,)", "(m, N)"])
+def test_backward_error_is_bitwise_the_column_formula(disk_op, shape):
+    nodes = disk_op.grid.interior_count
+    g = np.random.default_rng(11).standard_normal(
+        (nodes,) if shape == "(N,)" else (4, nodes))
+    g[..., :5] = 0.0
+    rhs = g.T
+    z = disk_op.factorization().solve(rhs)
+    new = greens._backward_errors(disk_op, rhs, z)
+    old = _column_backward_errors(disk_op, rhs, z)
+    assert new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+def test_k1_is_solved_once_per_operator(monkeypatch):
+    def fresh():
+        return assemble(build_grid(UnitDisk(), 1.0 / 16.0),
+                        EllipticCoefficients.laplacian(), Dirichlet())
+
+    alone = spectral_radius(fresh())
+    op = fresh()
+    counting = _CountingLU(op.factorization())
+    monkeypatch.setattr(op, "factorization", lambda: counting)
+    k1, _ = k_one_norm(op)
+    est = spectral_radius(op)
+    # the power iteration's first step is K(1): no solve of its own
+    assert counting.calls == est.iterations
+    assert k_one_norm(op)[0] is k1 and counting.calls == est.iterations
+    assert (est.r, est.mu1, est.iterations, est.residual) == (
+        alone.r, alone.mu1, alone.iterations, alone.residual)
+    assert est.eigenfunction.tobytes() == alone.eigenfunction.tobytes()
+    assert k1.tobytes() == apply_K(op, np.ones(len(k1))).tobytes()

@@ -242,3 +242,133 @@ def test_single_range_uses_a_given_curve():
     given = single_range(nl, rho, 1.0, 0.7, 0.25, MU1_DISK, curve=curve)
     built = single_range(nl, rho, 1.0, 0.7, 0.25, MU1_DISK)
     assert given == built
+
+
+def golden_section_sup(nl, lo, hi, k1_norm, grid):
+    """Golden-section maximization of the per-point ratio on [lo, hi], the
+    refinement single_range used before the zoom; returns the best value
+    evaluated."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def fn(v):
+        return per_point_ratio(nl, v, k1_norm, grid)
+
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    best = max(fc, fd)
+    while (b - a) > 1e-12 * max(1.0, abs(b)):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+        best = max(best, fc, fd)
+    return best
+
+
+ZOOM_CASES = ["rect-robin", "scalar_disk", "sqrt+tan"]
+
+
+def zoom_case(case):
+    """(nonlinearity, rho, grid_points, grid) of a single-equation case."""
+    if case == "rect-robin":
+        return (Nonlinearity.from_strings([ROBIN_F], (1.0,)), 1.0, 1000,
+                build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 1 / 32))
+    if case == "scalar_disk":
+        from importlib.resources import files
+
+        from conesolve.config import parse_config
+        cfg = parse_config(
+            (files("conesolve") / "configs" / "scalar_disk.cfg").read_text())
+        return (cfg.nonlinearity(), cfg.rho[0], cfg.grid_points,
+                build_grid(cfg.domain, cfg.h))
+    return scalar_sqrt_tan(), math.pi / 2 - 1e-6, 2000, None
+
+
+@pytest.mark.parametrize("case", ZOOM_CASES)
+def test_zoom_sup_matches_a_golden_section_reference(case):
+    nl, rho, grid_points, grid = zoom_case(case)
+    s, ratios = ratio_curve(nl, rho, 0.25, grid_points, grid)
+    rng = single_range(nl, rho, 1.0, rho / 2, 0.25, MU1_DISK,
+                       grid_points=grid_points, grid=grid)
+    k = int(np.argmax(ratios))
+    reference = max(float(ratios[k]), golden_section_sup(
+        nl, float(s[k - 1]), float(s[min(k + 1, len(s) - 1)]), 0.25, grid))
+    assert rng.upper >= ratios.max()
+    assert rng.upper == pytest.approx(reference, rel=1e-12, abs=0)
+
+
+# rect-robin (961 nodes) under a smaller element budget: 5 s values fit,
+# or fewer than 2, when the rounds still take 2
+BUDGET_CASES = {"budget of 5 rows": (5 * 961, 5), "block floor of 2": (1000, 2)}
+
+
+@pytest.mark.parametrize("case", ZOOM_CASES + list(BUDGET_CASES))
+def test_zoom_rounds_are_blocks_within_the_element_budget(monkeypatch,
+                                                          case):
+    from conesolve import ranges
+    nl, rho, grid_points, grid = zoom_case(
+        "rect-robin" if case in BUDGET_CASES else case)
+    curve = ratio_curve(nl, rho, 0.25, grid_points, grid)
+    budget, per_round = BUDGET_CASES.get(
+        case, (CURVE_BLOCK_ELEMENTS, ranges.ZOOM_POINTS))
+    monkeypatch.setattr(ranges, "CURVE_BLOCK_ELEMENTS", budget)
+    sizes = []
+
+    def recording(expr, bindings):
+        out = eval_on_arrays(expr, bindings)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(expr_module, "eval_on_arrays", recording)
+    single_range(nl, rho, 1.0, rho / 2, 0.25, MU1_DISK,
+                 grid_points=grid_points, grid=grid, curve=curve)
+    nodes = grid.interior_count if nl.uses_x(0) else 1
+    rounds, m_rho = sizes[:-1], sizes[-1]
+    assert m_rho == nodes and rounds
+    assert [size // nodes for size in rounds] == [per_round] * len(rounds)
+    assert max(rounds) <= max(budget, 2 * nodes)
+    if case not in BUDGET_CASES:
+        # a round shrinks the bracket 8.5-fold (1.5-fold with 2 points)
+        assert len(rounds) <= 20
+
+
+@pytest.mark.parametrize("source,error", [
+    # M(s) <= 0 where |s - 0.99| <= 0.0015, between the last two samples
+    ("(1 + x1) * (1 - 2*max(0, 0.003 - abs(s - 0.99))/0.003)",
+     NonpositiveM),
+    # the log's domain error comes first in a block, the sqrt's at a
+    # smaller s: the error must name the sqrt
+    ("(1 + x1) * (1 + 0*log(abs(s - 0.9935) - 0.001)"
+     " + 0*sqrt(abs(s - 0.9893) - 0.0005))", EvalDomainError),
+    ("1 + 0*log(abs(s - 0.9935) - 0.001) + 0*sqrt(abs(s - 0.9893) - 0.0005)",
+     EvalDomainError),
+])
+def test_zoom_failure_names_the_smallest_failing_s(monkeypatch, source,
+                                                   error):
+    nl = Nonlinearity.from_strings([source], (1.0,))
+    grid = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 1 / 32)
+    s, _ = curve = ratio_curve(nl, 1.0, 0.25, 1000, grid)
+    blocks = []
+
+    def recording(expr, bindings):
+        blocks.append(np.ravel(bindings["s"]))
+        return eval_on_arrays(expr, bindings)
+
+    monkeypatch.setattr(expr_module, "eval_on_arrays", recording)
+    with pytest.raises(error) as zoomed:
+        single_range(nl, 1.0, 1.0, 0.5, 0.25, MU1_DISK, grid=grid,
+                     curve=curve)
+    monkeypatch.undo()
+    block = [b for b in blocks if b.size > 1][-1]
+    assert np.all((block > s[-2]) & (block < s[-1]))
+    with pytest.raises(error) as reference:
+        for v in block:
+            per_point_ratio(nl, float(v), 0.25, grid)
+    assert str(zoomed.value) == str(reference.value)
+    if error is EvalDomainError:
+        assert zoomed.value.function == "sqrt"
