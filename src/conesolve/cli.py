@@ -62,10 +62,25 @@ def _write_csv(path, header, columns):
     columns = [np.asarray(col) for col in columns]
     line = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
                     for col in columns) + "\n"
-    rows = zip(*(col.tolist() for col in columns))
-    text = ",".join(header) + "\n" + "".join(line % row for row in rows)
+    cells = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, col in enumerate(columns):
+        cells[:, j] = col
+    text = (",".join(header) + "\n"
+            + (line * len(cells)) % tuple(cells.ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _text_column(values) -> np.ndarray:
+    """The %.17g text of each entry of a float array, as an object array
+    of str: each distinct value (by its bits, so -0.0 keeps its sign) is
+    formatted once.  Grid coordinates take one of a few hundred lattice
+    values, so this is how a coordinate column is written."""
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()],
+                    dtype=object)
+    return text[inverse.reshape(values.shape)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,9 +234,15 @@ def _choose_beta(pipe: Pipeline, curve) -> list:
     return [float(s[k])]
 
 
-def _write_solution_csv(path, grid, u):
+def _coordinate_text(grid):
+    """The x1 and x2 columns of a table over the interior nodes, as text."""
+    return _text_column(grid.xs), _text_column(grid.ys)
+
+
+def _write_solution_csv(path, coordinates, u):
+    """Write u next to the coordinates _coordinate_text returned."""
     header = ["x1", "x2"] + [f"u{i + 1}" for i in range(len(u))]
-    _write_csv(path, header, [grid.xs, grid.ys, *u])
+    _write_csv(path, header, [*coordinates, *u])
 
 
 def _iterate(problem, alpha, beta, cfg):
@@ -321,18 +342,19 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
         return EXIT_HYPOTHESIS
     upper, low = report.upper, report.lower
     print(upper.to_text())
+    coordinates = _coordinate_text(pipe.grid)
     if low is not None:
         print(f"bracket: smallest fixed point norm {low.norm:.6g} <= "
               f"greatest {upper.norm:.6g}")
         if want_csv:
             _write_solution_csv(os.path.join(out_dir, "solution_lower.csv"),
-                                pipe.grid, low.solution)
+                                coordinates, low.solution)
 
     cert = certify(problem, upper.solution, tol=cfg.tol)
     print(cert.to_text())
 
     _write_checks(out_dir, checks)
-    _write_solution_csv(os.path.join(out_dir, "solution.csv"), pipe.grid,
+    _write_solution_csv(os.path.join(out_dir, "solution.csv"), coordinates,
                         upper.solution)
     with open(os.path.join(out_dir, "certificate.txt"), "w",
               encoding="utf-8") as fh:
@@ -421,7 +443,7 @@ def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
     if want_csv:
         _write_csv(os.path.join(out_dir, "eigenfunction.csv"),
                    ["x1", "x2", "phi"],
-                   [grid.xs, grid.ys, est.eigenfunction])
+                   [*_coordinate_text(grid), est.eigenfunction])
     return EXIT_OK
 
 

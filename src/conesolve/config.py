@@ -19,6 +19,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -288,8 +289,10 @@ def _validate(cfg: Config):
         raise ConfigError("delta must be positive")
     if cfg.rho0 is not None and not (0 < cfg.rho0 < min(cfg.rho)):
         raise ConfigError("rho0 must lie strictly between 0 and min rho")
-    if not (cfg.tol > 0):
-        raise ConfigError("tol must be positive")
+    if not (0 < cfg.tol < math.inf):
+        raise ConfigError("tol must be positive and finite")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
     if cfg.max_iter < 1 or cfg.samples < 1:
         raise ConfigError("max_iter and samples must be at least 1")
     if cfg.m_safety < 1.0:

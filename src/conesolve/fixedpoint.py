@@ -19,10 +19,10 @@ MonotonicityViolation instead of a silently wrong answer.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import MonotonicityViolation, NoConvergence
 from .greens import SpectralEstimate, apply_K
@@ -124,9 +124,7 @@ def apply_T(p: ProblemInstance, u) -> np.ndarray:
     """One application of T to a state of shape (n, N), or to a stack of
     states of shape (..., n, N): lambda_i K(F_i u) for every component,
     with all right-hand sides solved in one call of apply_K."""
-    u = np.asarray(u, dtype=float)
-    f = np.stack([nemytskii_apply(p.nl, i, u, p.op.grid)
-                  for i in range(p.nl.n)], axis=-2)
+    f = nemytskii_apply(p.nl, u, p.op.grid)
     ku = apply_K(p.op, f.reshape(-1, f.shape[-1])).reshape(f.shape)
     return np.asarray(p.lambdas)[:, None] * ku
 
@@ -173,17 +171,22 @@ def _crossed(tv, lower, upper) -> bool:
             and not np.all(tv[lower] <= tv[upper] + ORDER_SLACK))
 
 
+def _order_broken(what: str, k, lower):
+    direction = "from_below" if k == lower else "from_above"
+    raise MonotonicityViolation(
+        f"{what}: iterate ordering broken for direction {direction} "
+        "(non-monotone nonlinearity or non-M-matrix operator?)")
+
+
 def _check_order(v, tv, lower, upper, what: str):
     """Raise unless the state v, with images tv, is admissible: its lower
     half a subsolution, its upper half a supersolution, and T v_lower <=
     T v_upper.  lower and upper index the halves in the stacked block, or
     are None for an absent half.  For a plain step v = T u this is
     alpha_k <= alpha_{k+1} <= beta_{k+1} <= beta_k one step ahead."""
-    for k, direction in ((lower, "from_below"), (upper, "from_above")):
+    for k in (lower, upper):
         if k is not None and not _is_bound(v, tv, k, lower):
-            raise MonotonicityViolation(
-                f"{what}: iterate ordering broken for direction {direction} "
-                "(non-monotone nonlinearity or non-M-matrix operator?)")
+            _order_broken(what, k, lower)
     if _crossed(tv, lower, upper):
         raise MonotonicityViolation(
             f"{what}: lower iterate exceeded upper iterate")
@@ -193,33 +196,61 @@ class _Anderson:
     """One half's Anderson(m) proposer (type II, undamped; Walker & Ni
     2011, SIAM J. Numer. Anal. 49): it keeps the last ANDERSON_M
     differences of the accepted states' residuals f = T x - x and images
-    g = T x, flattened, and proposes w = g - dG gamma with gamma the
-    least-squares solution of dF gamma ~ f."""
+    g = T x, flattened, in ring buffers, and proposes w = g - dG gamma with
+    gamma the least-squares solution of dF gamma ~ f."""
 
-    def __init__(self, x, tx):
-        self.df = deque(maxlen=ANDERSON_M)
-        self.dg = deque(maxlen=ANDERSON_M)
-        self.f, self.g = (tx - x).ravel(), tx.ravel()
+    def __init__(self, f, g, work):
+        self.df = np.empty((ANDERSON_M, f.size))
+        self.dg = np.empty((ANDERSON_M, f.size))
+        self.count = 0           # differences held
+        self.oldest = 0          # ring slot of the oldest difference
+        # (ANDERSON_M + 1, f.size) scratch, which the halves share: its
+        # rows are the columns [dF | f] of the least-squares problem, so
+        # its transpose is the Fortran-ordered matrix geqrf factors in place
+        self.work = work
+        self.f, self.g = f, g
         self.rest = 0            # plain steps left before the next proposal
         self.failures = 0        # candidates rejected in a row
         self.proposed = self.accepted = 0
 
-    def push(self, x, tx):
-        f, g = (tx - x).ravel(), tx.ravel()
-        self.df.append(f - self.f)
-        self.dg.append(g - self.g)
+    def push(self, f, g):
+        """Record the next accepted state's flat residual f and image g."""
+        slot = (self.oldest + self.count) % ANDERSON_M
+        np.subtract(f, self.f, out=self.df[slot])
+        np.subtract(g, self.g, out=self.dg[slot])
+        if self.count < ANDERSON_M:
+            self.count += 1
+        else:
+            self.oldest = (self.oldest + 1) % ANDERSON_M
         self.f, self.g = f, g
 
     def candidate(self):
         """The next candidate as a flat array, or None while the half has
         no history or rests after rejections."""
-        if self.rest or not self.df:
+        if self.rest or not self.count:
             self.rest = max(self.rest - 1, 0)
             return None
         self.proposed += 1
-        gamma = np.linalg.lstsq(np.column_stack(self.df), self.f,
-                                rcond=None)[0]
-        return self.g - np.column_stack(self.dg) @ gamma
+        return self.g - self._gamma() @ self.dg[:self.count]
+
+    def _gamma(self):
+        """gamma by one Householder QR of [dF | f], oldest difference
+        first, as coefficients of the ring slots.  dF = Q R, so the
+        problem reduces to R gamma ~ (Q^T f)[:m], and R has the singular
+        values of dF: its minimum-norm solution under lstsq's default
+        cutoff for dF, eps * max(rows, cols) * sigma_max, is lstsq's."""
+        m = self.count
+        order = [(self.oldest + j) % ANDERSON_M for j in range(m)]
+        for j, slot in enumerate(order):
+            self.work[j] = self.df[slot]
+        self.work[m] = self.f
+        qr = lapack.dgeqrf(self.work[:m + 1].T, overwrite_a=1)[0]
+        r, qtf = np.triu(qr[:m, :m]), qr[:m, m]   # R of dF, (Q^T f)[:m]
+        cutoff = np.finfo(float).eps * max(self.f.size, m)
+        gamma = np.linalg.lstsq(r, qtf, rcond=cutoff)[0]
+        slots = np.empty(m)
+        slots[order] = gamma
+        return slots
 
     def judge(self, accepted: bool):
         """Count the verdict on the last candidate; after j rejections in a
@@ -235,6 +266,8 @@ class _Anderson:
 def _advance(u, tu, slots, ts, moved):
     """The next state and its image: the halves that moved take their
     slot, the others keep their state."""
+    if all(moved):
+        return slots, ts
     moved = np.array(moved)[:, None, None]
     return np.where(moved, slots, u), np.where(moved, ts, tu)
 
@@ -275,10 +308,13 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
     tu = apply_T(p, u)
     _check_order(u, tu, lower, upper, "start is not admissible")
     box = np.asarray(p.nl.box, dtype=float)[:, None]
-    proposers = [_Anderson(u[k], tu[k]) for k in range(len(halves))]
+    work = np.empty((ANDERSON_M + 1, u[0].size))
+    proposers = [_Anderson((tu[k] - u[k]).ravel(), tu[k].ravel(), work)
+                 for k in range(len(halves))]
     history = [np.abs(u).max(axis=(1, 2))]
     iterates = [u] if record_iterates else None
     for it in range(1, max_iter + 1):
+        what = f"iteration {it}"
         floor = tu[lower] if lower is not None else 0.0
         ceiling = tu[upper] if upper is not None else box
         slots = tu.copy()
@@ -286,28 +322,34 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
         for k, proposer in enumerate(proposers):
             w = proposer.candidate()
             if w is not None:
-                slots[k] = np.clip(w.reshape(u.shape[1:]), floor, ceiling)
+                np.clip(w.reshape(u.shape[1:]), floor, ceiling, out=slots[k])
                 proposed.append(k)
         ts = apply_T(p, slots)
-        # a plain slot always moves; a candidate only if it is admissible
-        moved = [k not in proposed or _is_bound(slots, ts, k, lower)
-                 for k in range(len(halves))]
+        # a candidate moves only if it is admissible; a plain slot must be
+        moved = [_is_bound(slots, ts, k, lower) for k in range(len(halves))]
+        for k in range(len(halves)):
+            if not (moved[k] or k in proposed):
+                _order_broken(what, k, lower)
         v, tv = _advance(u, tu, slots, ts, moved)
-        if _crossed(tv, lower, upper) and any(moved[k] for k in proposed):
-            moved = [k not in proposed for k in range(len(halves))]
-            v, tv = _advance(u, tu, slots, ts, moved)
+        if _crossed(tv, lower, upper):
+            if any(moved[k] for k in proposed):
+                moved = [k not in proposed for k in range(len(halves))]
+                v, tv = _advance(u, tu, slots, ts, moved)
+            if _crossed(tv, lower, upper):
+                raise MonotonicityViolation(
+                    f"{what}: lower iterate exceeded upper iterate")
         for k in proposed:
             proposers[k].judge(moved[k])
-        _check_order(v, tv, lower, upper, f"iteration {it}")
         history.append(np.abs(v).max(axis=(1, 2)))
         if record_iterates:
             iterates.append(v)
-        residual = np.abs(v - tv).max(axis=(1, 2))
+        step = tv - v
+        residual = np.abs(step).max(axis=(1, 2))
         if np.all(residual <= tol):
             break
         for k, proposer in enumerate(proposers):
             if moved[k]:
-                proposer.push(v[k], tv[k])
+                proposer.push(step[k].ravel(), tv[k].ravel())
         u, tu = v, tv
     else:
         raise NoConvergence(

@@ -125,10 +125,10 @@ def _deterministic_points(domain: DomainSpec):
     return x, y
 
 
-def nemytskii_apply(nl: Nonlinearity, i: int, u, grid: Grid) -> np.ndarray:
-    """Nodewise evaluation of f_i(x, u(x)) for a state u of shape (n, N),
-    or a stack of states of shape (..., n, N), on the N interior nodes of
-    grid; the result has shape (..., N).
+def nemytskii_apply(nl: Nonlinearity, u, grid: Grid) -> np.ndarray:
+    """Nodewise evaluation of every f_i(x, u(x)) for a state u of shape
+    (n, N), or a stack of states of shape (..., n, N), on the N interior
+    nodes of grid; the result has the shape of u, f_i in row i.
 
     u must stay inside the box up to BOX_SLACK; values inside the tolerance
     band are clamped onto the box before evaluation.
@@ -137,17 +137,20 @@ def nemytskii_apply(nl: Nonlinearity, i: int, u, grid: Grid) -> np.ndarray:
     if u.shape[-2:] != (nl.n, grid.interior_count):
         raise GridMismatch(f"state of shape {u.shape} does not hold {nl.n} "
                            f"components on {grid.interior_count} nodes")
-    comps = []
+    box = np.asarray(nl.box)
+    others = tuple(range(u.ndim - 2)) + (u.ndim - 1,)
+    worst = np.maximum(-u.min(axis=others), u.max(axis=others) - box)
     for j, rho in enumerate(nl.box):
-        vals = u[..., j, :]
-        worst = max(float(-vals.min()), float(vals.max() - rho))
-        if worst > BOX_SLACK:
-            raise BoxViolation(
-                f"component u{j + 1} leaves the box [0, {rho}] by {worst:.3e}")
-        comps.append(np.clip(vals, 0.0, rho))
-    out = ex.eval_on_arrays(nl.exprs[i],
-                            nl.bindings(grid.xs, grid.ys, comps))
-    return np.broadcast_to(out, u.shape[:-2] + u.shape[-1:]).copy()
+        if worst[j] > BOX_SLACK:
+            raise BoxViolation(f"component u{j + 1} leaves the box "
+                               f"[0, {rho}] by {float(worst[j]):.3e}")
+    clamped = np.clip(u, 0.0, box[:, None])
+    bindings = nl.bindings(grid.xs, grid.ys,
+                           [clamped[..., j, :] for j in range(nl.n)])
+    out = np.empty_like(clamped)
+    for i, e in enumerate(nl.exprs):
+        out[..., i, :] = ex.eval_on_arrays(e, bindings)
+    return out
 
 
 def check_monotone(nl: Nonlinearity, i: int, samples: int, seed: int,

@@ -166,9 +166,16 @@ def _max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
     if outside.any():
         raise BoxViolation(f"beta entry {float(s[np.argmax(outside)])} "
                            f"outside the box [0, {nl.box[0]}]")
-    out = ex.eval_on_arrays(nl.exprs[0],
-                            nl.bindings(grid.xs, grid.ys, [u[:, None]]))
-    return np.broadcast_to(out, (len(s), grid.interior_count)).max(axis=1)
+    # node chunks keep each (s, node) block within CURVE_BLOCK_ELEMENTS
+    width = max(1, CURVE_BLOCK_ELEMENTS // len(s))
+    m = np.full(len(s), -np.inf)
+    for start in range(0, grid.interior_count, width):
+        xs, ys = grid.xs[start:start + width], grid.ys[start:start + width]
+        out = ex.eval_on_arrays(nl.exprs[0],
+                                nl.bindings(xs, ys, [u[:, None]]))
+        np.maximum(m, np.broadcast_to(out, (len(s), len(xs))).max(axis=1),
+                   out=m)
+    return m
 
 
 def single_range(nl: Nonlinearity, rho: float, delta: float, rho0: float,
@@ -192,10 +199,12 @@ def single_range(nl: Nonlinearity, rho: float, delta: float, rho0: float,
     sup = float(ratios[k])
     # zoom on the sampled best: each round evaluates ZOOM_POINTS interior
     # points of the bracket as one block (fewer if the block would pass
-    # CURVE_BLOCK_ELEMENTS, never fewer than 2) and narrows the bracket to
-    # the best point's neighbours, until it is 1e-12 * max(1, |hi|) wide
+    # CURVE_BLOCK_ELEMENTS; when not even 2 rows fit, all ZOOM_POINTS in
+    # node chunks) and narrows the bracket to the best point's
+    # neighbours, until it is 1e-12 * max(1, |hi|) wide
     lo, hi = float(s[max(k - 1, 0)]), float(s[min(k + 1, len(s) - 1)])
-    points = max(2, min(ZOOM_POINTS, _block_rows(nl, grid)))
+    rows = _block_rows(nl, grid)
+    points = min(ZOOM_POINTS, rows) if rows >= 2 else ZOOM_POINTS
     while hi > lo:
         t = np.linspace(lo, hi, points + 2)
         zoom = t[1:-1] / (_checked_max_f(nl, t[1:-1], grid) * k1_norm)

@@ -299,7 +299,8 @@ def test_reports_are_bit_identical(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "0"),
-                                        ("--max-iter", "0")])
+                                        ("--max-iter", "0"),
+                                        ("--tol", "inf"), ("--seed", "-1")])
 def test_invalid_overrides_exit_64(tmp_path, capsys, flag, value):
     cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
     code = main(["solve", "--config", cfg, flag, value,
@@ -307,6 +308,19 @@ def test_invalid_overrides_exit_64(tmp_path, capsys, flag, value):
     assert code == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("old,new", [("seed = 7", "seed = -1"),
+                                     ("tol = 1e-9", "tol = inf")])
+def test_negative_seed_or_infinite_tol_in_config_exit_64(tmp_path, capsys,
+                                                         old, new):
+    cfg = write(tmp_path, "bad.cfg", SYSTEM_CFG.replace(old, new))
+    assert main(["solve", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    with pytest.raises(ConfigError):
+        parse_config(SYSTEM_CFG.replace(old, new))
 
 
 def test_shipped_system_certifies_at_h_1_128(tmp_path, capsys):

@@ -26,7 +26,7 @@ def reference_system():
 def test_nemytskii_square_component_at_box_corner(disk_grid):
     nl = reference_system()
     u = constant_state(disk_grid, (RHO, RHO))
-    out = nemytskii_apply(nl, 1, u, disk_grid)
+    out = nemytskii_apply(nl, u, disk_grid)[..., 1, :]
     assert out == pytest.approx(np.full(disk_grid.interior_count, M2),
                                        rel=1e-14)
     assert M2 == pytest.approx(0.5421535620715588, rel=1e-12)
@@ -36,14 +36,14 @@ def test_nemytskii_zero_stays_zero(disk_grid):
     nl = reference_system()
     u = np.zeros((2, disk_grid.interior_count))
     for i in range(2):
-        out = nemytskii_apply(nl, i, u, disk_grid)
+        out = nemytskii_apply(nl, u, disk_grid)[..., i, :]
         assert np.all(out == 0.0)
 
 
 def test_nemytskii_sqrt_tan_component(disk_grid):
     nl = reference_system()
     u = constant_state(disk_grid, (RHO, RHO))
-    out = nemytskii_apply(nl, 0, u, disk_grid)
+    out = nemytskii_apply(nl, u, disk_grid)[..., 0, :]
     assert out == pytest.approx(np.full(disk_grid.interior_count, M1),
                                        rel=1e-14)
     assert M1 == pytest.approx(1.7644326998289304, rel=1e-12)
@@ -53,30 +53,30 @@ def test_box_violation_raised(disk_grid):
     nl = reference_system()
     u = constant_state(disk_grid, (RHO + 1e-6, 0.0))
     with pytest.raises(BoxViolation):
-        nemytskii_apply(nl, 0, u, disk_grid)
+        nemytskii_apply(nl, u, disk_grid)
 
 
 def test_nemytskii_on_a_stack_of_states(disk_grid):
     nl = reference_system()
     a = constant_state(disk_grid, (RHO, RHO))
     b = np.zeros_like(a)
-    out = nemytskii_apply(nl, 0, np.stack([a, b]), disk_grid)
+    out = nemytskii_apply(nl, np.stack([a, b]), disk_grid)[..., 0, :]
     assert out.shape == (2, disk_grid.interior_count)
-    assert np.array_equal(out[0], nemytskii_apply(nl, 0, a, disk_grid))
+    assert np.array_equal(out[0], nemytskii_apply(nl, a, disk_grid)[..., 0, :])
     assert np.all(out[1] == 0.0)
 
 
 def test_nemytskii_rejects_a_state_of_the_wrong_shape(disk_grid):
     nl = reference_system()
     with pytest.raises(GridMismatch):
-        nemytskii_apply(nl, 0, constant_state(disk_grid, (RHO,)), disk_grid)
+        nemytskii_apply(nl, constant_state(disk_grid, (RHO,)), disk_grid)
 
 
 def test_eval_domain_error_propagates(disk_grid):
     nl = Nonlinearity.from_strings(["tan(u1)"], (3.0,))
     u = constant_state(disk_grid, (math.pi / 2,))
     with pytest.raises(EvalDomainError):
-        nemytskii_apply(nl, 0, u, disk_grid)
+        nemytskii_apply(nl, u, disk_grid)
 
 
 def test_clamping_is_idempotent(disk_grid):
@@ -84,8 +84,8 @@ def test_clamping_is_idempotent(disk_grid):
     raw = constant_state(disk_grid, (RHO + 5e-11, -5e-11))
     clamped = constant_state(disk_grid, (RHO, 0.0))
     for i in range(2):
-        a = nemytskii_apply(nl, i, raw, disk_grid)
-        b = nemytskii_apply(nl, i, clamped, disk_grid)
+        a = nemytskii_apply(nl, raw, disk_grid)[..., i, :]
+        b = nemytskii_apply(nl, clamped, disk_grid)[..., i, :]
         assert np.array_equal(a, b)
 
 

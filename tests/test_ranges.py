@@ -303,8 +303,9 @@ def test_zoom_sup_matches_a_golden_section_reference(case):
 
 
 # rect-robin (961 nodes) under a smaller element budget: 5 s values fit,
-# or fewer than 2, when the rounds still take 2
-BUDGET_CASES = {"budget of 5 rows": (5 * 961, 5), "block floor of 2": (1000, 2)}
+# or fewer than 2, when each round's 16 points go in node chunks
+BUDGET_CASES = {"budget of 5 rows": (5 * 961, 5),
+                "block floor of 2": (1000, 16)}
 
 
 @pytest.mark.parametrize("case", ZOOM_CASES + list(BUDGET_CASES))
@@ -317,24 +318,28 @@ def test_zoom_rounds_are_blocks_within_the_element_budget(monkeypatch,
     budget, per_round = BUDGET_CASES.get(
         case, (CURVE_BLOCK_ELEMENTS, ranges.ZOOM_POINTS))
     monkeypatch.setattr(ranges, "CURVE_BLOCK_ELEMENTS", budget)
-    sizes = []
+    blocks = []
 
     def recording(expr, bindings):
         out = eval_on_arrays(expr, bindings)
-        sizes.append(out.size)
+        blocks.append(out.shape if out.ndim == 2 else (out.size, 1))
         return out
 
     monkeypatch.setattr(expr_module, "eval_on_arrays", recording)
     single_range(nl, rho, 1.0, rho / 2, 0.25, MU1_DISK,
                  grid_points=grid_points, grid=grid, curve=curve)
     nodes = grid.interior_count if nl.uses_x(0) else 1
-    rounds, m_rho = sizes[:-1], sizes[-1]
-    assert m_rho == nodes and rounds
-    assert [size // nodes for size in rounds] == [per_round] * len(rounds)
-    assert max(rounds) <= max(budget, 2 * nodes)
-    if case not in BUDGET_CASES:
-        # a round shrinks the bracket 8.5-fold (1.5-fold with 2 points)
-        assert len(rounds) <= 20
+    *rounds, m_rho = blocks
+    assert m_rho == (1, nodes) and rounds
+    # every block holds one round's points on a chunk of the nodes, within
+    # the budget, and each round's chunks cover the nodes once
+    assert [rows for rows, _ in rounds] == [per_round] * len(rounds)
+    assert max(rows * cols for rows, cols in rounds) <= budget
+    covered = sum(cols for _, cols in rounds)
+    assert covered % nodes == 0
+    if per_round == ranges.ZOOM_POINTS:
+        # a round of 16 points shrinks the bracket 8.5-fold
+        assert covered // nodes <= 20
 
 
 @pytest.mark.parametrize("source,error", [
