@@ -19,8 +19,7 @@ from .fixedpoint import (Certificate, IterationReport, Limit,
                          check_supersolution, construct_subsolution,
                          monotone_iterate)
 from .geometry import (DomainSpec, Grid, Rectangle, UnitDisk, build_grid)
-from .greens import (SpectralEstimate, apply_K, e_positivity_probe,
-                     k_one_norm, spectral_radius)
+from .greens import SpectralEstimate, apply_K, k_one_norm, spectral_radius
 from .nonlinearity import (CheckReport, Nonlinearity, check_growth,
                            check_monotone, max_over_domain, nemytskii_apply)
 from .operator import (BoundarySpec, Dirichlet, DiscreteOperator,
@@ -33,7 +32,6 @@ __all__ = [
     "EllipticCoefficients", "Dirichlet", "Neumann", "Robin", "BoundarySpec",
     "DiscreteOperator", "assemble",
     "SpectralEstimate", "apply_K", "k_one_norm", "spectral_radius",
-    "e_positivity_probe",
     "Nonlinearity", "CheckReport", "nemytskii_apply",
     "check_monotone", "check_growth", "max_over_domain",
     "ProblemInstance", "IterationReport", "Limit", "Certificate", "apply_T",

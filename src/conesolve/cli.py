@@ -47,9 +47,6 @@ EXIT_NOINPUT = 66
 EXIT_SOFTWARE = 70
 
 DELTA_SWEEP = tuple(10.0 ** k for k in range(4, -3, -1))
-SPECTRAL_TOL = 1e-10
-# power-iteration budget; independent of the monotone iteration's max_iter
-SPECTRAL_MAX_ITER = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -151,7 +148,6 @@ class Pipeline:
     grid: object
     op: object
     nl: object
-    k1: object
     k1_norm: float
     spectrum: object
 
@@ -159,10 +155,9 @@ class Pipeline:
 def build_pipeline(cfg: Config) -> Pipeline:
     grid = build_grid(cfg.domain, cfg.h)
     op = assemble(grid, cfg.coefficients, cfg.bc)
-    k1, k1_norm = k_one_norm(op)
-    spectrum = spectral_radius(op, tol=SPECTRAL_TOL,
-                               max_iter=SPECTRAL_MAX_ITER)
-    return Pipeline(cfg, grid, op, cfg.nonlinearity(), k1, k1_norm, spectrum)
+    _, k1_norm = k_one_norm(op)
+    spectrum = spectral_radius(op)
+    return Pipeline(cfg, grid, op, cfg.nonlinearity(), k1_norm, spectrum)
 
 
 def _growth_parameters(pipe: Pipeline):
@@ -325,7 +320,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
 
     # keep the subsolution below the supersolution level so the two
     # iterations bracket the same interval
-    alpha = construct_subsolution(problem, pipe.spectrum, cfg.i0, delta,
+    alpha = construct_subsolution(problem, pipe.spectrum, cfg.i0,
                                   min(rho0, 0.5 * min(beta_levels)))
     if alpha is None:
         print("note: no subsolution found by the eigenfunction sweep; the "
@@ -433,9 +428,8 @@ def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:
 
 def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    grid = build_grid(cfg.domain, cfg.h)
-    op = assemble(grid, cfg.coefficients, cfg.bc)
-    est = spectral_radius(op, tol=SPECTRAL_TOL, max_iter=SPECTRAL_MAX_ITER)
+    pipe = build_pipeline(cfg)
+    est = pipe.spectrum
     print(f"r(K)       = {_fmt(est.r)}")
     print(f"mu1        = {_fmt(est.mu1)}")
     print(f"iterations = {est.iterations}")
@@ -443,7 +437,7 @@ def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
     if want_csv:
         _write_csv(os.path.join(out_dir, "eigenfunction.csv"),
                    ["x1", "x2", "phi"],
-                   [*_coordinate_text(grid), est.eigenfunction])
+                   [*_coordinate_text(pipe.grid), est.eigenfunction])
     return EXIT_OK
 
 

@@ -47,14 +47,6 @@ class GridMismatch(ConesolveError):
     """Grid function does not live on the operator's grid."""
 
 
-class NotPositive(ConesolveError):
-    """Input expected to be nonnegative and not identically zero."""
-
-
-class DegenerateE(ConesolveError):
-    """Comparison function e = K(1) vanishes at an interior node."""
-
-
 class NoConvergence(ConesolveError):
     """Iteration exhausted its budget without meeting the tolerance."""
 

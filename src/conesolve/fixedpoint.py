@@ -137,14 +137,12 @@ def check_supersolution(p: ProblemInstance, beta):
 
 
 def construct_subsolution(p: ProblemInstance, spectrum: SpectralEstimate,
-                          i0: int, delta: float, rho0: float):
+                          i0: int, rho0: float):
     """Search for alpha with T alpha >= alpha of the form eps * phi in
     component i0 (phi the principal eigenfunction) and zero elsewhere.
 
     eps sweeps rho0, rho0/2, ..., rho0 * 2^-20; the first admissible alpha
-    is returned as an (n, N) array, or None if the sweep fails.  `delta` is
-    the growth constant the construction relies on (f_{i0} >= delta u_{i0}
-    near zero); the sweep itself decides admissibility.
+    is returned as an (n, N) array, or None if the sweep fails.
     """
     if not (0 < rho0 < min(p.nl.box)):
         raise ValueError("need 0 < rho0 < min box bound")

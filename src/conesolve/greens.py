@@ -4,9 +4,8 @@ K g solves the assembled linear system (the discrete analogue of Lz = g with
 homogeneous boundary values), so K inherits positivity from the M-matrix
 structure of the assembly.  K acts on plain arrays of nodal values, one row
 per right-hand side, through the operator's cached LU factorization.  The
-module also computes K(1) with its sup norm, the spectral radius r(K) with
-the principal eigenfunction by power iteration, and the sharpest constants
-sandwiching K g between multiples of e = K(1).
+module also computes K(1) with its sup norm, and the spectral radius r(K)
+with the principal eigenfunction by power iteration.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateE, GridMismatch, NoConvergence, NotPositive,
-                     SolverFailure)
+from .errors import GridMismatch, NoConvergence, SolverFailure
 from .operator import DiscreteOperator
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -130,17 +128,3 @@ def spectral_radius(op: DiscreteOperator, tol: float = 1e-10,
         f"power iteration did not converge in {max_iter} iterations "
         "(possibly defective or near-degenerate spectrum)")
 
-
-def e_positivity_probe(op: DiscreteOperator, g):
-    """Sharpest alpha_g, beta_g with alpha_g * e <= K g <= beta_g * e
-    nodewise, where e = K(1) and g is an (N,) array."""
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0):
-        raise NotPositive("g must be nonnegative")
-    if not np.any(g > 0):
-        raise NotPositive("g must not be identically zero")
-    e, kg = apply_K(op, np.stack([np.ones_like(g), g]))
-    if float(e.min()) <= 0.0:
-        raise DegenerateE("K(1) vanishes at an interior node")
-    ratios = kg / e
-    return float(ratios.min()), float(ratios.max())

@@ -24,6 +24,9 @@ from .geometry import DomainSpec, Grid, Rectangle, UnitDisk
 
 BOX_SLACK = 1e-10      # tolerated overshoot before clamping
 CHECK_SLACK = 1e-12    # slack for the sampled inequalities
+# Largest (state, node) array max_over_domain evaluates at once: 2**16
+# doubles (512 kB) per temporary, whatever the mesh.
+BLOCK_ELEMENTS = 2 ** 16
 
 
 def allowed_variables(n: int) -> set:
@@ -292,15 +295,45 @@ def screen_growth(nl: Nonlinearity, i0: int, deltas, rho0s,
     return failed
 
 
-def max_over_domain(nl: Nonlinearity, i: int, beta, grid: Grid) -> float:
-    """max of f_i(x, beta) over the grid nodes (exact for x-independent f)."""
-    beta = [float(b) for b in beta]
-    if len(beta) != nl.n:
-        raise ValueError("beta must have one entry per component")
-    for b, rho in zip(beta, nl.box):
-        if not (-BOX_SLACK <= b <= rho + BOX_SLACK):
-            raise BoxViolation(f"beta entry {b} outside the box [0, {rho}]")
-    comps = [np.clip(b, 0.0, rho) for b, rho in zip(beta, nl.box)]
-    out = ex.eval_on_arrays(nl.exprs[i],
-                            nl.bindings(grid.xs, grid.ys, comps))
-    return float(np.max(out))
+def max_over_domain(nl: Nonlinearity, i: int, states,
+                    grid: Grid | None) -> np.ndarray:
+    """max over the grid nodes of f_i(x, u) at each constant state u, a row
+    of the (k, n) array states; returns the (k,) maxima.
+
+    Every entry must lie in the box up to BOX_SLACK and is clamped onto it.
+    An f_i without x is evaluated on the states alone.  Otherwise blocks of
+    whole states are evaluated over all nodes, as many as fit in
+    BLOCK_ELEMENTS; when fewer than 2 fit, all states share each node chunk
+    of BLOCK_ELEMENTS // k nodes.  Node maxima are exact, so each maximum is
+    bitwise that of evaluating its state on its own.
+    """
+    u = np.asarray(states, dtype=float)
+    if u.ndim != 2 or u.shape[1] != nl.n:
+        raise ValueError("states must be a (k, n) array")
+    box = np.asarray(nl.box)
+    outside = ~((u >= -BOX_SLACK) & (u <= box + BOX_SLACK))
+    if outside.any():
+        r, j = np.argwhere(outside)[0]
+        raise BoxViolation(f"beta entry {float(u[r, j])} outside the box "
+                           f"[0, {nl.box[j]}]")
+    u = np.clip(u, 0.0, box)
+    m = np.full(len(u), -np.inf)
+    if not nl.uses_x(i):
+        m[:] = ex.eval_on_arrays(nl.exprs[i], nl.bindings(0.0, 0.0, u.T))
+        return m
+    if grid is None:
+        raise ValueError("x-dependent nonlinearity needs a grid")
+    rows = BLOCK_ELEMENTS // grid.interior_count
+    if rows < 2:
+        rows = min(len(u), BLOCK_ELEMENTS)
+    width = max(1, BLOCK_ELEMENTS // rows)      # all nodes when rows fit
+    for top in range(0, len(u), rows):
+        part, comps = m[top:top + rows], u.T[:, top:top + rows, None]
+        for start in range(0, grid.interior_count, width):
+            xs = grid.xs[start:start + width]
+            out = ex.eval_on_arrays(nl.exprs[i], nl.bindings(
+                xs, grid.ys[start:start + width], comps))
+            # rebinding out frees the block before the next one is made
+            out = np.broadcast_to(out, (len(part), len(xs))).max(axis=1)
+            np.maximum(part, out, out=part)
+    return m

@@ -6,8 +6,9 @@ needs lambda_{i0} > mu1 / delta, where delta comes from the lower growth
 bound of f_{i0} near zero.  For a single equation the upper bound sharpens
 to sup over s in (0, rho] of s / (M(s) |K1|) with M(s) = max_x f(x, s),
 computed by log-uniform sampling refined with a bracket zoom: each round
-evaluates a block of points inside the bracket around the best ratio so
-far, and narrows the bracket to that point's two neighbours.
+evaluates ZOOM_POINTS points inside the bracket around the best ratio so
+far, and narrows the bracket to that point's two neighbours.  m_j and M are
+both sampled by nonlinearity.max_over_domain.
 """
 
 from __future__ import annotations
@@ -17,15 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
-from .errors import (BoxViolation, ConditionCViolation, ConesolveError,
-                     NonpositiveM)
+from .errors import ConditionCViolation, ConesolveError, NonpositiveM
 from .geometry import Grid
-from .nonlinearity import BOX_SLACK, Nonlinearity, max_over_domain
+from .nonlinearity import Nonlinearity, max_over_domain
 
-# Largest (s, node) array evaluated at once: 2**16 doubles (512 kB) per
-# temporary, whatever the mesh.
-CURVE_BLOCK_ELEMENTS = 2 ** 16
 # Interior points per round of the zoom that refines the sampled sup.
 ZOOM_POINTS = 16
 
@@ -92,7 +88,7 @@ def system_ranges(nl: Nonlinearity, beta, i0: int, delta: float,
         raise ValueError("i0 out of range")
     out = []
     for j in range(nl.n):
-        m = max_over_domain(nl, j, beta, grid)
+        m = float(max_over_domain(nl, j, [beta], grid)[0])
         if nl.uses_x(j):
             m *= m_safety
         if j != i0 and m <= 0:
@@ -113,25 +109,13 @@ def system_ranges(nl: Nonlinearity, beta, i0: int, delta: float,
 def ratio_curve(nl: Nonlinearity, rho: float, k1_norm: float,
                 grid_points: int, grid: Grid | None = None):
     """Sampled curve s -> s / (M(s) k1_norm) on a log-uniform grid of
-    (0, rho]; returns (s values, ratios).
-
-    M is evaluated for a block of s values at a time, on an (s, node)
-    array of at most CURVE_BLOCK_ELEMENTS entries.  The curve is bitwise
-    that of evaluating each s on its own, and a failure names the first
-    failing s as that would."""
+    (0, rho]; returns (s values, ratios).  M is one max_over_domain call
+    over every s, bitwise that of evaluating each s on its own, and a
+    failure names the first failing s as that would."""
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
     s = np.geomspace(rho * 1e-8, rho, grid_points)
-    rows = _block_rows(nl, grid)
-    m = np.concatenate([_checked_max_f(nl, s[start:start + rows], grid)
-                        for start in range(0, grid_points, rows)])
-    return s, s / (m * k1_norm)
-
-
-def _block_rows(nl: Nonlinearity, grid: Grid | None) -> int:
-    """How many s values fit in one (s, node) block."""
-    nodes = grid.interior_count if nl.uses_x(0) and grid is not None else 1
-    return max(1, CURVE_BLOCK_ELEMENTS // nodes)
+    return s, s / (_checked_max_f(nl, s, grid) * k1_norm)
 
 
 def _checked_max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
@@ -139,7 +123,7 @@ def _checked_max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
     own in turn would: at the first s whose evaluation raises or whose
     M(s) <= 0, with that evaluation's error."""
     try:
-        m = _max_f(nl, s, grid)
+        m = max_over_domain(nl, 0, s[:, None], grid)
     except ConesolveError:
         if len(s) > 1:
             for k in range(len(s)):     # raises at the first failing s
@@ -149,32 +133,6 @@ def _checked_max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
     if bad.any():
         k = int(np.argmax(bad))
         raise NonpositiveM(f"M({float(s[k]):g}) = {float(m[k]):g} <= 0")
-    return m
-
-
-def _max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
-    """M at every entry of the 1-D array s: the max over the grid nodes of
-    f on the (s, node) array, or f on s alone when f does not use x."""
-    u = np.clip(s, 0.0, nl.box[0])
-    if not nl.uses_x(0):
-        out = ex.eval_on_arrays(nl.exprs[0], nl.bindings(0.0, 0.0, [u]))
-        return np.broadcast_to(out, s.shape)
-    if grid is None:
-        raise ValueError("x-dependent nonlinearity needs a grid to "
-                         "sample M(s)")
-    outside = (s < -BOX_SLACK) | (s > nl.box[0] + BOX_SLACK)
-    if outside.any():
-        raise BoxViolation(f"beta entry {float(s[np.argmax(outside)])} "
-                           f"outside the box [0, {nl.box[0]}]")
-    # node chunks keep each (s, node) block within CURVE_BLOCK_ELEMENTS
-    width = max(1, CURVE_BLOCK_ELEMENTS // len(s))
-    m = np.full(len(s), -np.inf)
-    for start in range(0, grid.interior_count, width):
-        xs, ys = grid.xs[start:start + width], grid.ys[start:start + width]
-        out = ex.eval_on_arrays(nl.exprs[0],
-                                nl.bindings(xs, ys, [u[:, None]]))
-        np.maximum(m, np.broadcast_to(out, (len(s), len(xs))).max(axis=1),
-                   out=m)
     return m
 
 
@@ -198,15 +156,11 @@ def single_range(nl: Nonlinearity, rho: float, delta: float, rho0: float,
     k = int(np.argmax(ratios))
     sup = float(ratios[k])
     # zoom on the sampled best: each round evaluates ZOOM_POINTS interior
-    # points of the bracket as one block (fewer if the block would pass
-    # CURVE_BLOCK_ELEMENTS; when not even 2 rows fit, all ZOOM_POINTS in
-    # node chunks) and narrows the bracket to the best point's
+    # points of the bracket and narrows the bracket to the best point's
     # neighbours, until it is 1e-12 * max(1, |hi|) wide
     lo, hi = float(s[max(k - 1, 0)]), float(s[min(k + 1, len(s) - 1)])
-    rows = _block_rows(nl, grid)
-    points = min(ZOOM_POINTS, rows) if rows >= 2 else ZOOM_POINTS
     while hi > lo:
-        t = np.linspace(lo, hi, points + 2)
+        t = np.linspace(lo, hi, ZOOM_POINTS + 2)
         zoom = t[1:-1] / (_checked_max_f(nl, t[1:-1], grid) * k1_norm)
         j = int(np.argmax(zoom))
         sup = max(sup, float(zoom[j]))
@@ -214,7 +168,7 @@ def single_range(nl: Nonlinearity, rho: float, delta: float, rho0: float,
         if hi - lo <= 1e-12 * max(1.0, abs(hi)):
             break
     lower = mu1 / delta
-    m_rho = float(_max_f(nl, np.array([rho]), grid)[0])
+    m_rho = float(max_over_domain(nl, 0, [[rho]], grid)[0])
     return LambdaRange(
         lower=lower, upper=sup, empty=lower >= sup, component=0,
         provenance=RangeProvenance(m_rho, k1_norm, mu1, delta),

@@ -269,7 +269,7 @@ def _random_monotone_instance(rng, op, spectrum):
     lam[i0] = min(0.9 * upper_i0,
                   max(1.05 * lower, math.sqrt(lower * upper_i0)))
     lam[other] = 0.8 / (m_other * k1_norm)
-    return ProblemInstance(op, nl, tuple(lam)), i0, delta, rho0
+    return ProblemInstance(op, nl, tuple(lam)), i0, rho0
 
 
 def _crit_bracketing(ctx: VerifyContext):
@@ -279,13 +279,13 @@ def _crit_bracketing(ctx: VerifyContext):
     attempted = succeeded = 0
     for _ in range(20):
         attempted += 1
-        problem, i0, delta, rho0 = _random_monotone_instance(
+        problem, i0, rho0 = _random_monotone_instance(
             rng, op, spectrum)
         beta = np.outer(problem.nl.box, np.ones(op.grid.interior_count))
         ok_super, _ = check_supersolution(problem, beta)
         if not ok_super:
             return False, "template instance lost its supersolution"
-        alpha = construct_subsolution(problem, spectrum, i0, delta, rho0)
+        alpha = construct_subsolution(problem, spectrum, i0, rho0)
         if alpha is None:
             continue
         succeeded += 1

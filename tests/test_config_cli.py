@@ -445,8 +445,7 @@ def test_growth_sweep_draws_once_and_matches_the_nested_loop(monkeypatch,
                         lambda *a: draws.append(1) or sample_domain(*a))
     monkeypatch.setattr(cli, "check_growth",
                         lambda *a: checks.append(1) or check_growth(*a))
-    pipe = cli.Pipeline(cfg, None, None, cfg.nonlinearity(), None, 0.0,
-                        None)
+    pipe = cli.Pipeline(cfg, None, None, cfg.nonlinearity(), 0.0, None)
     delta, rho0, rep = cli._growth_parameters(pipe)
     assert (delta, rho0) == (delta_ref, rho0_ref)
     assert rep.to_text() == rep_ref.to_text()
@@ -515,3 +514,15 @@ def test_single_equation_grid_points_below_100_exit_64(tmp_path, capsys):
     assert code == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "grid_points" in err
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    import runpy
+    import sys
+
+    from conesolve import __version__
+    monkeypatch.setattr(sys, "argv", ["conesolve", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("conesolve", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"conesolve {__version__}\n"

@@ -102,15 +102,15 @@ def test_subsolution_linear_above_and_below_threshold(disk_op):
     est = spectral_radius(disk_op)
     above = ProblemInstance(disk_op, nl, (1.1 * est.mu1,))
     below = ProblemInstance(disk_op, nl, (0.9 * est.mu1,))
-    assert construct_subsolution(above, est, 0, 1.0, 0.5) is not None
-    assert construct_subsolution(below, est, 0, 1.0, 0.5) is None
+    assert construct_subsolution(above, est, 0, 0.5) is not None
+    assert construct_subsolution(below, est, 0, 0.5) is None
 
 
 def test_subsolution_reference_system(disk_op):
     est = spectral_radius(disk_op)
     p = reference_problem(disk_op)
     # delta = 10 validated for rho0 = 0.01: mu1 / 10 < 1.6
-    alpha = construct_subsolution(p, est, 0, 10.0, 0.01)
+    alpha = construct_subsolution(p, est, 0, 0.01)
     assert alpha is not None
     assert np.all(alpha <= apply_T(p, alpha) + 1e-12)
     assert np.all(alpha[1] == 0.0)
@@ -187,7 +187,7 @@ def test_T_monotone_on_ordered_pairs(disk_op):
 def test_two_sided_iterate_sandwich(disk_op):
     est = spectral_radius(disk_op)
     p = reference_problem(disk_op)
-    alpha = construct_subsolution(p, est, 0, 10.0, 0.01)
+    alpha = construct_subsolution(p, est, 0, 0.01)
     beta = constant_state(disk_op.grid, (RHO, RHO))
     report = monotone_iterate(p, alpha, beta, tol=1e-10,
                               record_iterates=True)
@@ -238,7 +238,7 @@ def test_certify_rejects_perturbed_solution(disk_op):
 def test_from_below_limit_below_from_above_limit(disk_op):
     est = spectral_radius(disk_op)
     p = reference_problem(disk_op)
-    alpha = construct_subsolution(p, est, 0, 10.0, 0.01)
+    alpha = construct_subsolution(p, est, 0, 0.01)
     beta = constant_state(disk_op.grid, (RHO, RHO))
     low = monotone_iterate(p, alpha=alpha, tol=1e-10).lower
     high = monotone_iterate(p, beta=beta, tol=1e-10).upper
@@ -262,7 +262,7 @@ def test_monotone_iterate_budget_exhaustion(disk_op):
 
 def _bracket(op):
     p = reference_problem(op)
-    alpha = construct_subsolution(p, spectral_radius(op), 0, 10.0, 0.01)
+    alpha = construct_subsolution(p, spectral_radius(op), 0, 0.01)
     return p, alpha, constant_state(op.grid, (RHO, RHO))
 
 

@@ -1,15 +1,13 @@
-import math
 import re
 
 import numpy as np
 import pytest
 
 from conesolve import (Dirichlet, EllipticCoefficients, Rectangle, UnitDisk,
-                       apply_K, assemble, build_grid, e_positivity_probe,
-                       k_one_norm, spectral_radius)
+                       apply_K, assemble, build_grid, k_one_norm,
+                       spectral_radius)
 from conesolve import greens
-from conesolve.errors import (GridMismatch, NoConvergence, NotPositive,
-                              SolverFailure)
+from conesolve.errors import GridMismatch, NoConvergence, SolverFailure
 from conesolve.verify import (CRITERIA, VerifyContext, disk_mu1_reference,
                               first_j0_zero, run_criterion)
 
@@ -245,32 +243,6 @@ def test_linearity_positivity_monotonicity(disk_op):
         step = np.abs(h)
         hi = apply_K(disk_op, gpos + step)
         assert np.all(kpos <= hi + 1e-10 * step.max())
-
-
-def test_e_positivity_probe_constant(disk_op):
-    ones = np.ones(disk_op.grid.interior_count)
-    alpha, beta = e_positivity_probe(disk_op, ones)
-    assert alpha == pytest.approx(1.0, rel=1e-12)
-    assert beta == pytest.approx(1.0, rel=1e-12)
-    alpha2, beta2 = e_positivity_probe(disk_op, 2.0 * ones)
-    assert alpha2 == pytest.approx(2.0, rel=1e-12)
-    assert beta2 == pytest.approx(2.0, rel=1e-12)
-
-
-def test_e_positivity_probe_bump(disk_op):
-    grid = disk_op.grid
-    bump = np.where(grid.xs ** 2 + grid.ys ** 2 < 0.01, 1.0, 0.0)
-    assert bump.sum() > 0
-    alpha, beta = e_positivity_probe(disk_op, bump)
-    assert 0.0 < alpha <= beta < math.inf
-
-
-def test_e_positivity_probe_rejects_bad_input(disk_op):
-    zeros = np.zeros(disk_op.grid.interior_count)
-    with pytest.raises(NotPositive):
-        e_positivity_probe(disk_op, zeros - 1.0)
-    with pytest.raises(NotPositive):
-        e_positivity_probe(disk_op, zeros)
 
 
 def test_spectral_budget_exhaustion(disk_op):

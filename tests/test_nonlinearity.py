@@ -176,28 +176,77 @@ def test_check_report_rendering():
 
 def test_max_over_domain_reference_values(disk_grid):
     nl = reference_system()
-    assert max_over_domain(nl, 1, (RHO, RHO), disk_grid) == \
-        pytest.approx(M2, rel=1e-14)
-    assert max_over_domain(nl, 0, (RHO, RHO), disk_grid) == \
-        pytest.approx(M1, rel=1e-14)
+    assert max_over_domain(nl, 1, [(RHO, RHO)], disk_grid) == \
+        pytest.approx([M2], rel=1e-14)
+    assert max_over_domain(nl, 0, [(RHO, RHO)], disk_grid) == \
+        pytest.approx([M1], rel=1e-14)
 
 
 def test_max_over_domain_x_dependent():
     grid = build_grid(Rectangle(0, 1, 0, 1), 0.25)
     nl = Nonlinearity.from_strings(["x1*u1"], (1.0,))
-    m = max_over_domain(nl, 0, (1.0,), grid)
+    m = max_over_domain(nl, 0, [(1.0,), (0.5,)], grid)
     # attained at the interior node nearest x1 = 1
-    assert m == pytest.approx(0.75)
+    assert m == pytest.approx([0.75, 0.375])
 
 
 def test_max_over_domain_grid_independent_for_x_free(disk_grid, square_grid):
     nl = reference_system()
-    a = max_over_domain(nl, 0, (RHO / 2, RHO / 3), disk_grid)
-    b = max_over_domain(nl, 0, (RHO / 2, RHO / 3), square_grid)
+    a = max_over_domain(nl, 0, [(RHO / 2, RHO / 3)], disk_grid)
+    b = max_over_domain(nl, 0, [(RHO / 2, RHO / 3)], square_grid)
     assert a == b
+    assert max_over_domain(nl, 0, [(RHO / 2, RHO / 3)], None) == a
 
 
 def test_max_over_domain_validates_beta(disk_grid):
     nl = reference_system()
+    # the first state outside the box is named
+    with pytest.raises(BoxViolation, match=rf"beta entry {2 * RHO!r} "):
+        max_over_domain(nl, 0, [(RHO, RHO), (2 * RHO, RHO),
+                                (RHO, -1.0)], disk_grid)
     with pytest.raises(BoxViolation):
-        max_over_domain(nl, 0, (2 * RHO, RHO), disk_grid)
+        max_over_domain(nl, 0, [(RHO, np.nan)], disk_grid)
+    with pytest.raises(ValueError):
+        max_over_domain(nl, 0, [RHO, RHO], disk_grid)
+
+
+@pytest.mark.parametrize("budget", ["default", "3 states", "node chunks"])
+def test_max_over_domain_stack_is_bitwise_one_state_at_a_time(
+        monkeypatch, budget):
+    from conesolve import expr as expr_module
+    from conesolve import nonlinearity
+    evaluate = expr_module.eval_on_arrays
+    grid = build_grid(UnitDisk(), 1 / 32)
+    nodes = grid.interior_count
+    nl = Nonlinearity.from_strings(
+        ["(1 + x1*x2) * sqrt(u1) + exp(-x2) * u2^2", "max(u1,u2)^2"],
+        (1.0, 2.0))
+    rng = np.random.default_rng(11)
+    states = rng.uniform(0.0, 1.0, (7, 2)) * nl.box
+    states[3] = (0.0, 2.0 + 1e-11)      # clamped onto the box
+    reference = np.array([[max_over_domain(nl, i, state[None], grid)[0]
+                           for state in states] for i in range(2)])
+    limit = {"default": nonlinearity.BLOCK_ELEMENTS, "3 states": 3 * nodes,
+             "node chunks": nodes + 1}[budget]
+    monkeypatch.setattr(nonlinearity, "BLOCK_ELEMENTS", limit)
+    shapes = []
+
+    def recording(expr, bindings):
+        out = evaluate(expr, bindings)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(expr_module, "eval_on_arrays", recording)
+    for i in range(2):
+        m = max_over_domain(nl, i, states, grid)
+        assert m.tobytes() == reference[i].tobytes()
+    # the x-free f2 is one evaluation on the states; f1 stays within the
+    # budget and covers every state's nodes once
+    *blocks, f2 = shapes
+    assert f2 == (7,)
+    assert max(rows * cols for rows, cols in blocks) <= limit
+    assert sum(rows * cols for rows, cols in blocks) == 7 * nodes
+    if budget == "node chunks":
+        assert all(rows == 7 and cols < nodes for rows, cols in blocks)
+    else:
+        assert all(cols == nodes for _, cols in blocks)

@@ -10,7 +10,7 @@ from conesolve import expr as expr_module
 from conesolve.errors import (ConditionCViolation, EvalDomainError,
                               NonpositiveM)
 from conesolve.expr import eval_on_arrays
-from conesolve.ranges import CURVE_BLOCK_ELEMENTS
+from conesolve.nonlinearity import BLOCK_ELEMENTS
 
 RHO = 15 * math.pi / 64
 MU1_DISK = 5.783185962946785        # square of the first zero of J0
@@ -164,7 +164,7 @@ def per_point_ratio(nl, s, k1_norm, grid):
     """s / (M(s) k1_norm) for one s, M evaluated on its own: the reference
     the blocked curve must reproduce bit for bit."""
     if nl.uses_x(0):
-        m = max_over_domain(nl, 0, [s], grid)
+        m = max_over_domain(nl, 0, [[s]], grid)[0]
     else:
         m = float(np.max(eval_on_arrays(
             nl.exprs[0], nl.bindings(0.0, 0.0, [np.clip(s, 0.0, nl.box[0])]))))
@@ -213,26 +213,45 @@ def test_ratio_curve_failure_names_the_first_failing_s(source, error):
     assert str(blocked.value) == str(reference.value)
 
 
-def test_ratio_curve_blocks_stay_within_the_element_budget(monkeypatch):
-    sizes = []
-
+def recording_blocks(monkeypatch, blocks):
+    """Record each evaluation as (s values of its rows, nodes per row)."""
     def recording(expr, bindings):
         out = eval_on_arrays(expr, bindings)
-        sizes.append(out.size)
+        cols = out.shape[1] if out.ndim == 2 else 1
+        blocks.append((np.ravel(bindings["s"]), cols))
         return out
 
     monkeypatch.setattr(expr_module, "eval_on_arrays", recording)
+
+
+def nodes_per_point(blocks):
+    """How many nodes the blocks cover at each s value."""
+    covered = {}
+    for s, cols in blocks:
+        for v in s:
+            covered[v] = covered.get(v, 0) + cols
+    return covered
+
+
+def test_ratio_curve_blocks_stay_within_the_element_budget(monkeypatch):
+    blocks = []
+    recording_blocks(monkeypatch, blocks)
     grid = build_grid(UnitDisk(), 1 / 64)
+    nodes = grid.interior_count
     nl = Nonlinearity.from_strings(["(1 + x1^2) * (sqrt(s) + tan(s))"],
                                    (math.pi / 2 - 1e-6,))
-    ratio_curve(nl, nl.box[0], 0.25, 1000, grid)
-    rows = CURVE_BLOCK_ELEMENTS // grid.interior_count
-    assert max(sizes) <= CURVE_BLOCK_ELEMENTS
-    assert sizes == [rows * grid.interior_count] * (1000 // rows)
+    s, _ = ratio_curve(nl, nl.box[0], 0.25, 1000, grid)
+    # blocks of whole s values, as many as fit, each covering its s
+    # values' nodes once
+    rows = BLOCK_ELEMENTS // nodes
+    assert [(len(v), cols) for v, cols in blocks] == \
+        [(rows, nodes)] * (1000 // rows)
+    assert max(len(v) * cols for v, cols in blocks) <= BLOCK_ELEMENTS
+    assert nodes_per_point(blocks) == {v: nodes for v in s}
     # a nonlinearity without x is one evaluation on the s values
-    sizes.clear()
+    blocks.clear()
     ratio_curve(scalar_sqrt_tan(), math.pi / 2 - 1e-6, 0.25, 1000, grid)
-    assert sizes == [1000]
+    assert [(len(v), cols) for v, cols in blocks] == [(1000, 1)]
 
 
 def test_single_range_uses_a_given_curve():
@@ -302,44 +321,45 @@ def test_zoom_sup_matches_a_golden_section_reference(case):
     assert rng.upper == pytest.approx(reference, rel=1e-12, abs=0)
 
 
-# rect-robin (961 nodes) under a smaller element budget: 5 s values fit,
-# or fewer than 2, when each round's 16 points go in node chunks
-BUDGET_CASES = {"budget of 5 rows": (5 * 961, 5),
-                "block floor of 2": (1000, 16)}
+# rect-robin (961 nodes) under a smaller element budget: 5 s values fit
+# per block, or fewer than 2, when each round's points share node chunks
+BUDGET_CASES = {"budget of 5 rows": 5 * 961, "block floor of 2": 1000}
 
 
 @pytest.mark.parametrize("case", ZOOM_CASES + list(BUDGET_CASES))
 def test_zoom_rounds_are_blocks_within_the_element_budget(monkeypatch,
                                                           case):
-    from conesolve import ranges
+    from conesolve import nonlinearity, ranges
     nl, rho, grid_points, grid = zoom_case(
         "rect-robin" if case in BUDGET_CASES else case)
     curve = ratio_curve(nl, rho, 0.25, grid_points, grid)
-    budget, per_round = BUDGET_CASES.get(
-        case, (CURVE_BLOCK_ELEMENTS, ranges.ZOOM_POINTS))
-    monkeypatch.setattr(ranges, "CURVE_BLOCK_ELEMENTS", budget)
-    blocks = []
+    budget = BUDGET_CASES.get(case, BLOCK_ELEMENTS)
+    monkeypatch.setattr(nonlinearity, "BLOCK_ELEMENTS", budget)
+    blocks, starts = [], []
+    checked = ranges._checked_max_f
 
-    def recording(expr, bindings):
-        out = eval_on_arrays(expr, bindings)
-        blocks.append(out.shape if out.ndim == 2 else (out.size, 1))
-        return out
+    def zoom_round(*args):
+        starts.append(len(blocks))
+        return checked(*args)
 
-    monkeypatch.setattr(expr_module, "eval_on_arrays", recording)
+    monkeypatch.setattr(ranges, "_checked_max_f", zoom_round)
+    recording_blocks(monkeypatch, blocks)
     single_range(nl, rho, 1.0, rho / 2, 0.25, MU1_DISK,
                  grid_points=grid_points, grid=grid, curve=curve)
     nodes = grid.interior_count if nl.uses_x(0) else 1
-    *rounds, m_rho = blocks
-    assert m_rho == (1, nodes) and rounds
-    # every block holds one round's points on a chunk of the nodes, within
-    # the budget, and each round's chunks cover the nodes once
-    assert [rows for rows, _ in rounds] == [per_round] * len(rounds)
-    assert max(rows * cols for rows, cols in rounds) <= budget
-    covered = sum(cols for _, cols in rounds)
-    assert covered % nodes == 0
-    if per_round == ranges.ZOOM_POINTS:
-        # a round of 16 points shrinks the bracket 8.5-fold
-        assert covered // nodes <= 20
+    *zoom, m_rho = blocks
+    assert list(m_rho[0]) == [rho] and m_rho[1] == nodes
+    # every block is within the budget, and each round's blocks cover
+    # ZOOM_POINTS points, each point's nodes once
+    assert max(len(v) * cols for v, cols in zoom) <= budget
+    rounds = [zoom[a:b] for a, b in zip(starts, starts[1:] + [len(zoom)])]
+    assert rounds
+    for blocks_of_round in rounds:
+        covered = nodes_per_point(blocks_of_round)
+        assert len(covered) == ranges.ZOOM_POINTS
+        assert set(covered.values()) == {nodes}
+    # a round of 16 points shrinks the bracket 8.5-fold
+    assert len(rounds) <= 20
 
 
 @pytest.mark.parametrize("source,error", [
