@@ -83,6 +83,7 @@ def _text_column(values) -> np.ndarray:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -138,7 +139,7 @@ def _apply_overrides(cfg: Config, args) -> Config:
         cfg.max_iter = args.max_iter
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    _validate(cfg)
+    _validate(vars(cfg))
     return cfg
 
 
@@ -147,7 +148,6 @@ class Pipeline:
     cfg: Config
     grid: object
     op: object
-    nl: object
     k1_norm: float
     spectrum: object
 
@@ -157,7 +157,7 @@ def build_pipeline(cfg: Config) -> Pipeline:
     op = assemble(grid, cfg.coefficients, cfg.bc)
     _, k1_norm = k_one_norm(op)
     spectrum = spectral_radius(op)
-    return Pipeline(cfg, grid, op, cfg.nonlinearity(), k1_norm, spectrum)
+    return Pipeline(cfg, grid, op, k1_norm, spectrum)
 
 
 def _growth_parameters(pipe: Pipeline):
@@ -169,7 +169,7 @@ def _growth_parameters(pipe: Pipeline):
     check of the last pair, so the result is that of checking every pair
     in turn."""
     cfg = pipe.cfg
-    nl = pipe.nl
+    nl = cfg.nl
     sample = growth_sample(nl, cfg.samples, cfg.seed, cfg.domain)
     deltas = [cfg.delta] if cfg.delta is not None else list(DELTA_SWEEP)
     rho0s = ([cfg.rho0] if cfg.rho0 is not None
@@ -194,7 +194,7 @@ def _single_curve(pipe: Pipeline):
     cfg = pipe.cfg
     if cfg.n > 1:
         return None
-    return ratio_curve(pipe.nl, cfg.rho[0], pipe.k1_norm, cfg.grid_points,
+    return ratio_curve(cfg.nl, cfg.rho[0], pipe.k1_norm, cfg.grid_points,
                        pipe.grid)
 
 
@@ -202,15 +202,14 @@ def _compute_ranges(pipe: Pipeline, curve, delta: float,
                     rho0: float | None = None):
     cfg = pipe.cfg
     if cfg.n == 1:
-        rng = single_range(pipe.nl, cfg.rho[0], delta,
+        rng = single_range(cfg.nl, cfg.rho[0], delta,
                            rho0 or cfg.rho0 or min(cfg.rho) / 2,
                            pipe.k1_norm, pipe.spectrum.mu1,
                            grid_points=cfg.grid_points, grid=pipe.grid,
                            curve=curve)
         return [rng]
-    return system_ranges(pipe.nl, cfg.rho, cfg.i0, delta, pipe.k1_norm,
-                         pipe.spectrum.mu1, pipe.grid,
-                         m_safety=cfg.m_safety)
+    return system_ranges(cfg.nl, cfg.rho, cfg.i0, delta, pipe.k1_norm,
+                         pipe.spectrum.mu1, pipe.grid)
 
 
 def _choose_beta(pipe: Pipeline, curve) -> list:
@@ -273,7 +272,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
 
     checks = []
     for i in range(cfg.n):
-        rep = check_monotone(pipe.nl, i, cfg.samples, cfg.seed + i,
+        rep = check_monotone(cfg.nl, i, cfg.samples, cfg.seed + i,
                              cfg.domain)
         checks.append(rep)
         print(rep.to_text())
@@ -306,7 +305,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
                   "the admissible interval; existence is not guaranteed "
                   "(the bound is sufficient, not necessary)")
 
-    problem = ProblemInstance(pipe.op, pipe.nl, tuple(cfg.lambdas))
+    problem = ProblemInstance(pipe.op, cfg.nl, tuple(cfg.lambdas))
     beta_levels = _choose_beta(pipe, curve)
     beta = np.outer(beta_levels, np.ones(pipe.grid.interior_count))
     ok, margin = check_supersolution(problem, beta)

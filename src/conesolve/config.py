@@ -34,14 +34,13 @@ _COEFF_DEFAULTS = {"a11": "1", "a12": "0", "a22": "1",
                    "b1": "0", "b2": "0", "c": "0"}
 
 _SCALAR_KEYS = {
-    "h": float, "i0": int, "delta": float, "rho0": float, "tol": float,
-    "max_iter": int, "seed": int, "samples": int, "m_safety": float,
-    "grid_points": int,
+    "i0": int, "delta": float, "rho0": float, "tol": float,
+    "max_iter": int, "seed": int, "samples": int, "grid_points": int,
 }
 
 _DEFAULTS = {
-    "i0": 1, "tol": 1e-9, "max_iter": 10_000, "seed": 1234,
-    "samples": 10_000, "m_safety": 1.01, "grid_points": 1000,
+    "i0": 1, "delta": None, "rho0": None, "tol": 1e-9, "max_iter": 10_000,
+    "seed": 1234, "samples": 10_000, "grid_points": 1000,
 }
 
 
@@ -52,7 +51,7 @@ class Config:
     bc: BoundarySpec
     coefficients: EllipticCoefficients
     n: int
-    f_sources: list
+    nl: Nonlinearity             # f1..fn over the box prod [0, rho_j]
     rho: list
     lambdas: list | None
     i0: int                      # 0-based internally (1-based in the file)
@@ -62,11 +61,7 @@ class Config:
     max_iter: int
     seed: int
     samples: int
-    m_safety: float
     grid_points: int
-
-    def nonlinearity(self) -> Nonlinearity:
-        return Nonlinearity.from_strings(self.f_sources, self.rho)
 
 
 def _split_line(raw, lineno):
@@ -172,8 +167,8 @@ def parse_config(text: str) -> Config:
         if item is None:
             raise ConfigError(f"missing key 'rho{k}' (n = {n})")
         rho.append(_parse_scalar(item[0], f"rho{k}", item[1], float))
-        if not (rho[-1] > 0):
-            raise ConfigError(f"rho{k} must be positive")
+        if not (0 < rho[-1] < math.inf):
+            raise ConfigError(f"rho{k} must be positive and finite")
     present = [k for k in range(1, n + 1) if f"lambda{k}" in entries]
     if not present:
         lambdas = None
@@ -187,13 +182,12 @@ def parse_config(text: str) -> Config:
             item = take(f"lambda{k}")
             lambdas.append(
                 _parse_scalar(item[0], f"lambda{k}", item[1], float))
-        if any(not (v > 0) for v in lambdas):
-            raise ConfigError("lambdas must be strictly positive")
+        for k, lam in enumerate(lambdas, 1):
+            if not (0 < lam < math.inf):
+                raise ConfigError(f"lambda{k} must be positive and finite")
 
     scalars = dict(_DEFAULTS)
     for key, caster in _SCALAR_KEYS.items():
-        if key == "h":
-            continue
         item = take(key)
         if item is not None:
             scalars[key] = _parse_scalar(item[0], key, item[1], caster)
@@ -203,19 +197,18 @@ def parse_config(text: str) -> Config:
         raise ConfigError(
             f"line {entries[stray][1]}: unknown key '{stray}'")
 
-    i0 = scalars["i0"]
-    if not (1 <= i0 <= n):
+    if not (1 <= scalars["i0"] <= n):
         raise ConfigError(f"i0 must be between 1 and n = {n}")
-
-    cfg = Config(
-        domain=domain, h=h, bc=bc, coefficients=coefficients, n=n,
-        f_sources=f_sources, rho=rho, lambdas=lambdas, i0=i0 - 1,
-        delta=scalars.get("delta"), rho0=scalars.get("rho0"),
-        tol=scalars["tol"], max_iter=scalars["max_iter"],
-        seed=scalars["seed"], samples=scalars["samples"],
-        m_safety=scalars["m_safety"], grid_points=scalars["grid_points"])
-    _validate(cfg)
-    return cfg
+    scalars["i0"] -= 1
+    # the nonlinearity is parsed last, so a config with several faults
+    # reports a scalar fault first
+    _validate(dict(scalars, n=n, rho=rho))
+    try:
+        nl = Nonlinearity.from_strings(f_sources, rho)
+    except (ex.ExprSyntaxError, ValueError) as err:
+        raise ConfigError(f"bad nonlinearity: {err}") from None
+    return Config(domain=domain, h=h, bc=bc, coefficients=coefficients, n=n,
+                  nl=nl, rho=rho, lambdas=lambdas, **scalars)
 
 
 def load_config(path) -> Config:
@@ -282,24 +275,19 @@ def _build_coefficients(sources) -> EllipticCoefficients:
         b2=_coeff_callable(trees["b2"]), c=_coeff_callable(trees["c"]))
 
 
-def _validate(cfg: Config):
-    if cfg.lambdas is not None and len(cfg.lambdas) != cfg.n:
-        raise ConfigError("need one lambda per component")
-    if cfg.delta is not None and not (cfg.delta > 0):
-        raise ConfigError("delta must be positive")
-    if cfg.rho0 is not None and not (0 < cfg.rho0 < min(cfg.rho)):
+def _validate(values):
+    """Check the scalar settings, a mapping of Config field names to values
+    (vars() of a Config will do)."""
+    delta, rho0 = values["delta"], values["rho0"]
+    if delta is not None and not (0 < delta < math.inf):
+        raise ConfigError("delta must be positive and finite")
+    if rho0 is not None and not (0 < rho0 < min(values["rho"])):
         raise ConfigError("rho0 must lie strictly between 0 and min rho")
-    if not (0 < cfg.tol < math.inf):
+    if not (0 < values["tol"] < math.inf):
         raise ConfigError("tol must be positive and finite")
-    if cfg.seed < 0:
+    if values["seed"] < 0:
         raise ConfigError("seed must be non-negative")
-    if cfg.max_iter < 1 or cfg.samples < 1:
+    if values["max_iter"] < 1 or values["samples"] < 1:
         raise ConfigError("max_iter and samples must be at least 1")
-    if cfg.m_safety < 1.0:
-        raise ConfigError("m_safety must be at least 1")
-    if cfg.n == 1 and cfg.grid_points < 100:
+    if values["n"] == 1 and values["grid_points"] < 100:
         raise ConfigError("grid_points must be at least 100")
-    try:
-        cfg.nonlinearity()
-    except (ex.ExprSyntaxError, ValueError) as err:
-        raise ConfigError(f"bad nonlinearity: {err}") from None

@@ -27,6 +27,9 @@ EAST, WEST, NORTH, SOUTH = 0, 1, 2, 3
 # nodes closer than this (times h) to the boundary are snapped onto it
 BOUNDARY_SNAP = 1e-12
 
+# interior_ids is int32, so a lattice holds at most this many nodes
+MAX_LATTICE_NODES = np.iinfo(np.int32).max
+
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -104,17 +107,32 @@ def build_grid(spec: DomainSpec, h: float) -> Grid:
     """Build the uniform grid for `spec` with mesh step `h`.
 
     Node enumeration is deterministic (row-major by (j, i)).  Raises
-    InvalidSpec for inconsistent rectangle bounds or a non-dividing h, and
-    DegenerateGrid when no interior node results.
+    InvalidSpec for non-finite or inconsistent rectangle bounds, a
+    non-dividing h, or a lattice with more than MAX_LATTICE_NODES nodes
+    (refused before anything is allocated), and DegenerateGrid when no
+    interior node results.
     """
     if not (h > 0):
         raise InvalidSpec(f"mesh step must be positive, got {h}")
     if isinstance(spec, Rectangle):
+        bounds = (spec.x_min, spec.x_max, spec.y_min, spec.y_max)
+        if not all(map(math.isfinite, bounds)):
+            raise InvalidSpec(f"rectangle bounds must be finite: {spec}")
         if not (spec.x_min < spec.x_max and spec.y_min < spec.y_max):
             raise InvalidSpec(f"rectangle bounds are inverted: {spec}")
+        shape = ((spec.x_max - spec.x_min) / h + 1.0,
+                 (spec.y_max - spec.y_min) / h + 1.0)
+    else:
+        shape = (2.0 / h + 3.0,) * 2    # 2 floor(1/h) + 3 nodes per axis
     if not (h < 0.5 * spec.diameter()):
         raise DegenerateGrid(
             f"h={h} is not smaller than half the domain diameter")
+    # counted in floating point, so an overflow to inf is refused too
+    if not (shape[0] * shape[1] <= MAX_LATTICE_NODES):
+        raise InvalidSpec(
+            f"h={h} gives a lattice of about {shape[0]:.3g} x "
+            f"{shape[1]:.3g} nodes on {spec}, more than the "
+            f"{MAX_LATTICE_NODES} a grid can index")
 
     if isinstance(spec, Rectangle):
         grid = _build_rectangle(spec, h)

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (CoefficientViolation, EllipticityViolation,
-                     NeumannRequiresZerothOrder, UnsupportedBC)
+                     NeumannRequiresZerothOrder, SolverFailure, UnsupportedBC)
 from .geometry import BOUNDARY, Grid, Rectangle, UnitDisk
 
 Coefficient = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -113,11 +113,14 @@ class DiscreteOperator:
         of A^T + A keeps the fill about half that of SuperLU's default
         COLAMD ordering on the disk.  SuperLU's symmetric mode, made for
         such a pattern, prefers diagonal pivots; on the disk it factors
-        faster at the same fill."""
+        faster at the same fill.  A singular factor raises SolverFailure."""
         if self._lu is None:
-            self._lu = spla.splu(self.matrix.tocsc(),
-                                 permc_spec="MMD_AT_PLUS_A",
-                                 options={"SymmetricMode": True})
+            try:
+                self._lu = spla.splu(self.matrix.tocsc(),
+                                     permc_spec="MMD_AT_PLUS_A",
+                                     options={"SymmetricMode": True})
+            except RuntimeError as err:     # "Factor is exactly singular"
+                raise SolverFailure(f"sparse LU failed: {err}") from None
         return self._lu
 
     @cached_property
@@ -226,6 +229,7 @@ def _validate_bc(grid, bc, c_vals):
     return bvals
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assemble(grid: Grid, coeffs: EllipticCoefficients,
              bc: BoundarySpec) -> DiscreteOperator:
     """Assemble the sparse system for (L, B) on `grid`.
@@ -238,7 +242,9 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
 
     Returns a DiscreteOperator whose diagnostics report the sampled
     ellipticity constant and whether the matrix is an M-matrix (positive
-    diagonal, nonpositive off-diagonal entries).
+    diagonal, nonpositive off-diagonal entries).  Coefficients so large
+    that a matrix entry overflows raise CoefficientViolation, without
+    floating-point warnings.
     """
     xs, ys = grid.xs, grid.ys
     a11 = _sample(coeffs.a11, xs, ys)
@@ -300,6 +306,10 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     rows = np.arange(n)
     entries.append((rows, rows, diag))
     matrix = _coo_to_csr(entries, (n, n))
+    if not np.all(np.isfinite(matrix.data)):
+        raise CoefficientViolation(
+            f"a stencil weight overflows at h={h}: the coefficients are too "
+            "large for this mesh")
 
     coo = matrix.tocoo()
     off = coo.row != coo.col

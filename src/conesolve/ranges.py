@@ -24,6 +24,9 @@ from .nonlinearity import Nonlinearity, max_over_domain
 
 # Interior points per round of the zoom that refines the sampled sup.
 ZOOM_POINTS = 16
+# Inflation of a grid-sampled m_j of an x-dependent f_j, which falls short
+# of the maximum over the domain by O(h); inflating m only tightens the bound.
+M_SAFETY = 1.01
 
 
 @dataclass(frozen=True)
@@ -73,14 +76,11 @@ class LambdaRange:
 
 
 def system_ranges(nl: Nonlinearity, beta, i0: int, delta: float,
-                  k1_norm: float, mu1: float, grid: Grid,
-                  m_safety: float = 1.0):
+                  k1_norm: float, mu1: float, grid: Grid):
     """Per-component admissible intervals for an n-component system.
 
-    m_j is evaluated on grid nodes; for x-dependent f_j it is inflated by
-    m_safety to compensate the sampling under-approximation (inflating m
-    only tightens the bound).  Raises ConditionCViolation when some m_j <= 0
-    for j != i0.
+    m_j is evaluated on grid nodes and, for x-dependent f_j, inflated by
+    M_SAFETY.  Raises ConditionCViolation when some m_j <= 0 for j != i0.
     """
     if not (delta > 0):
         raise ValueError("delta must be positive")
@@ -90,7 +90,7 @@ def system_ranges(nl: Nonlinearity, beta, i0: int, delta: float,
     for j in range(nl.n):
         m = float(max_over_domain(nl, j, [beta], grid)[0])
         if nl.uses_x(j):
-            m *= m_safety
+            m *= M_SAFETY
         if j != i0 and m <= 0:
             raise ConditionCViolation(
                 f"m{j + 1}(beta) = {m:g} <= 0; a positive maximum is "

@@ -79,7 +79,6 @@ class VerifyContext:
     def __init__(self, h: float = REFERENCE_H):
         self.h = h
         self._ops = {}
-        self._k1 = {}
         self._spectra = {}
 
     def op(self, domain_key, h=None):
@@ -92,13 +91,6 @@ class VerifyContext:
             self._ops[key] = assemble(grid, EllipticCoefficients.laplacian(),
                                       Dirichlet())
         return self._ops[key]
-
-    def k1(self, domain_key, h=None):
-        h = self.h if h is None else h
-        key = (domain_key, h)
-        if key not in self._k1:
-            self._k1[key] = k_one_norm(self.op(domain_key, h))
-        return self._k1[key]
 
     def spectrum(self, domain_key, h=None):
         h = self.h if h is None else h
@@ -130,7 +122,7 @@ def _crit_green_fidelity(ctx: VerifyContext):
     of a second-order scheme; a first-order operator lands near 2.
     """
     grid = ctx.op("disk").grid
-    k1, _ = ctx.k1("disk")
+    k1, _ = k_one_norm(ctx.op("disk"))
     k1_err = float(np.abs(
         k1 - 0.25 * (1.0 - grid.xs ** 2 - grid.ys ** 2)).max())
 
@@ -151,7 +143,7 @@ def _crit_green_fidelity(ctx: VerifyContext):
 
 
 def _crit_k1_norm(ctx: VerifyContext):
-    _, norm = ctx.k1("disk")
+    _, norm = k_one_norm(ctx.op("disk"))
     rel = abs(norm - ANALYTIC_K1_NORM) / ANALYTIC_K1_NORM
     return rel <= 0.02, (f"|K(1)| = {norm:.6f}, "
                          f"relative error {rel:.2e} (target <= 2e-2)")
@@ -178,9 +170,9 @@ def _crit_mu1(ctx: VerifyContext):
 def _crit_system_uppers(ctx: VerifyContext):
     from .ranges import system_ranges
     cfg = ctx.builtin_config("system_disk.cfg")
-    nl = cfg.nonlinearity()
+    nl = cfg.nl
     grid = ctx.op("disk").grid
-    _, k1_numeric = ctx.k1("disk")
+    _, k1_numeric = k_one_norm(ctx.op("disk"))
     mu1 = ctx.spectrum("disk").mu1
 
     analytic = system_ranges(nl, cfg.rho, cfg.i0, 10.0, ANALYTIC_K1_NORM,
@@ -201,8 +193,7 @@ def _crit_system_uppers(ctx: VerifyContext):
 def _crit_scalar_sup(ctx: VerifyContext):
     from .ranges import single_range
     cfg = ctx.builtin_config("scalar_disk.cfg")
-    nl = cfg.nonlinearity()
-    rng = single_range(nl, cfg.rho[0], delta=1.0, rho0=cfg.rho[0] / 2,
+    rng = single_range(cfg.nl, cfg.rho[0], delta=1.0, rho0=cfg.rho[0] / 2,
                        k1_norm=ANALYTIC_K1_NORM, mu1=disk_mu1_reference(),
                        grid_points=cfg.grid_points)
     err = abs(rng.upper - SCALAR_SUP)
@@ -215,8 +206,7 @@ def _crit_end_to_end(ctx: VerifyContext):
     cfg.h = ctx.h
     cfg.tol = 1e-9
     op = ctx.op("disk")
-    nl = cfg.nonlinearity()
-    problem = ProblemInstance(op, nl, tuple(cfg.lambdas))
+    problem = ProblemInstance(op, cfg.nl, tuple(cfg.lambdas))
     beta = np.outer(cfg.rho, np.ones(op.grid.interior_count))
     ok_super, _ = check_supersolution(problem, beta)
     if not ok_super:
@@ -314,24 +304,20 @@ def _crit_operator_properties(ctx: VerifyContext):
             g = rng.standard_normal(n)
             hvec = rng.standard_normal(n)
             a, b = rng.uniform(-2, 2, 2)
-            kg = apply_K(op, g)
-            kh = apply_K(op, hvec)
-            combo = apply_K(op, a * g + b * hvec)
+            gpos, delta = np.abs(g), np.abs(hvec)
+            # one block solve: K g, K h, K(a g + b h), K|g|, K(|g| + |h|)
+            kg, kh, combo, kpos, k_hi = apply_K(
+                op, [g, hvec, a * g + b * hvec, gpos, gpos + delta])
             lin_err = float(np.abs(combo - a * kg - b * kh).max())
             lin_tol = 1e-9 * (abs(a) * float(np.abs(g).max())
                               + abs(b) * float(np.abs(hvec).max()))
             if lin_err > lin_tol:
                 failures.append(f"{domain_key} linearity trial {trial}: "
                                 f"{lin_err:.2e} > {lin_tol:.2e}")
-            gpos = np.abs(g)
-            kpos = apply_K(op, gpos)
             if float(kpos.min()) < -1e-10 * float(gpos.max()):
                 failures.append(f"{domain_key} positivity trial {trial}")
-            delta = np.abs(hvec)
-            k_lo = apply_K(op, gpos)
-            k_hi = apply_K(op, gpos + delta)
             slack = 1e-10 * float(delta.max())
-            if not np.all(k_lo <= k_hi + slack):
+            if not np.all(kpos <= k_hi + slack):
                 failures.append(f"{domain_key} monotonicity trial {trial}")
     if failures:
         return False, "; ".join(failures[:3])
@@ -341,7 +327,7 @@ def _crit_operator_properties(ctx: VerifyContext):
 
 def _crit_hypothesis_checkers(ctx: VerifyContext):
     cfg = ctx.builtin_config("system_disk.cfg")
-    nl = cfg.nonlinearity()
+    nl = cfg.nl
     domain = UnitDisk()
     rep1 = check_monotone(nl, 0, 10_000, 7001, domain)
     rep2 = check_monotone(nl, 1, 10_000, 7002, domain)

@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,8 +61,7 @@ def test_parse_reference_config():
     assert cfg.lambdas == [1.6, 5.0]
     assert cfg.i0 == 0               # 1-based in the file
     assert cfg.rho[0] == pytest.approx(15 * math.pi / 64)
-    nl = cfg.nonlinearity()
-    assert nl.n == 2
+    assert cfg.nl.n == 2
 
 
 def test_parse_rectangle_and_bc_variants():
@@ -384,7 +385,7 @@ def _nested_growth_sweep(cfg):
     and checks every pair in full: the reference for the screened sweep."""
     from conesolve.cli import DELTA_SWEEP
     from conesolve.nonlinearity import check_growth
-    nl = cfg.nonlinearity()
+    nl = cfg.nl
     deltas = [cfg.delta] if cfg.delta is not None else DELTA_SWEEP
     report = None
     for delta in deltas:
@@ -424,7 +425,7 @@ def _growth_case_config(case):
 def _growth_ladder(cfg):
     from conesolve.cli import DELTA_SWEEP
     from conesolve.nonlinearity import growth_sample
-    nl = cfg.nonlinearity()
+    nl = cfg.nl
     deltas = [cfg.delta] if cfg.delta is not None else list(DELTA_SWEEP)
     rho0s = [min(nl.box) * 0.5 ** k for k in range(1, 21)]
     return nl, deltas, rho0s, growth_sample(nl, cfg.samples, cfg.seed,
@@ -445,7 +446,7 @@ def test_growth_sweep_draws_once_and_matches_the_nested_loop(monkeypatch,
                         lambda *a: draws.append(1) or sample_domain(*a))
     monkeypatch.setattr(cli, "check_growth",
                         lambda *a: checks.append(1) or check_growth(*a))
-    pipe = cli.Pipeline(cfg, None, None, cfg.nonlinearity(), 0.0, None)
+    pipe = cli.Pipeline(cfg, None, None, 0.0, None)
     delta, rho0, rep = cli._growth_parameters(pipe)
     assert (delta, rho0) == (delta_ref, rho0_ref)
     assert rep.to_text() == rep_ref.to_text()
@@ -526,3 +527,90 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
         runpy.run_module("conesolve", run_name="__main__")
     assert exc.value.code == 0
     assert capsys.readouterr().out == f"conesolve {__version__}\n"
+
+
+def _run_quietly(argv):
+    """main(argv) with its stdout, stderr and warnings captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+@pytest.mark.parametrize("text,extra,code,fragment", [
+    (SYSTEM_CFG.replace("rho1 = 0.7363107781851077", "rho1 = inf"), [],
+     64, "rho1 must be positive and finite"),
+    (SYSTEM_CFG.replace("lambda1 = 1.6", "lambda1 = inf"), [],
+     64, "lambda1 must be positive and finite"),
+    (SYSTEM_CFG.replace("delta = 10", "delta = inf"), [],
+     64, "delta must be positive and finite"),
+    (ROBIN_CFG.replace("rectangle 0 1 0 1", "rectangle 0 inf 0 1"), [],
+     65, "must be finite"),
+    (ROBIN_CFG.replace("rectangle 0 1 0 1", "rectangle 0 1e308 0 1e308"),
+     [], 65, "can index"),
+    (SYSTEM_CFG, ["--h", "1e-300"], 65, "can index"),
+    (ROBIN_CFG.replace('b1 = "2"', 'b1 = "1e308"'), [], 65, "overflows"),
+], ids=["rho1 inf", "lambda1 inf", "delta inf", "rectangle to inf",
+        "rectangle of 1e308", "h 1e-300", "b1 1e308"])
+def test_bad_input_exits_with_one_error_line(tmp_path, text, extra, code,
+                                             fragment):
+    cfg = write(tmp_path, "bad.cfg", text)
+    got, out, err, caught = _run_quietly(
+        ["solve", "--config", cfg, *extra, "--out", str(tmp_path / "o")])
+    assert got == code
+    errors = [line for line in (out + err).splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and fragment in errors[0], errors
+    assert "Traceback" not in out + err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_m_safety_is_an_unknown_key(tmp_path):
+    cfg = write(tmp_path, "old.cfg", SYSTEM_CFG + "m_safety = 1.01\n")
+    code, _, err, _ = _run_quietly(["lambda-range", "--config", cfg,
+                                    "--out", str(tmp_path / "o")])
+    assert code == 64
+    assert err.strip() == "error: line 18: unknown key 'm_safety'"
+
+
+@pytest.mark.parametrize("command", ["solve", "lambda-range", "spectrum"])
+def test_nonlinearity_is_parsed_once_per_command(tmp_path, monkeypatch,
+                                                 command):
+    from conesolve import cli
+    from conesolve.nonlinearity import Nonlinearity
+    calls = []
+    parse = Nonlinearity.from_strings
+    monkeypatch.setattr(Nonlinearity, "from_strings", classmethod(
+        lambda cls, *args: calls.append(args) or parse(*args)))
+    cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
+    assert main([command, "--config", cfg, "--h", "0.125",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+    parsed = parse_config(SYSTEM_CFG)
+    assert not hasattr(parsed, "f_sources")
+    assert not hasattr(parsed, "nonlinearity")
+    assert "nl" not in cli.Pipeline.__dataclass_fields__
+
+
+def test_x_dependent_system_ranges_match_the_library(tmp_path):
+    from conesolve.geometry import build_grid
+    from conesolve.greens import k_one_norm, spectral_radius
+    from conesolve.operator import assemble
+    from conesolve.ranges import system_ranges
+    text = SYSTEM_CFG.replace('f2 = "max(u1,u2)^2"',
+                              'f2 = "(1 + x1^2) * max(u1,u2)^2"')
+    out = tmp_path / "o"
+    assert main(["lambda-range", "--config", write(tmp_path, "x.cfg", text),
+                 "--out", str(out), "--csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(
+        (out / "ranges.csv").read_text())))
+    cfg = parse_config(text)
+    grid = build_grid(cfg.domain, cfg.h)
+    op = assemble(grid, cfg.coefficients, cfg.bc)
+    ranges = system_ranges(cfg.nl, cfg.rho, cfg.i0, cfg.delta,
+                           k_one_norm(op)[1], spectral_radius(op).mu1, grid)
+    assert [(row["upper"], row["m_value"]) for row in rows] == [
+        (f"{rng.upper:.17g}", f"{rng.provenance.m_value:.17g}")
+        for rng in ranges]

@@ -115,6 +115,38 @@ def test_non_dividing_h_rejected():
         build_grid(Rectangle(0, 1, 0, 1), 0.3)
 
 
+@pytest.mark.parametrize("bounds", [(0, math.inf, 0, 1),
+                                    (0, math.nan, 0, 1),
+                                    (-math.inf, 0, 0, 1)])
+def test_non_finite_rectangle_bounds_rejected(bounds):
+    with pytest.raises(InvalidSpec, match="finite"):
+        build_grid(Rectangle(*bounds), 0.25)
+
+
+@pytest.mark.parametrize("spec,h", [
+    (Rectangle(0, 1e308, 0, 1e308), 0.25),    # counts overflow to inf
+    (Rectangle(-1e308, 1e308, 0, 1), 0.25),   # the extent itself is inf
+    (UnitDisk(), 1e-300),
+    (UnitDisk(), 5e-324),
+])
+def test_lattice_too_large_for_int32_ids_rejected(spec, h):
+    with pytest.raises(InvalidSpec, match="can index"):
+        build_grid(spec, h)
+
+
+def test_lattice_node_limit_is_checked_before_allocation(monkeypatch):
+    from conesolve import geometry
+    monkeypatch.setattr(geometry, "MAX_LATTICE_NODES", 100)
+    assert build_grid(Rectangle(0, 1, 0, 1), 1 / 8).nx == 9     # 81 nodes
+    built = []
+    for name in ("_build_rectangle", "_build_disk"):
+        monkeypatch.setattr(geometry, name, lambda *a: built.append(a))
+    for spec, h in ((Rectangle(0, 1, 0, 1), 1 / 16), (UnitDisk(), 1 / 4)):
+        with pytest.raises(InvalidSpec):
+            build_grid(spec, h)     # 289 and 121 lattice nodes
+    assert built == []
+
+
 def test_degenerate_grid_rejected():
     with pytest.raises(DegenerateGrid):
         build_grid(Rectangle(0, 1, 0, 5), 1.0)   # one lattice column only

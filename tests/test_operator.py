@@ -1,15 +1,19 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conesolve import (Dirichlet, EllipticCoefficients, Neumann, Rectangle,
                        Robin, UnitDisk, apply_K, assemble, build_grid)
 from conesolve.config import parse_config
 from conesolve.errors import (CoefficientViolation, EllipticityViolation,
-                              NeumannRequiresZerothOrder, UnsupportedBC)
-from conesolve.operator import constant
+                              NeumannRequiresZerothOrder, SolverFailure,
+                              UnsupportedBC)
+from conesolve.operator import (DiscreteOperator, OperatorDiagnostics,
+                                constant)
 
 
 def test_laplacian_single_node_matrix():
@@ -138,6 +142,25 @@ def test_negative_zero_order_rejected():
                                coeffs.b1, coeffs.b2, constant(-1.0))
     with pytest.raises(CoefficientViolation):
         assemble(grid, bad, Dirichlet())
+
+
+@pytest.mark.parametrize("key", ["b1", "b2"])
+def test_overflowing_stencil_weight_rejected_without_warnings(key):
+    grid = build_grid(Rectangle(0, 1, 0, 1), 1 / 32)
+    coeffs = dict(vars(EllipticCoefficients.laplacian()))
+    coeffs[key] = constant(-1e308)      # 1e308 / h overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CoefficientViolation, match="overflows"):
+            assemble(grid, EllipticCoefficients(**coeffs), Dirichlet())
+
+
+def test_singular_factor_raises_solver_failure():
+    grid = build_grid(Rectangle(0, 1, 0, 1), 1 / 3)     # 4 unknowns
+    matrix = sp.csr_matrix(np.diag([1.0, 2.0, 0.0, 3.0]))
+    op = DiscreteOperator(matrix, grid, OperatorDiagnostics(False, 1.0))
+    with pytest.raises(SolverFailure, match="singular"):
+        op.factorization()
 
 
 def test_disk_rejects_non_dirichlet():

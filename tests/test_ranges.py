@@ -11,6 +11,7 @@ from conesolve.errors import (ConditionCViolation, EvalDomainError,
                               NonpositiveM)
 from conesolve.expr import eval_on_arrays
 from conesolve.nonlinearity import BLOCK_ELEMENTS
+from conesolve.ranges import M_SAFETY
 
 RHO = 15 * math.pi / 64
 MU1_DISK = 5.783185962946785        # square of the first zero of J0
@@ -72,13 +73,14 @@ def test_x_dependent_m_gets_safety_factor():
     grid = build_grid(UnitDisk(), 1 / 8)
     nl = Nonlinearity.from_strings(["u1", "(x1^2 + x2^2)*u2 + 1"],
                                    (1.0, 1.0))
-    plain = system_ranges(nl, (1.0, 1.0), 0, 10.0, 0.25, MU1_DISK, grid,
-                          m_safety=1.0)
-    inflated = system_ranges(nl, (1.0, 1.0), 0, 10.0, 0.25, MU1_DISK, grid,
-                             m_safety=1.01)
-    # only the x-dependent component shrinks
-    assert inflated[0].upper == plain[0].upper
-    assert inflated[1].upper == pytest.approx(plain[1].upper / 1.01)
+    ranges = system_ranges(nl, (1.0, 1.0), 0, 10.0, 0.25, MU1_DISK, grid)
+    sampled = [float(max_over_domain(nl, j, [[1.0, 1.0]], grid)[0])
+               for j in range(2)]
+    # only the x-dependent component is inflated, by the fixed M_SAFETY
+    assert M_SAFETY == 1.01
+    assert ranges[0].provenance.m_value == sampled[0]
+    assert ranges[1].provenance.m_value == sampled[1] * M_SAFETY
+    assert ranges[1].upper == 1.0 / (sampled[1] * M_SAFETY * 0.25)
 
 
 def test_m_homogeneity_keeps_upper_invariant(disk_grid):
@@ -303,7 +305,7 @@ def zoom_case(case):
         from conesolve.config import parse_config
         cfg = parse_config(
             (files("conesolve") / "configs" / "scalar_disk.cfg").read_text())
-        return (cfg.nonlinearity(), cfg.rho[0], cfg.grid_points,
+        return (cfg.nl, cfg.rho[0], cfg.grid_points,
                 build_grid(cfg.domain, cfg.h))
     return scalar_sqrt_tan(), math.pi / 2 - 1e-6, 2000, None
 
