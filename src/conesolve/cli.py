@@ -221,7 +221,8 @@ def _choose_beta(pipe: Pipeline, curve) -> list:
         return list(cfg.rho)
     lam = cfg.lambdas[0]
     s, ratios = curve
-    margins = s * (1.0 - lam / ratios)
+    with np.errstate(over="ignore"):    # lam / ratios = inf: no margin
+        margins = s * (1.0 - lam / ratios)
     k = int(np.argmax(margins))
     if margins[k] <= 0:
         return list(cfg.rho)     # no admissible level; checked downstream
@@ -277,26 +278,22 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
         checks.append(rep)
         print(rep.to_text())
         if not rep.passed:
-            _write_checks(out_dir, checks)
-            print(f"hypothesis (a) fails for f{i + 1}; aborting")
-            return EXIT_HYPOTHESIS
+            return _abort(out_dir, checks,
+                          f"hypothesis (a) fails for f{i + 1}; aborting")
 
     delta, rho0, growth_rep = _growth_parameters(pipe)
     checks.append(growth_rep)
     print(growth_rep.to_text())
     if delta is None:
-        _write_checks(out_dir, checks)
-        print("hypothesis (b) fails: no validated (delta, rho0); aborting")
-        return EXIT_HYPOTHESIS
+        return _abort(out_dir, checks, "hypothesis (b) fails: no validated "
+                                       "(delta, rho0); aborting")
     print(f"growth parameters: delta = {delta:g}, rho0 = {rho0:g}")
 
     try:
         curve = _single_curve(pipe)
         ranges = _compute_ranges(pipe, curve, delta, rho0)
     except ConesolveError as err:
-        _write_checks(out_dir, checks)
-        print(f"hypothesis (c) fails: {err}")
-        return EXIT_HYPOTHESIS
+        return _abort(out_dir, checks, f"hypothesis (c) fails: {err}")
     for rng in ranges:
         print(rng.describe())
         lam = cfg.lambdas[rng.component]
@@ -313,9 +310,8 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
           f"({', '.join(f'{b:.6g}' for b in beta_levels)}): "
           f"margin = {margin:.6g}")
     if not ok:
-        _write_checks(out_dir, checks)
-        print("supersolution condition T beta <= beta fails; aborting")
-        return EXIT_HYPOTHESIS
+        return _abort(out_dir, checks, "supersolution condition T beta <= "
+                                       "beta fails; aborting")
 
     # keep the subsolution below the supersolution level so the two
     # iterations bracket the same interval
@@ -331,9 +327,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
     try:
         report = _iterate(problem, alpha, beta, cfg)
     except MonotonicityViolation as err:
-        _write_checks(out_dir, checks)
-        print(f"iteration aborted: {err}")
-        return EXIT_HYPOTHESIS
+        return _abort(out_dir, checks, f"iteration aborted: {err}")
     upper, low = report.upper, report.lower
     print(upper.to_text())
     coordinates = _coordinate_text(pipe.grid)
@@ -350,19 +344,16 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
     _write_checks(out_dir, checks)
     _write_solution_csv(os.path.join(out_dir, "solution.csv"), coordinates,
                         upper.solution)
-    with open(os.path.join(out_dir, "certificate.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(cert.to_text() + "\n")
-    with open(os.path.join(out_dir, "iteration_report.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(upper.to_text() + "\n")
+    for name, record in (("certificate.txt", cert),
+                         ("iteration_report.txt", upper)):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(record.to_text() + "\n")
     _write_csv(os.path.join(out_dir, "iterations.csv"),
                ["iteration", "norm"],
                [np.arange(len(upper.history)),
                 np.asarray(upper.history, dtype=float)])
 
-    if upper.converged_to_zero or (cert.residual <= cfg.tol
-                                   and not cert.nonzero):
+    if not cert.nonzero:
         print("no nonzero solution found in bracket (the iteration from "
               "above converged to zero)")
         return EXIT_TRIVIAL
@@ -385,6 +376,14 @@ def _write_checks(out_dir, checks):
     rows = [[_csv_field(cell) for cell in rep.csv_row()] for rep in checks]
     _write_csv(os.path.join(out_dir, "checks.csv"),
                ["condition", "result", "witness"], list(zip(*rows)))
+
+
+def _abort(out_dir, checks, message) -> int:
+    """End a solve whose hypothesis check failed: write the checks made so
+    far, print why, and return its exit code."""
+    _write_checks(out_dir, checks)
+    print(message)
+    return EXIT_HYPOTHESIS
 
 
 def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:

@@ -26,13 +26,25 @@ from scipy.linalg import lapack
 
 from .errors import MonotonicityViolation, NoConvergence
 from .greens import SpectralEstimate, apply_K
-from .nonlinearity import Nonlinearity, nemytskii_apply
+from .nonlinearity import BOX_SLACK, Nonlinearity, nemytskii_apply
 from .operator import DiscreteOperator
 
 ORDER_SLACK = 1e-12      # tolerated roundoff in nodewise comparisons
+NONZERO_FACTOR = 10      # a norm <= NONZERO_FACTOR * tol is negligible
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10_000
 ANDERSON_M = 5           # differences kept per half for a candidate
+
+
+def negligible(norm: float, tol: float) -> bool:
+    """Whether a fixed point of sup norm `norm`, found to tolerance tol,
+    cannot be told apart from the trivial one."""
+    return bool(norm <= NONZERO_FACTOR * tol)
+
+
+def _below(small, large) -> bool:
+    """Whether small <= large nodewise, up to ORDER_SLACK."""
+    return bool(np.all(small <= large + ORDER_SLACK))
 
 
 @dataclass(frozen=True)
@@ -97,8 +109,7 @@ class Certificate:
     residual: float
     min_value: float
     norm: float
-    in_box: bool
-    positive: bool
+    in_box: bool             # every component in [0, rho_j]
     nonzero: bool
     certified: bool
     tol: float
@@ -132,8 +143,8 @@ def apply_T(p: ProblemInstance, u) -> np.ndarray:
 def check_supersolution(p: ProblemInstance, beta):
     """Return (ok, margin) for T beta <= beta; margin is the worst nodewise
     value of beta - T beta over all components."""
-    margin = float((beta - apply_T(p, beta)).min())
-    return margin >= -ORDER_SLACK, margin
+    t_beta = apply_T(p, beta)
+    return _below(t_beta, beta), float((beta - t_beta).min())
 
 
 def construct_subsolution(p: ProblemInstance, spectrum: SpectralEstimate,
@@ -152,39 +163,36 @@ def construct_subsolution(p: ProblemInstance, spectrum: SpectralEstimate,
     for k in range(21):
         alpha = np.zeros((p.nl.n, phi.size))
         alpha[i0] = np.clip(rho0 * 0.5 ** k * phi, 0.0, None)
-        if np.all(alpha <= apply_T(p, alpha) + ORDER_SLACK):
+        if _below(alpha, apply_T(p, alpha)):
             return alpha
     return None
 
 
-def _is_bound(v, tv, k, lower) -> bool:
-    """Whether half k of the block v is a subsolution (T v >= v, the lower
-    half) or a supersolution (T v <= v), up to ORDER_SLACK."""
-    small, large = (v[k], tv[k]) if k == lower else (tv[k], v[k])
-    return bool(np.all(small <= large + ORDER_SLACK))
+def _bounds(v, tv, lower, what: str, proposed=()) -> list:
+    """Which halves of the stacked block v, with images tv, are bounds: the
+    lower half a subsolution (T v >= v), the upper a supersolution (T v <=
+    v).  lower indexes the lower half, or is None when it is absent.  A
+    half not in `proposed` must be one, or MonotonicityViolation is raised;
+    for a plain step v = T u this is alpha_k <= alpha_{k+1} and beta_{k+1}
+    <= beta_k one step ahead."""
+    bound = [_below(v[k], tv[k]) if k == lower else _below(tv[k], v[k])
+             for k in range(len(v))]
+    for k, ok in enumerate(bound):
+        if not (ok or k in proposed):
+            direction = "from_below" if k == lower else "from_above"
+            raise MonotonicityViolation(
+                f"{what}: iterate ordering broken for direction {direction} "
+                "(non-monotone nonlinearity or non-M-matrix operator?)")
+    return bound
 
 
 def _crossed(tv, lower, upper) -> bool:
     return (lower is not None and upper is not None
-            and not np.all(tv[lower] <= tv[upper] + ORDER_SLACK))
+            and not _below(tv[lower], tv[upper]))
 
 
-def _order_broken(what: str, k, lower):
-    direction = "from_below" if k == lower else "from_above"
-    raise MonotonicityViolation(
-        f"{what}: iterate ordering broken for direction {direction} "
-        "(non-monotone nonlinearity or non-M-matrix operator?)")
-
-
-def _check_order(v, tv, lower, upper, what: str):
-    """Raise unless the state v, with images tv, is admissible: its lower
-    half a subsolution, its upper half a supersolution, and T v_lower <=
-    T v_upper.  lower and upper index the halves in the stacked block, or
-    are None for an absent half.  For a plain step v = T u this is
-    alpha_k <= alpha_{k+1} <= beta_{k+1} <= beta_k one step ahead."""
-    for k in (lower, upper):
-        if k is not None and not _is_bound(v, tv, k, lower):
-            _order_broken(what, k, lower)
+def _check_crossing(tv, lower, upper, what: str):
+    """Raise unless T v_lower <= T v_upper (with both halves present)."""
     if _crossed(tv, lower, upper):
         raise MonotonicityViolation(
             f"{what}: lower iterate exceeded upper iterate")
@@ -304,7 +312,8 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
     upper = len(halves) - 1 if beta is not None else None
     u = np.stack([np.asarray(start, dtype=float) for _, start in halves])
     tu = apply_T(p, u)
-    _check_order(u, tu, lower, upper, "start is not admissible")
+    _bounds(u, tu, lower, "start is not admissible")
+    _check_crossing(tu, lower, upper, "start is not admissible")
     box = np.asarray(p.nl.box, dtype=float)[:, None]
     work = np.empty((ANDERSON_M + 1, u[0].size))
     proposers = [_Anderson((tu[k] - u[k]).ravel(), tu[k].ravel(), work)
@@ -324,18 +333,12 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
                 proposed.append(k)
         ts = apply_T(p, slots)
         # a candidate moves only if it is admissible; a plain slot must be
-        moved = [_is_bound(slots, ts, k, lower) for k in range(len(halves))]
-        for k in range(len(halves)):
-            if not (moved[k] or k in proposed):
-                _order_broken(what, k, lower)
+        moved = _bounds(slots, ts, lower, what, proposed)
         v, tv = _advance(u, tu, slots, ts, moved)
-        if _crossed(tv, lower, upper):
-            if any(moved[k] for k in proposed):
-                moved = [k not in proposed for k in range(len(halves))]
-                v, tv = _advance(u, tu, slots, ts, moved)
-            if _crossed(tv, lower, upper):
-                raise MonotonicityViolation(
-                    f"{what}: lower iterate exceeded upper iterate")
+        if _crossed(tv, lower, upper) and any(moved[k] for k in proposed):
+            moved = [k not in proposed for k in range(len(halves))]
+            v, tv = _advance(u, tu, slots, ts, moved)
+        _check_crossing(tv, lower, upper, what)
         for k in proposed:
             proposers[k].judge(moved[k])
         history.append(np.abs(v).max(axis=(1, 2)))
@@ -356,7 +359,7 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
     limits = [Limit(direction=direction, solution=v[k],
                     residual=float(residual[k]),
                     history=norms[:, k].tolist(),
-                    converged_to_zero=bool(norms[-1, k] <= 10.0 * tol),
+                    converged_to_zero=negligible(norms[-1, k], tol),
                     iterates=None if iterates is None
                     else [x[k] for x in iterates],
                     proposed=proposers[k].proposed,
@@ -368,15 +371,16 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
 
 def certify(p: ProblemInstance, u, tol: float = DEFAULT_TOL) -> Certificate:
     """Recompute T u for a state u of shape (n, N) and certify u as a
-    nonzero positive fixed point."""
+    nonzero positive fixed point: residual at most tol, norm not
+    negligible, and every component in [0, rho_j] up to BOX_SLACK, the
+    band apply_T accepts (it raises BoxViolation outside it)."""
     residual = float(np.abs(u - apply_T(p, u)).max())
     min_value = float(u.min())
     norm = float(np.abs(u).max())
-    positive = min_value >= -1e-10
-    in_box = positive and all(float(c.max()) <= rho + 1e-10
-                              for c, rho in zip(u, p.nl.box))
-    nonzero = norm >= 10.0 * tol
+    in_box = min_value >= -BOX_SLACK and all(
+        float(c.max()) <= rho + BOX_SLACK for c, rho in zip(u, p.nl.box))
+    nonzero = not negligible(norm, tol)
     return Certificate(
         residual=residual, min_value=min_value, norm=norm, in_box=in_box,
-        positive=positive, nonzero=nonzero,
-        certified=bool(residual <= tol and positive and nonzero), tol=tol)
+        nonzero=nonzero,
+        certified=bool(residual <= tol and in_box and nonzero), tol=tol)

@@ -28,6 +28,8 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # these M-matrices measures about 0.3 u on the disk Laplacian at h = 1/64
 # and h = 1/128.  c = 100 clears both by an order of magnitude, at any h.
 BACKWARD_ERROR_C = 100.0
+SPECTRUM_TOL = 1e-10         # power iteration: relative change and residual
+SPECTRUM_MAX_ITER = 10_000
 
 
 @dataclass(eq=False)
@@ -96,35 +98,34 @@ def k_one_norm(op: DiscreteOperator):
     return k1, float(np.abs(k1).max())
 
 
-def spectral_radius(op: DiscreteOperator, tol: float = 1e-10,
-                    max_iter: int = 10_000) -> SpectralEstimate:
+def spectral_radius(op: DiscreteOperator) -> SpectralEstimate:
     """Estimate r(K) and mu1 = 1/r(K) by power iteration on K.
 
     Starts from the constant-1 function (which has a component along the
     positive principal eigenfunction).  Terminates when successive estimates
-    agree to a relative tol and the sup-norm eigen-residual is below tol.
+    agree to a relative SPECTRUM_TOL and the sup-norm eigen-residual is
+    below SPECTRUM_TOL, or raises NoConvergence after SPECTRUM_MAX_ITER
+    applications of K.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not op.diagnostics.is_m_matrix:
         warnings.warn("operator matrix is not an M-matrix; the power "
                       "iteration may not converge to a positive eigenpair",
                       stacklevel=2)
     phi = np.ones(op.grid.interior_count)
     r_prev = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, SPECTRUM_MAX_ITER + 1):
         w = _k_one(op) if it == 1 else apply_K(op, phi)
         r = float(np.abs(w).max())
         if r <= 0.0:
             raise NoConvergence("power iteration collapsed to zero")
         residual = float(np.abs(w - r * phi).max())
-        if (r_prev is not None and abs(r - r_prev) <= tol * r
-                and residual <= tol):
+        if (r_prev is not None and abs(r - r_prev) <= SPECTRUM_TOL * r
+                and residual <= SPECTRUM_TOL):
             return SpectralEstimate(r=r, mu1=1.0 / r, eigenfunction=phi,
                                     iterations=it, residual=residual)
         phi = w / r
         r_prev = r
     raise NoConvergence(
-        f"power iteration did not converge in {max_iter} iterations "
-        "(possibly defective or near-degenerate spectrum)")
+        f"power iteration did not converge in {SPECTRUM_MAX_ITER} "
+        "iterations (possibly defective or near-degenerate spectrum)")
 

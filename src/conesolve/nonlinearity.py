@@ -239,14 +239,16 @@ def check_growth(nl: Nonlinearity, i0: int, delta: float, rho0: float,
                            witness={"error": str(err)},
                            note="evaluation failed inside the sub-box")
     f = np.broadcast_to(f, uu.shape[1:])
-    bad = f < delta * uu[i0] - CHECK_SLACK
+    with np.errstate(over="ignore"):    # delta * u = inf fails the bound
+        delta_u = delta * uu[i0]
+    bad = f < delta_u - CHECK_SLACK
     if np.any(bad):
         k = int(np.argmax(bad))
         witness = {
             "x": [float(xs[k]), float(ys[k])],
             "u": [float(v) for v in uu[:, k]],
             "f": float(f[k]),
-            "delta_u": float(delta * uu[i0, k]),
+            "delta_u": float(delta_u[k]),
         }
         return CheckReport(condition, False, samples, seed, witness=witness,
                            note="sweep point" if k >= samples else "")
@@ -290,7 +292,8 @@ def screen_growth(nl: Nonlinearity, i0: int, deltas, rho0s,
             except EvalDomainError:
                 pass
     for d, delta in enumerate(deltas):
-        bad = f < delta * u[i0] - CHECK_SLACK
+        with np.errstate(over="ignore"):    # delta * u = inf fails too
+            bad = f < delta * u[i0] - CHECK_SLACK
         failed[d] = bad.reshape(count, per_rho0).any(axis=1)
     return failed
 

@@ -135,10 +135,21 @@ def _sample(fn: Coefficient, xs, ys) -> np.ndarray:
 
 
 def _check_ellipticity(a11, a12, a22):
-    # smallest eigenvalue of the 2x2 symmetric coefficient matrix, nodewise
-    half_trace = 0.5 * (a11 + a22)
-    radius = np.sqrt(0.25 * (a11 - a22) ** 2 + a12 ** 2)
+    """Return mu0, the smallest eigenvalue of the 2x2 symmetric coefficient
+    matrix over the nodes, or raise EllipticityViolation unless it is
+    positive.  Each node's matrix is scaled by its largest magnitude s, so
+    no square overflows; lam_min = s det' / lam_max' where lam_max' > 0
+    also avoids the cancellation of half_trace' - radius'."""
+    s = np.maximum(np.maximum(np.abs(a11), np.abs(a22)), np.abs(a12))
+    s[s == 0] = 1.0         # a zero matrix keeps lam_min = 0
+    p, q, r = a11 / s, a12 / s, a22 / s
+    half_trace = 0.5 * (p + r)
+    radius = np.hypot(0.5 * (p - r), q)
+    lam_max = half_trace + radius
     lam_min = half_trace - radius
+    pos = lam_max > 0
+    lam_min[pos] = (p * r - q * q)[pos] / lam_max[pos]
+    lam_min *= s
     mu0 = float(lam_min.min()) if lam_min.size else 0.0
     if mu0 <= 0.0:
         k = int(np.argmin(lam_min))

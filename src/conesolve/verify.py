@@ -21,8 +21,9 @@ import numpy as np
 from . import expr as ex
 from .config import parse_config
 from .errors import EvalDomainError
-from .fixedpoint import (ProblemInstance, check_supersolution,
-                         construct_subsolution, monotone_iterate)
+from .fixedpoint import (ORDER_SLACK, ProblemInstance, certify,
+                         check_supersolution, construct_subsolution,
+                         monotone_iterate)
 from .geometry import Rectangle, UnitDisk, build_grid
 from .greens import apply_K, k_one_norm, spectral_radius
 from .nonlinearity import Nonlinearity, check_growth, check_monotone
@@ -203,7 +204,6 @@ def _crit_scalar_sup(ctx: VerifyContext):
 
 def _crit_end_to_end(ctx: VerifyContext):
     cfg = ctx.builtin_config("system_disk.cfg")
-    cfg.h = ctx.h
     cfg.tol = 1e-9
     op = ctx.op("disk")
     problem = ProblemInstance(op, cfg.nl, tuple(cfg.lambdas))
@@ -213,21 +213,16 @@ def _crit_end_to_end(ctx: VerifyContext):
         return False, "supersolution check failed at beta = rho"
     report = monotone_iterate(problem, beta=beta, tol=cfg.tol,
                               max_iter=cfg.max_iter, record_iterates=True)
-    upper = report.upper
+    iterates = report.upper.iterates
     # independent nodewise re-check of the recorded sequence
-    decreasing = all(
-        np.all(upper.iterates[k + 1] <= upper.iterates[k] + 1e-12)
-        for k in range(len(upper.iterates) - 1))
-    u = upper.solution
-    min_val = float(u.min())
-    in_box = all(float(c.max()) <= rho + 1e-10 for c, rho in zip(u, cfg.rho))
-    norm = float(np.abs(u).max())
-    ok = (upper.residual <= 1e-9 and min_val > -1e-10 and in_box
-          and norm > 1e-8 and decreasing)
-    return ok, (f"residual {upper.residual:.2e} (<= 1e-9), min value "
-                f"{min_val:.2e} (> -1e-10), in box {in_box}, norm "
-                f"{norm:.4f} (> 1e-8), monotone sequence {decreasing}, "
-                f"{report.iterations} iterations")
+    decreasing = all(np.all(later <= earlier + ORDER_SLACK)
+                     for earlier, later in zip(iterates, iterates[1:]))
+    cert = certify(problem, report.upper.solution, tol=cfg.tol)
+    return cert.certified and decreasing, (
+        f"residual {cert.residual:.2e} (<= 1e-9), min value "
+        f"{cert.min_value:.2e} (> -1e-10), in box {cert.in_box}, norm "
+        f"{cert.norm:.4f} (> 1e-8), monotone sequence {decreasing}, "
+        f"{report.iterations} iterations")
 
 
 def _random_monotone_instance(rng, op, spectrum):

@@ -1,6 +1,7 @@
 """Fuzzer for the CLI contract: whatever the config and the overrides, `main`
-returns a contract exit code, lets no exception escape, and an exit of 64,
-65 or 66 prints exactly one `error:` line.
+returns a contract exit code, lets no exception escape, raises no numpy
+RuntimeWarning (such as an overflow), and an exit of 64, 65 or 66 prints
+exactly one `error:` line.
 
 Each case mutates one or two keys of a shipped config or of the rect-robin
 config, and may add CLI overrides.  The run is derandomized, so it is the
@@ -11,6 +12,7 @@ least 1/16, every iteration budget at most 50, and the domains stay small.
 import contextlib
 import io
 import tempfile
+import warnings
 from importlib.resources import files
 
 from hypothesis import HealthCheck, given, settings
@@ -130,9 +132,15 @@ def test_cli_keeps_its_exit_code_contract(case):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([*argv, "--config", path, "--out", f"{tmp}/out"])
     assert code in CONTRACT_CODES, (code, err.getvalue())
+    runtime = [str(w.message) for w in caught
+               if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (text, argv, runtime)
     if code in (64, 65, 66):
         errors = [line for line in (out.getvalue() + err.getvalue())
                   .splitlines() if line.startswith("error:")]

@@ -552,8 +552,11 @@ def _run_quietly(argv):
      [], 65, "can index"),
     (SYSTEM_CFG, ["--h", "1e-300"], 65, "can index"),
     (ROBIN_CFG.replace('b1 = "2"', 'b1 = "1e308"'), [], 65, "overflows"),
+    # elliptic: the stencil weight, not the eigenvalue, overflows
+    (ROBIN_CFG.replace('a11 = "1 + 0.5*x1"', 'a11 = "1e308"'),
+     ["--h", "0.0625"], 65, "a stencil weight overflows"),
 ], ids=["rho1 inf", "lambda1 inf", "delta inf", "rectangle to inf",
-        "rectangle of 1e308", "h 1e-300", "b1 1e308"])
+        "rectangle of 1e308", "h 1e-300", "b1 1e308", "a11 1e308"])
 def test_bad_input_exits_with_one_error_line(tmp_path, text, extra, code,
                                              fragment):
     cfg = write(tmp_path, "bad.cfg", text)
@@ -564,6 +567,30 @@ def test_bad_input_exits_with_one_error_line(tmp_path, text, extra, code,
               if line.startswith("error:")]
     assert len(errors) == 1 and fragment in errors[0], errors
     assert "Traceback" not in out + err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+HUGE_GROWTH_CFG = (SYSTEM_CFG.replace("rho0 = 0.01\n", "")
+                   .replace('"sqrt(max(u1,u2)) + tan(max(u1,u2))"', '"u1"')
+                   .replace('"max(u1,u2)^2"', '"u2"')
+                   .replace("0.7363107781851077", "1e308")
+                   .replace("delta = 10", "delta = 1e308"))
+
+
+@pytest.mark.parametrize("text,message", [
+    (HUGE_GROWTH_CFG, "hypothesis (b) fails"),
+    (ROBIN_CFG.replace("lambda1 = 1.0", "lambda1 = 1e308"),
+     "supersolution condition T beta <= beta fails"),
+], ids=["delta u overflows", "lambda over ratio overflows"])
+def test_saturated_overflow_fails_a_hypothesis_without_warnings(
+        tmp_path, text, message):
+    # delta * u and lam / ratios saturate at inf, which already fails
+    cfg = write(tmp_path, "huge.cfg", text)
+    code, out, _, caught = _run_quietly(
+        ["solve", "--config", cfg, "--h", "0.0625",
+         "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert message in out
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

@@ -363,3 +363,32 @@ def test_recorded_iterates_are_the_accepted_states(disk_op):
     ctx = VerifyContext(1.0 / 32.0)
     for cid in (6, 7):
         assert run_criterion(CRITERIA[cid - 1], ctx).status == "PASS"
+
+
+def test_end_to_end_criterion_fails_when_certify_rejects(monkeypatch):
+    from conesolve import verify
+
+    def reject(p, u, tol):
+        return fixedpoint.Certificate(
+            residual=1.0, min_value=0.0, norm=1.0, in_box=True,
+            nonzero=True, certified=False, tol=tol)
+
+    monkeypatch.setattr(verify, "certify", reject)
+    result = run_criterion(CRITERIA[5], VerifyContext(1.0 / 16.0))
+    assert result.status == "FAIL"
+    assert "residual 1.00e+00 (<= 1e-9)" in result.detail
+
+
+def test_negligible_norm_is_one_rule(disk_op):
+    # a limit of norm exactly NONZERO_FACTOR * tol is trivial for the
+    # engine and for the certificate alike
+    p = constant_problem(disk_op)
+    k1, _ = k_one_norm(disk_op)
+    tol = float(np.abs(k1).max()) / fixedpoint.NONZERO_FACTOR
+    beta = constant_state(disk_op.grid, (1.0,))
+    limit = monotone_iterate(p, beta=beta, tol=tol).upper
+    cert = certify(p, limit.solution, tol=tol)
+    assert limit.norm == fixedpoint.NONZERO_FACTOR * tol
+    assert limit.converged_to_zero and not cert.nonzero
+    assert not cert.certified
+    assert "trivial" in cert.verdict()

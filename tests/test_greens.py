@@ -214,8 +214,8 @@ def test_spectral_scaling(disk_grid, disk_op):
 
 
 def test_eigen_residual_and_lower_bound(disk_op):
-    tol = 1e-10
-    est = spectral_radius(disk_op, tol=tol)
+    tol = greens.SPECTRUM_TOL
+    est = spectral_radius(disk_op)
     phi = est.eigenfunction
     kphi = apply_K(disk_op, phi)
     assert np.abs(kphi - est.r * phi).max() <= tol
@@ -245,9 +245,11 @@ def test_linearity_positivity_monotonicity(disk_op):
         assert np.all(kpos <= hi + 1e-10 * step.max())
 
 
-def test_spectral_budget_exhaustion(disk_op):
+def test_spectral_budget_exhaustion(disk_op, monkeypatch):
+    monkeypatch.setattr(greens, "SPECTRUM_TOL", 1e-14)
+    monkeypatch.setattr(greens, "SPECTRUM_MAX_ITER", 1)
     with pytest.raises(NoConvergence):
-        spectral_radius(disk_op, tol=1e-14, max_iter=1)
+        spectral_radius(disk_op)
 
 
 def test_grid_function_rejects_nan(disk_op):

@@ -13,7 +13,7 @@ from conesolve.errors import (CoefficientViolation, EllipticityViolation,
                               NeumannRequiresZerothOrder, SolverFailure,
                               UnsupportedBC)
 from conesolve.operator import (DiscreteOperator, OperatorDiagnostics,
-                                constant)
+                                _check_ellipticity, constant)
 
 
 def test_laplacian_single_node_matrix():
@@ -133,6 +133,18 @@ def test_ellipticity_mu0_recorded():
     grid = build_grid(Rectangle(0, 1, 0, 1), 1 / 4)
     op = assemble(grid, EllipticCoefficients.diagonal(3.0), Dirichlet())
     assert op.diagnostics.ellipticity_mu0 == pytest.approx(3.0)
+
+
+def test_ellipticity_of_huge_coefficients_does_not_overflow():
+    # (a11 - a22)^2 overflows at a11 = 1e308; the scaled form does not
+    huge = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu0 = _check_ellipticity(huge, np.array([0.0, 1e307]),
+                                 np.array([1.0, 1e308]))
+        assert mu0 == pytest.approx(1.0)
+        with pytest.raises(EllipticityViolation, match="-1.414e[+]308"):
+            _check_ellipticity(huge, huge, -huge)
 
 
 def test_negative_zero_order_rejected():
