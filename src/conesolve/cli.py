@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve, lambda-range, spectrum, verify.  The pipeline is
-grid -> operator -> K / spectrum -> hypothesis checks -> lambda ranges ->
+grid -> operator (folded by its lattice symmetry when every f_i is free
+of x) -> K / spectrum -> hypothesis checks -> lambda ranges ->
 monotone solve -> certificate.  Exit codes are a stable contract:
 
     0   success (certified nonzero positive solution / nonempty ranges)
@@ -34,7 +35,7 @@ from .geometry import build_grid
 from .greens import k_one_norm, spectral_radius
 from .nonlinearity import (check_growth, check_monotone, growth_sample,
                            screen_growth)
-from .operator import assemble
+from .operator import assemble, fold
 from .ranges import ratio_curve, single_range, system_ranges
 
 EXIT_OK = 0
@@ -145,16 +146,44 @@ def _apply_overrides(cfg: Config, args) -> Config:
 
 @dataclass
 class Pipeline:
+    """The stages every command shares.  `grid` is the full grid; `op`,
+    K(1) and the spectrum live on `op.grid`, which holds one node per
+    orbit when the operator is folded."""
+
     cfg: Config
     grid: object
     op: object
     k1_norm: float
     spectrum: object
 
+    def unfold(self, u) -> np.ndarray:
+        """Values on op.grid, an (..., M) array, at every node of grid."""
+        if self.op.grid is self.grid:
+            return u
+        i, j = self.grid.nodes.T
+        return u[..., self.op.grid.interior_ids[j, i]]
+
+    def symmetry_text(self) -> str:
+        """One line naming the lattice symmetry solved under."""
+        nodes = self.grid.interior_count
+        if not self.op.symmetry:
+            return f"no lattice symmetry: solving on all {nodes} nodes"
+        maps = len(self.op.symmetry) + 1
+        group = {8: "D4", 4: "C4" if "quarter turn" in self.op.symmetry
+                 else "D2", 2: "C2"}[maps]
+        which = ("all 8 maps" if maps == 8
+                 else ", ".join(self.op.symmetry))
+        return (f"lattice symmetry: {group} ({which}): solving on "
+                f"{self.op.grid.interior_count} orbits of {nodes} nodes")
+
 
 def build_pipeline(cfg: Config) -> Pipeline:
     grid = build_grid(cfg.domain, cfg.h)
     op = assemble(grid, cfg.coefficients, cfg.bc)
+    # T commutes with every lattice map that keeps A when no f_i reads x;
+    # sampling cannot prove an f_i that reads x invariant
+    if not any(cfg.nl.uses_x(i) for i in range(cfg.n)):
+        op = fold(op)
     _, k1_norm = k_one_norm(op)
     spectrum = spectral_radius(op)
     return Pipeline(cfg, grid, op, k1_norm, spectrum)
@@ -266,6 +295,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
     pipe = build_pipeline(cfg)
     print(f"grid: {cfg.domain} h={cfg.h} "
           f"({pipe.grid.interior_count} interior nodes)")
+    print(pipe.symmetry_text())
     print(f"|K(1)| = {pipe.k1_norm:.6g}, mu1 = {pipe.spectrum.mu1:.6g}")
     if not pipe.op.diagnostics.is_m_matrix:
         print("warning: operator matrix is not an M-matrix; positivity of "
@@ -304,7 +334,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
 
     problem = ProblemInstance(pipe.op, cfg.nl, tuple(cfg.lambdas))
     beta_levels = _choose_beta(pipe, curve)
-    beta = np.outer(beta_levels, np.ones(pipe.grid.interior_count))
+    beta = np.outer(beta_levels, np.ones(pipe.op.grid.interior_count))
     ok, margin = check_supersolution(problem, beta)
     print(f"supersolution check at beta = "
           f"({', '.join(f'{b:.6g}' for b in beta_levels)}): "
@@ -336,14 +366,14 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
               f"greatest {upper.norm:.6g}")
         if want_csv:
             _write_solution_csv(os.path.join(out_dir, "solution_lower.csv"),
-                                coordinates, low.solution)
+                                coordinates, pipe.unfold(low.solution))
 
     cert = certify(problem, upper.solution, tol=cfg.tol)
     print(cert.to_text())
 
     _write_checks(out_dir, checks)
     _write_solution_csv(os.path.join(out_dir, "solution.csv"), coordinates,
-                        upper.solution)
+                        pipe.unfold(upper.solution))
     for name, record in (("certificate.txt", cert),
                          ("iteration_report.txt", upper)):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
@@ -389,6 +419,7 @@ def _abort(out_dir, checks, message) -> int:
 def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:
     os.makedirs(out_dir, exist_ok=True)
     pipe = build_pipeline(cfg)
+    print(pipe.symmetry_text())
     print(f"|K(1)| = {pipe.k1_norm:.6g}, mu1 = {pipe.spectrum.mu1:.6g}")
     delta, rho0, growth_rep = _growth_parameters(pipe)
     if delta is None:
@@ -428,6 +459,7 @@ def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
     os.makedirs(out_dir, exist_ok=True)
     pipe = build_pipeline(cfg)
     est = pipe.spectrum
+    print(pipe.symmetry_text())
     print(f"r(K)       = {_fmt(est.r)}")
     print(f"mu1        = {_fmt(est.mu1)}")
     print(f"iterations = {est.iterations}")
@@ -435,7 +467,8 @@ def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
     if want_csv:
         _write_csv(os.path.join(out_dir, "eigenfunction.csv"),
                    ["x1", "x2", "phi"],
-                   [*_coordinate_text(pipe.grid), est.eigenfunction])
+                   [*_coordinate_text(pipe.grid),
+                    pipe.unfold(est.eigenfunction)])
     return EXIT_OK
 
 

@@ -22,11 +22,16 @@ so z_B = (4 z_1 - z_2) / (3 + 2 h b), where z_1, z_2 are the next two nodes
 along the inward lattice line.  Corner values (needed only by the cross
 stencil) average the two edge eliminations.  These rules form a sparse map
 P from lattice values to unknowns, so that A = A_II + A_IB P.
+
+When A is invariant under some of the eight symmetries of the lattice
+(the dihedral group D4), `fold` restricts it to the functions those maps
+leave invariant: one unknown per orbit of interior nodes (Bossavit 1986,
+Comput. Methods Appl. Mech. Engrg. 56).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -36,7 +41,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (CoefficientViolation, EllipticityViolation,
                      NeumannRequiresZerothOrder, SolverFailure, UnsupportedBC)
-from .geometry import BOUNDARY, Grid, Rectangle, UnitDisk
+from .geometry import BOUNDARY, Grid, Rectangle, UnitDisk, _freeze
 
 Coefficient = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -96,11 +101,16 @@ class OperatorDiagnostics:
 
 @dataclass(eq=False)
 class DiscreteOperator:
-    """Sparse realization of (L, B) on the interior nodes of a grid."""
+    """Sparse realization of (L, B) on the interior nodes of a grid.
+
+    A folded operator (see `fold`) acts on one unknown per orbit: its grid
+    holds the orbit representatives, and `symmetry` names the lattice maps
+    other than the identity that were folded out (empty when unfolded)."""
 
     matrix: sp.csr_matrix
     grid: Grid
     diagnostics: OperatorDiagnostics
+    symmetry: tuple = ()
 
     def __post_init__(self):
         self._lu = None
@@ -330,3 +340,75 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     is_m = bool(np.all(m_diag > 0) and
                 (not np.any(off) or np.all(coo.data[off] <= tol)))
     return DiscreteOperator(matrix, grid, OperatorDiagnostics(is_m, mu0))
+
+
+# The symmetries of a lattice other than the identity, as (name, swap,
+# flip_i, flip_j): node (i, j) goes to (a, b) = (j, i) if swap else (i, j),
+# then a -> nx-1-a if flip_i and b -> ny-1-b if flip_j.  The maps that swap
+# need nx == ny.
+LATTICE_MAPS = (
+    ("i -> nx-1-i", False, True, False),
+    ("j -> ny-1-j", False, False, True),
+    ("half turn", False, True, True),
+    ("transpose", True, False, False),
+    ("antitranspose", True, True, True),
+    ("quarter turn", True, True, False),
+    ("three-quarter turn", True, False, True),
+)
+
+
+def _node_map(grid: Grid, swap, flip_i, flip_j):
+    """The interior node each node goes to under one lattice map, or None
+    when the map leaves the interior."""
+    i, j = grid.nodes.T
+    if swap:
+        i, j = j, i
+    if flip_i:
+        i = grid.nx - 1 - i
+    if flip_j:
+        j = grid.ny - 1 - j
+    image = grid.interior_ids[j, i]
+    return None if np.any(image < 0) else image
+
+
+def fold(op: DiscreteOperator) -> DiscreteOperator:
+    """Fold out of op the largest group of lattice maps that leaves its
+    matrix A invariant, bit for bit.
+
+    A map g keeps A when A[g][:, g] == A; the maps that do form a group G,
+    since invariance is exact.  The orbits of G partition the interior
+    nodes, each represented by its smallest node index.  With E the 0/1
+    map from nodes to orbits, the folded matrix is A_f = A[reps] E, whose
+    entries are orbit sums of A's rows.  When A E == E A_f holds bitwise,
+    K maps G-invariant data u = E v to E K_f v exactly, so every iterate,
+    K(1) and the principal eigenfunction can be computed on the orbits.
+
+    Returns op itself when no map other than the identity keeps A or when
+    A E == E A_f fails; otherwise an operator over a grid of the orbit
+    representatives whose `interior_ids` maps every lattice node to its
+    orbit, carrying op's diagnostics.
+    """
+    grid, a = op.grid, op.matrix
+    names, images = [], [np.arange(grid.interior_count)]
+    for name, swap, flip_i, flip_j in LATTICE_MAPS:
+        if swap and grid.nx != grid.ny:
+            continue
+        image = _node_map(grid, swap, flip_i, flip_j)
+        if image is not None and (a[image][:, image] != a).nnz == 0:
+            names.append(name)
+            images.append(image)
+    if not names:
+        return op
+    reps, orbit = np.unique(np.min(images, axis=0), return_inverse=True)
+    e = sp.csr_matrix((np.ones(orbit.size), (np.arange(orbit.size), orbit)),
+                      shape=(orbit.size, reps.size))
+    ae = a @ e
+    folded = ae[reps]
+    if (ae != folded[orbit]).nnz:       # E A_f is A_f's rows by orbit
+        return op
+    ids = grid.interior_ids
+    reps_grid = _freeze(replace(
+        grid, interior_ids=np.where(ids >= 0, orbit[ids], -1).astype(np.int32),
+        nodes=grid.nodes[reps], xs=grid.xs[reps], ys=grid.ys[reps],
+        arms=grid.arms[reps]))
+    return DiscreteOperator(folded, reps_grid, op.diagnostics, tuple(names))

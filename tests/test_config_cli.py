@@ -330,10 +330,18 @@ def test_shipped_system_certifies_at_h_1_128(tmp_path, capsys):
     cfg = write(tmp_path, "system_disk.cfg", text)
     fine = ["--config", cfg, "--h", "0.0078125"]
     assert main(["spectrum", *fine, "--out", str(tmp_path / "s")]) == 0
-    assert main(["solve", *fine, "--out", str(tmp_path / "o")]) == 0
+    assert main(["solve", *fine, "--out", str(tmp_path / "o"),
+                 "--csv"]) == 0
     certificate = (tmp_path / "o" / "certificate.txt").read_text()
     assert "verdict:            certified nonzero positive solution" \
         in certificate
+    # the certified norm at this mesh, within 10 tol, read from the table
+    # of all 51,429 interior nodes
+    solution = np.loadtxt(tmp_path / "o" / "solution.csv", delimiter=",",
+                          skiprows=1)
+    assert solution.shape == (51_429, 4)
+    assert np.abs(solution[:, 2:]).max() == pytest.approx(
+        0.216987517111, abs=10 * 1e-9)
 
 
 # The rect-robin benchmark problem: Robin rectangle, single equation with an
