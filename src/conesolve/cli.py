@@ -19,6 +19,7 @@ monotone solve -> certificate.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -48,6 +49,7 @@ EXIT_NOINPUT = 66
 EXIT_SOFTWARE = 70
 
 DELTA_SWEEP = tuple(10.0 ** k for k in range(4, -3, -1))
+CSV_CHUNK_ROWS = 2048
 
 
 def _fmt(x: float) -> str:
@@ -55,30 +57,39 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path, header, columns):
-    """Write a table given by columns in one pass: float columns as %.17g
-    (which round-trips every double), other columns as %s."""
-    columns = [np.asarray(col) for col in columns]
-    line = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
-                    for col in columns) + "\n"
-    cells = np.empty((len(columns[0]), len(columns)), dtype=object)
-    for j, col in enumerate(columns):
-        cells[:, j] = col
-    text = (",".join(header) + "\n"
-            + (line * len(cells)) % tuple(cells.ravel().tolist()))
+    """Write a table given by columns: float columns as their _text
+    (%.17g, which round-trips every double), columns of str as they are,
+    other columns as str().  Rows are joined and written CSV_CHUNK_ROWS at
+    a time, so the text of a whole table is never held at once."""
+    cells = []
+    for col in map(np.asarray, columns):
+        if col.dtype.kind == "f":
+            col = _text(col)
+        cells.append(col.tolist() if col.dtype.kind in "OU"
+                     else [str(v) for v in col.tolist()])
+    rows = map(",".join, itertools.chain([header], zip(*cells)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+            fh.write("\n".join(chunk) + "\n")
+
+
+def _text(values) -> np.ndarray:
+    """The %.17g text of each entry of a float array, as an object array
+    of str of the same shape, formatted with one `%` over all entries."""
+    values = np.asarray(values, dtype=float)
+    text = ("%.17g\n" * values.size) % tuple(values.ravel().tolist())
+    return np.array(text.split("\n")[:-1], dtype=object).reshape(
+        values.shape)
 
 
 def _text_column(values) -> np.ndarray:
-    """The %.17g text of each entry of a float array, as an object array
-    of str: each distinct value (by its bits, so -0.0 keeps its sign) is
-    formatted once.  Grid coordinates take one of a few hundred lattice
-    values, so this is how a coordinate column is written."""
+    """_text of a float array, formatting each distinct value (by its
+    bits, so -0.0 keeps its sign) once.  Grid coordinates take one of a
+    few hundred lattice values, so this is how a coordinate column is
+    written."""
     values = np.ascontiguousarray(values, dtype=float)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(["%.17g" % v for v in bits.view(float).tolist()],
-                    dtype=object)
-    return text[inverse.reshape(values.shape)]
+    return _text(bits.view(float))[inverse.reshape(values.shape)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,6 +173,11 @@ class Pipeline:
             return u
         i, j = self.grid.nodes.T
         return u[..., self.op.grid.interior_ids[j, i]]
+
+    def unfold_text(self, u) -> np.ndarray:
+        """unfold of the %.17g text of u: each orbit's value is formatted
+        once, and every node of the orbit shares its string."""
+        return self.unfold(_text(u))
 
     def symmetry_text(self) -> str:
         """One line naming the lattice symmetry solved under."""
@@ -263,10 +279,11 @@ def _coordinate_text(grid):
     return _text_column(grid.xs), _text_column(grid.ys)
 
 
-def _write_solution_csv(path, coordinates, u):
-    """Write u next to the coordinates _coordinate_text returned."""
-    header = ["x1", "x2"] + [f"u{i + 1}" for i in range(len(u))]
-    _write_csv(path, header, [*coordinates, *u])
+def _write_solution_csv(path, coordinates, text):
+    """Write the text of u, as unfold_text gives it, next to the
+    coordinates _coordinate_text returned."""
+    header = ["x1", "x2"] + [f"u{i + 1}" for i in range(len(text))]
+    _write_csv(path, header, [*coordinates, *text])
 
 
 def _iterate(problem, alpha, beta, cfg):
@@ -366,14 +383,14 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
               f"greatest {upper.norm:.6g}")
         if want_csv:
             _write_solution_csv(os.path.join(out_dir, "solution_lower.csv"),
-                                coordinates, pipe.unfold(low.solution))
+                                coordinates, pipe.unfold_text(low.solution))
 
     cert = certify(problem, upper.solution, tol=cfg.tol)
     print(cert.to_text())
 
     _write_checks(out_dir, checks)
     _write_solution_csv(os.path.join(out_dir, "solution.csv"), coordinates,
-                        pipe.unfold(upper.solution))
+                        pipe.unfold_text(upper.solution))
     for name, record in (("certificate.txt", cert),
                          ("iteration_report.txt", upper)):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
@@ -468,7 +485,7 @@ def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
         _write_csv(os.path.join(out_dir, "eigenfunction.csv"),
                    ["x1", "x2", "phi"],
                    [*_coordinate_text(pipe.grid),
-                    pipe.unfold(est.eigenfunction)])
+                    pipe.unfold_text(est.eigenfunction)])
     return EXIT_OK
 
 

@@ -371,17 +371,42 @@ def _node_map(grid: Grid, swap, flip_i, flip_j):
     return None if np.any(image < 0) else image
 
 
+def _keeps(a, image) -> bool:
+    """Whether the node permutation `image` leaves the matrix a unchanged,
+    bit for bit."""
+    return (a[image][:, image] != a).nnz == 0
+
+
+def _close(group, generators) -> None:
+    """Add to group, a dict from the bytes of node permutations (all of
+    one dtype) to the permutations, every product of its elements with
+    the generators.  group must be closed under all but the last one."""
+    frontier, factors = list(group.values()), generators[-1:]
+    while frontier:
+        new = []
+        for perm in frontier:
+            for gen in factors:
+                image = gen[perm]
+                key = image.tobytes()
+                if key not in group:
+                    group[key] = image
+                    new.append(image)
+        frontier, factors = new, generators
+
+
 def fold(op: DiscreteOperator) -> DiscreteOperator:
     """Fold out of op the largest group of lattice maps that leaves its
     matrix A invariant, bit for bit.
 
     A map g keeps A when A[g][:, g] == A; the maps that do form a group G,
-    since invariance is exact.  The orbits of G partition the interior
-    nodes, each represented by its smallest node index.  With E the 0/1
-    map from nodes to orbits, the folded matrix is A_f = A[reps] E, whose
-    entries are orbit sums of A's rows.  When A E == E A_f holds bitwise,
-    K maps G-invariant data u = E v to E K_f v exactly, so every iterate,
-    K(1) and the principal eigenfunction can be computed on the orbits.
+    since invariance is exact.  So only the maps the accepted ones do not
+    generate already are tested (3 of the 7 when G is all of D4).  The
+    orbits of G partition the interior nodes, each represented by its
+    smallest node index.  With E the 0/1 map from nodes to orbits, the
+    folded matrix is A_f = A[reps] E, whose entries are orbit sums of A's
+    rows.  When A E == E A_f holds bitwise, K maps G-invariant data
+    u = E v to E K_f v exactly, so every iterate, K(1) and the principal
+    eigenfunction can be computed on the orbits.
 
     Returns op itself when no map other than the identity keeps A or when
     A E == E A_f fails; otherwise an operator over a grid of the orbit
@@ -389,14 +414,23 @@ def fold(op: DiscreteOperator) -> DiscreteOperator:
     orbit, carrying op's diagnostics.
     """
     grid, a = op.grid, op.matrix
-    names, images = [], [np.arange(grid.interior_count)]
+    identity = np.arange(grid.interior_count,
+                         dtype=grid.interior_ids.dtype)
+    names, images, generators = [], [identity], []
+    group = {identity.tobytes(): identity}  # generated by the accepted maps
     for name, swap, flip_i, flip_j in LATTICE_MAPS:
         if swap and grid.nx != grid.ny:
             continue
         image = _node_map(grid, swap, flip_i, flip_j)
-        if image is not None and (a[image][:, image] != a).nnz == 0:
-            names.append(name)
-            images.append(image)
+        if image is None:
+            continue
+        if image.tobytes() not in group:
+            if not _keeps(a, image):
+                continue
+            generators.append(image)
+            _close(group, generators)
+        names.append(name)
+        images.append(image)
     if not names:
         return op
     reps, orbit = np.unique(np.min(images, axis=0), return_inverse=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conesolve import cli, k_one_norm
+from conesolve import cli, k_one_norm, operator
 from conesolve.config import parse_config
 from conesolve.operator import LATTICE_MAPS
 from test_config_cli import ROBIN_CFG
@@ -138,6 +138,53 @@ def test_symmetry_breaking_narrows_the_fold(tmp_path, case):
     else:
         e, _ = _orbit_map(pipe)
         assert (full_op.matrix @ e != e @ pipe.op.matrix).nnz == 0
+
+
+def _reference_fold(op):
+    """The symmetry and the lattice-to-orbit map found by testing every
+    lattice map for invariance."""
+    grid, a = op.grid, op.matrix
+    names, images = [], [np.arange(grid.interior_count)]
+    for name, swap, flip_i, flip_j in LATTICE_MAPS:
+        if swap and grid.nx != grid.ny:
+            continue
+        image = operator._node_map(grid, swap, flip_i, flip_j)
+        if image is not None and (a[image][:, image] != a).nnz == 0:
+            names.append(name)
+            images.append(image)
+    _, orbit = np.unique(np.min(images, axis=0), return_inverse=True)
+    ids = grid.interior_ids
+    return tuple(names), np.where(ids >= 0, orbit[ids], -1)
+
+
+# config text, the lattice maps folded out and the invariance tests fold
+# makes, per case; the antitranspose is generated by the half turn and
+# the transpose when a12 != 0
+CLOSURE = {
+    "shipped disk": (SYSTEM_DISK, ALL_MAPS, 3),
+    "disk b1 = 0.5": (SYSTEM_DISK + 'b1 = "0.5"\n', ("j -> ny-1-j",), 7),
+    "disk a12 = 0.3": (SYSTEM_DISK + 'a12 = "0.3"\n',
+                       ("half turn", "transpose", "antitranspose"), 6),
+    "centred square": (CENTRED_SQUARE, ALL_MAPS, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSURE))
+def test_fold_tests_only_the_maps_not_yet_generated(case):
+    text, maps, tests = CLOSURE[case]
+    cfg = parse_config(text)
+    grid = cli.build_grid(cfg.domain, cfg.h)
+    op = cli.assemble(grid, cfg.coefficients, cfg.bc)
+    tested = []
+    keeps = operator._keeps
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operator, "_keeps",
+                      lambda a, image: tested.append(image) or keeps(a, image))
+        folded = operator.fold(op)
+    names, orbit_ids = _reference_fold(op)
+    assert folded.symmetry == names == maps
+    assert np.array_equal(folded.grid.interior_ids, orbit_ids)
+    assert len(tested) == tests
 
 
 def test_x_dependent_f_is_not_folded_even_on_a_symmetric_operator():

@@ -1,7 +1,9 @@
 """End-to-end `solve --csv` runs of the two shipped configs and the
 rect-robin problem: the monotone engine's step and Anderson counts, its
 least-squares candidates against an np.linalg.lstsq reference, and the
-solution tables against a per-row %.17g writer."""
+solution tables against a per-row %.17g writer.  The eigenfunction
+table, the text helpers and the chunked writer are held to the same
+writer."""
 
 from importlib.resources import files
 
@@ -53,15 +55,14 @@ def per_row_csv(header, columns):
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """Per config: the iteration report, the (relative gap to lstsq, ring
-    wrapped) pair of every candidate, the solution tables written as
-    (path, u) pairs, and the grid."""
+    wrapped) pair of every candidate, the output directory, the limits
+    unfolded onto every node as {table: u}, and the grid."""
     out = {}
     patch = pytest.MonkeyPatch()
     propose = _Anderson.candidate
     iterate = cli.monotone_iterate
-    write = cli._write_solution_csv
     for name, text in CONFIGS.items():
-        gaps, reports, tables = [], [], []
+        gaps, reports = [], []
 
         def checked(self):
             w = propose(self)
@@ -74,20 +75,18 @@ def runs(tmp_path_factory):
             reports.append(iterate(*args, **kwargs))
             return reports[-1]
 
-        def captured(path, coordinates, u):
-            tables.append((path, u))
-            write(path, coordinates, u)
-
         patch.setattr(_Anderson, "candidate", checked)
         patch.setattr(cli, "monotone_iterate", recorded)
-        patch.setattr(cli, "_write_solution_csv", captured)
         tmp = tmp_path_factory.mktemp(name)
         (tmp / "problem.cfg").write_text(text)
         code = cli.main(["solve", "--config", str(tmp / "problem.cfg"),
                          "--seed", "7", "--out", str(tmp / "out"), "--csv"])
         assert code == 0
-        cfg = parse_config(text)
-        out[name] = (reports[-1], gaps, tables, build_grid(cfg.domain, cfg.h))
+        pipe = cli.build_pipeline(parse_config(text))
+        report = reports[-1]
+        limits = {"solution_lower.csv": pipe.unfold(report.lower.solution),
+                  "solution.csv": pipe.unfold(report.upper.solution)}
+        out[name] = (report, gaps, tmp / "out", limits, pipe.grid)
     patch.undo()
     return out
 
@@ -135,13 +134,10 @@ def test_qr_candidate_on_a_rank_deficient_history():
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_solution_tables_match_a_per_row_writer(runs, name):
-    _, _, tables, grid = runs[name]
-    assert [path.rsplit("/", 1)[-1] for path, _ in tables] == [
-        "solution_lower.csv", "solution.csv"]
-    for path, u in tables:
+    _, _, out_dir, limits, grid = runs[name]
+    for table, u in limits.items():
         header = ["x1", "x2"] + [f"u{i + 1}" for i in range(len(u))]
-        with open(path, "rb") as fh:
-            written = fh.read()
+        written = (out_dir / table).read_bytes()
         assert written == per_row_csv(header,
                                       [grid.xs, grid.ys, *u]).encode()
 
@@ -156,3 +152,58 @@ def test_text_columns_match_a_per_row_writer(tmp_path):
     x1, x2 = cli._coordinate_text(grid)
     cli._write_csv(path, ["x1", "x2"], [x1, x2])
     assert path.read_text() == per_row_csv(["x1", "x2"], [grid.xs, grid.ys])
+
+
+@pytest.mark.parametrize("name, h", [("system_disk", "0.03125"),
+                                     ("rect_robin", None)])
+def test_eigenfunction_table_matches_a_per_row_writer(tmp_path, name, h):
+    pipes = []
+    build = cli.build_pipeline
+    path = tmp_path / "problem.cfg"
+    path.write_text(CONFIGS[name])
+    argv = ["spectrum", "--config", str(path), "--out", str(tmp_path),
+            "--csv"] + (["--h", h] if h else [])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_pipeline",
+                      lambda cfg: pipes.append(build(cfg)) or pipes[-1])
+        assert cli.main(argv) == 0
+    pipe = pipes[-1]
+    assert (pipe.op.grid is pipe.grid) == (name == "rect_robin")
+    phi = pipe.unfold(pipe.spectrum.eigenfunction)
+    written = (tmp_path / "eigenfunction.csv").read_bytes()
+    assert written == per_row_csv(["x1", "x2", "phi"],
+                                  [pipe.grid.xs, pipe.grid.ys, phi]).encode()
+
+
+def test_text_matches_per_entry_formatting():
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e22, -1e-300, 0.1])
+    for u in (values, np.stack([values, values[::-1]]), np.empty(0),
+              np.empty((2, 0))):
+        text = cli._text(u)
+        assert text.dtype == object and text.shape == u.shape
+        assert list(text.ravel()) == ["%.17g" % v for v in u.ravel()]
+
+
+@pytest.mark.parametrize("name", ["system_disk", "rect_robin"])
+def test_unfold_text_formats_each_orbit_once(name):
+    cfg = parse_config(CONFIGS[name])
+    cfg.h = 1 / 16
+    pipe = cli.build_pipeline(cfg)
+    orbits = pipe.op.grid.interior_count
+    assert (orbits < pipe.grid.interior_count) == (name == "system_disk")
+    u = np.random.default_rng(5).standard_normal((cfg.n, orbits))
+    text = pipe.unfold_text(u)
+    assert text.shape == (cfg.n, pipe.grid.interior_count)
+    assert list(text.ravel()) == [
+        "%.17g" % v for v in pipe.unfold(u).ravel()]
+    assert all(len({id(t) for t in row}) <= orbits for row in text)
+
+
+@pytest.mark.parametrize("rows", range(6))
+def test_csv_chunks_match_a_per_row_writer(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 2)
+    values = np.arange(rows) / 3.0
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, ["k", "v"], [np.arange(rows), values])
+    assert path.read_text() == per_row_csv(["k", "v"],
+                                           [np.arange(rows), values])
