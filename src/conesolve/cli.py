@@ -107,32 +107,36 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"conesolve {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config,
+    def common(p, iterates=False, samples=False):
+        """The flags of a config command: --config, --h, --out and --csv,
+        plus --tol and --max-iter where it iterates and --seed where it
+        samples the nonlinearity."""
+        p.add_argument("--config", required=True,
                        help="path to the config file")
         p.add_argument("--h", type=float, default=None,
                        help="override the mesh step")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the iteration tolerance")
-        p.add_argument("--max-iter", type=int, default=None,
-                       help="override the monotone iteration budget")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the sampling seed")
+        if iterates:
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the iteration tolerance")
+            p.add_argument("--max-iter", type=int, default=None,
+                           help="override the monotone iteration budget")
+        if samples:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the sampling seed")
         p.add_argument("--out", default=".",
                        help="directory for output artifacts")
         p.add_argument("--csv", action="store_true",
                        help="write CSV artifacts")
 
-    p = sub.add_parser("solve", help="run the full pipeline and certify a "
-                                     "fixed point")
-    common(p)
-    p = sub.add_parser("lambda-range",
-                       help="compute admissible lambda intervals")
-    common(p)
-    p = sub.add_parser("spectrum",
-                       help="principal spectral data of the solution "
-                            "operator")
-    common(p)
+    common(sub.add_parser("solve", help="run the full pipeline and certify "
+                                        "a fixed point"),
+           iterates=True, samples=True)
+    common(sub.add_parser("lambda-range",
+                          help="compute admissible lambda intervals"),
+           samples=True)
+    common(sub.add_parser("spectrum",
+                          help="principal spectral data of the solution "
+                               "operator"))
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--h", type=float, default=None,
                    help="override the mesh step; every criterion is "
@@ -239,20 +243,14 @@ def _single_curve(pipe: Pipeline):
     cfg = pipe.cfg
     if cfg.n > 1:
         return None
-    return ratio_curve(cfg.nl, cfg.rho[0], pipe.k1_norm, cfg.grid_points,
-                       pipe.grid)
+    return ratio_curve(cfg.nl, pipe.k1_norm, pipe.grid)
 
 
-def _compute_ranges(pipe: Pipeline, curve, delta: float,
-                    rho0: float | None = None):
+def _compute_ranges(pipe: Pipeline, curve, delta: float):
     cfg = pipe.cfg
     if cfg.n == 1:
-        rng = single_range(cfg.nl, cfg.rho[0], delta,
-                           rho0 or cfg.rho0 or min(cfg.rho) / 2,
-                           pipe.k1_norm, pipe.spectrum.mu1,
-                           grid_points=cfg.grid_points, grid=pipe.grid,
-                           curve=curve)
-        return [rng]
+        return [single_range(cfg.nl, delta, pipe.k1_norm, pipe.spectrum.mu1,
+                             pipe.grid, curve)]
     return system_ranges(cfg.nl, cfg.rho, cfg.i0, delta, pipe.k1_norm,
                          pipe.spectrum.mu1, pipe.grid)
 
@@ -338,7 +336,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
 
     try:
         curve = _single_curve(pipe)
-        ranges = _compute_ranges(pipe, curve, delta, rho0)
+        ranges = _compute_ranges(pipe, curve, delta)
     except ConesolveError as err:
         return _abort(out_dir, checks, f"hypothesis (c) fails: {err}")
     for rng in ranges:

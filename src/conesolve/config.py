@@ -35,12 +35,12 @@ _COEFF_DEFAULTS = {"a11": "1", "a12": "0", "a22": "1",
 
 _SCALAR_KEYS = {
     "i0": int, "delta": float, "rho0": float, "tol": float,
-    "max_iter": int, "seed": int, "samples": int, "grid_points": int,
+    "max_iter": int, "seed": int, "samples": int,
 }
 
 _DEFAULTS = {
     "i0": 1, "delta": None, "rho0": None, "tol": 1e-9, "max_iter": 10_000,
-    "seed": 1234, "samples": 10_000, "grid_points": 1000,
+    "seed": 1234, "samples": 10_000,
 }
 
 
@@ -61,7 +61,6 @@ class Config:
     max_iter: int
     seed: int
     samples: int
-    grid_points: int
 
 
 def _split_line(raw, lineno):
@@ -289,5 +288,3 @@ def _validate(values):
         raise ConfigError("seed must be non-negative")
     if values["max_iter"] < 1 or values["samples"] < 1:
         raise ConfigError("max_iter and samples must be at least 1")
-    if values["n"] == 1 and values["grid_points"] < 100:
-        raise ConfigError("grid_points must be at least 100")

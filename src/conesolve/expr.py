@@ -328,9 +328,9 @@ _ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply}
 
 def _walk(node, bindings, checked=False):
     """Evaluate the tree.  Bindings and the results of +, - and * are
-    checked for finiteness only when `checked` is set: _evaluate checks the
-    root instead, and walks again with checks only to name the operation
-    when the root is not finite."""
+    checked for finiteness only when `checked` is set: _evaluate lets numpy
+    raise on the way and checks the root instead, and walks again with
+    checks only to name the operation when either fails."""
     if isinstance(node, Constant):
         return node.value
     if isinstance(node, Var):
@@ -356,14 +356,21 @@ def _walk(node, bindings, checked=False):
 
 
 def _evaluate(expr: Expr, bindings):
-    """Evaluate, raising EvalDomainError where the value is not finite."""
-    with np.errstate(all="ignore"):
-        out = _walk(expr, bindings)
+    """Evaluate, raising EvalDomainError where the value, or any value on
+    the way to it, is not finite: an overflow that a later op masks (as
+    max(1, -inf) or 1/inf do) still raises numpy's FloatingPointError."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise",
+                         under="ignore"):
+            out = _walk(expr, bindings)
         # numpy takes microseconds per scalar test, math.isfinite a tenth
         finite = (math.isfinite(out) if isinstance(out, float)
                   else np.isfinite(out).all())
-        if not finite:
-            _walk(expr, bindings, checked=True)
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        with np.errstate(all="ignore"):
+            out = _walk(expr, bindings, checked=True)
     return out
 
 

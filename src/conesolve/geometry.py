@@ -146,7 +146,7 @@ def build_grid(spec: DomainSpec, h: float) -> Grid:
     return _freeze(grid)
 
 
-def _interior_arrays(spec, h, x0, y0, classification):
+def _interior_arrays(h, x0, y0, classification):
     ny, nx = classification.shape
     jj, ii = np.nonzero(classification == INTERIOR)   # row-major by (j, i)
     ids = np.full((ny, nx), -1, dtype=np.int32)
@@ -167,7 +167,7 @@ def _build_rectangle(spec: Rectangle, h: float) -> Grid:
     classification[:, 0] = BOUNDARY
     classification[:, -1] = BOUNDARY
     ids, nodes, xs, ys = _interior_arrays(
-        spec, h, spec.x_min, spec.y_min, classification)
+        h, spec.x_min, spec.y_min, classification)
     arms = np.ones((len(nodes), 4))
     return Grid(spec, h, spec.x_min, spec.y_min, nx, ny,
                 classification, ids, nodes, xs, ys, arms)
@@ -186,7 +186,7 @@ def _build_disk(spec: UnitDisk, h: float) -> Grid:
         np.abs(r - 1.0) <= snap, BOUNDARY,
         np.where(r < 1.0, INTERIOR, EXTERIOR)).astype(np.int8)
 
-    ids, nodes, xs, ys = _interior_arrays(spec, h, x0, y0, classification)
+    ids, nodes, xs, ys = _interior_arrays(h, x0, y0, classification)
     arms = np.ones((len(nodes), 4))
 
     # crossing distance along +-x is sqrt(1-y^2) -+ x, along +-y symmetric

@@ -377,21 +377,21 @@ def _keeps(a, image) -> bool:
     return (a[image][:, image] != a).nnz == 0
 
 
-def _close(group, generators) -> None:
-    """Add to group, a dict from the bytes of node permutations (all of
-    one dtype) to the permutations, every product of its elements with
-    the generators.  group must be closed under all but the last one."""
-    frontier, factors = list(group.values()), generators[-1:]
-    while frontier:
-        new = []
-        for perm in frontier:
-            for gen in factors:
-                image = gen[perm]
-                key = image.tobytes()
-                if key not in group:
-                    group[key] = image
-                    new.append(image)
-        frontier, factors = new, generators
+def _compose(g, h):
+    """The (swap, flip_i, flip_j) code of lattice map g after map h."""
+    swap, flip_i, flip_j = h
+    if g[0]:                  # g's swap carries h's flips to the other axis
+        flip_i, flip_j = flip_j, flip_i
+    return swap != g[0], flip_i != g[1], flip_j != g[2]
+
+
+def _closure(codes) -> frozenset:
+    """The group of lattice maps that the codes generate."""
+    group = frozenset(codes)
+    while (grown := group | {_compose(g, h) for g in group
+                             for h in group}) != group:
+        group = grown
+    return group
 
 
 def fold(op: DiscreteOperator) -> DiscreteOperator:
@@ -416,19 +416,19 @@ def fold(op: DiscreteOperator) -> DiscreteOperator:
     grid, a = op.grid, op.matrix
     identity = np.arange(grid.interior_count,
                          dtype=grid.interior_ids.dtype)
-    names, images, generators = [], [identity], []
-    group = {identity.tobytes(): identity}  # generated by the accepted maps
-    for name, swap, flip_i, flip_j in LATTICE_MAPS:
-        if swap and grid.nx != grid.ny:
+    names, images = [], [identity]
+    group = {(False, False, False)}     # generated by the accepted maps
+    for name, *code in LATTICE_MAPS:
+        code = tuple(code)
+        if code[0] and grid.nx != grid.ny:
             continue
-        image = _node_map(grid, swap, flip_i, flip_j)
+        image = _node_map(grid, *code)
         if image is None:
             continue
-        if image.tobytes() not in group:
+        if code not in group:
             if not _keeps(a, image):
                 continue
-            generators.append(image)
-            _close(group, generators)
+            group = _closure(group | {code})
         names.append(name)
         images.append(image)
     if not names:

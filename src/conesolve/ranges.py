@@ -22,6 +22,8 @@ from .errors import ConditionCViolation, ConesolveError, NonpositiveM
 from .geometry import Grid
 from .nonlinearity import Nonlinearity, max_over_domain
 
+# Log-uniform samples of (0, rho] in the ratio curve.
+CURVE_POINTS = 1000
 # Interior points per round of the zoom that refines the sampled sup.
 ZOOM_POINTS = 16
 # Inflation of a grid-sampled m_j of an x-dependent f_j, which falls short
@@ -106,15 +108,13 @@ def system_ranges(nl: Nonlinearity, beta, i0: int, delta: float,
     return out
 
 
-def ratio_curve(nl: Nonlinearity, rho: float, k1_norm: float,
-                grid_points: int, grid: Grid | None = None):
-    """Sampled curve s -> s / (M(s) k1_norm) on a log-uniform grid of
-    (0, rho]; returns (s values, ratios).  M is one max_over_domain call
-    over every s, bitwise that of evaluating each s on its own, and a
-    failure names the first failing s as that would."""
-    if grid_points < 2:
-        raise ValueError("need at least 2 grid points")
-    s = np.geomspace(rho * 1e-8, rho, grid_points)
+def ratio_curve(nl: Nonlinearity, k1_norm: float, grid: Grid | None = None):
+    """Sampled curve s -> s / (M(s) k1_norm) on CURVE_POINTS log-uniform
+    points of (0, rho], rho = nl.box[0]; returns (s values, ratios).  M is
+    one max_over_domain call over every s, bitwise that of evaluating each
+    s on its own, and a failure names the first failing s as that would."""
+    rho = nl.box[0]
+    s = np.geomspace(rho * 1e-8, rho, CURVE_POINTS)
     return s, s / (_checked_max_f(nl, s, grid) * k1_norm)
 
 
@@ -136,22 +136,18 @@ def _checked_max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
     return m
 
 
-def single_range(nl: Nonlinearity, rho: float, delta: float, rho0: float,
-                 k1_norm: float, mu1: float, grid_points: int = 1000,
+def single_range(nl: Nonlinearity, delta: float, k1_norm: float, mu1: float,
                  grid: Grid | None = None, curve=None) -> LambdaRange:
     """Admissible interval [mu1/delta, sup_s s/(M(s) |K1|)) for a single
-    equation (n = 1).  `curve` is the (s, ratios) pair ratio_curve returns
-    for these arguments, when the caller has already built it."""
+    equation (n = 1), s in (0, nl.box[0]].  `curve` is the (s, ratios)
+    pair ratio_curve returns for these arguments, when the caller has
+    already built it."""
     if nl.n != 1:
         raise ValueError("single_range needs a one-component nonlinearity")
-    if not (0 < rho0 < rho):
-        raise ValueError("need 0 < rho0 < rho")
     if not (delta > 0):
         raise ValueError("delta must be positive")
-    if grid_points < 100:
-        raise ValueError("need at least 100 sample points")
     if curve is None:
-        curve = ratio_curve(nl, rho, k1_norm, grid_points, grid)
+        curve = ratio_curve(nl, k1_norm, grid)
     s, ratios = curve
     k = int(np.argmax(ratios))
     sup = float(ratios[k])
@@ -168,7 +164,7 @@ def single_range(nl: Nonlinearity, rho: float, delta: float, rho0: float,
         if hi - lo <= 1e-12 * max(1.0, abs(hi)):
             break
     lower = mu1 / delta
-    m_rho = float(max_over_domain(nl, 0, [[rho]], grid)[0])
+    m_rho = float(max_over_domain(nl, 0, [[nl.box[0]]], grid)[0])
     return LambdaRange(
         lower=lower, upper=sup, empty=lower >= sup, component=0,
         provenance=RangeProvenance(m_rho, k1_norm, mu1, delta),

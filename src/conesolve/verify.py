@@ -194,9 +194,8 @@ def _crit_system_uppers(ctx: VerifyContext):
 def _crit_scalar_sup(ctx: VerifyContext):
     from .ranges import single_range
     cfg = ctx.builtin_config("scalar_disk.cfg")
-    rng = single_range(cfg.nl, cfg.rho[0], delta=1.0, rho0=cfg.rho[0] / 2,
-                       k1_norm=ANALYTIC_K1_NORM, mu1=disk_mu1_reference(),
-                       grid_points=cfg.grid_points)
+    rng = single_range(cfg.nl, delta=1.0, k1_norm=ANALYTIC_K1_NORM,
+                       mu1=disk_mu1_reference())
     err = abs(rng.upper - SCALAR_SUP)
     return err <= 1e-3, (f"sup = {rng.upper:.6f} vs {SCALAR_SUP} "
                          f"(|diff| = {err:.2e}, target <= 1e-3)")
@@ -386,7 +385,7 @@ GUARD_CASES = [
 ]
 
 
-def _crit_expression_engine(ctx: VerifyContext):
+def _crit_expression_engine(_ctx: VerifyContext):
     for src, expected in PRECEDENCE_CASES:
         got = ex.eval_expr(ex.parse(src, {"s"}), {"s": 0.0})
         if got != expected:

@@ -89,9 +89,9 @@ KEY_VALUES = {
     "max_iter": ["0", "1", "50", "-1", "1.5"],
     "seed": ["0", "-1", "7", "1e3", "99999999999999999999"],
     "samples": ["0", "1", "10", "-1"],
-    "grid_points": ["0", "99", "100", "1000", "-1"],
     **{key: COEFFICIENTS for key in ("a11", "a12", "a22", "b1", "b2", "c")},
     "m_safety": ["1.01"],
+    "grid_points": ["1000"],
     "frobnicate": ["1"],
 }
 

@@ -45,6 +45,24 @@ rho0 = 0.5
 samples = 500
 """
 
+# The rect-robin benchmark problem: Robin rectangle, single equation with an
+# x-dependent nonlinearity.
+ROBIN_CFG = """
+domain = rectangle 0 1 0 1
+h = 0.03125
+bc = robin "1 + x1"
+n = 1
+a11 = "1 + 0.5*x1"
+a22 = "1 + 0.5*x2"
+b1 = "2"
+b2 = "-1 + x1"
+c = "1"
+f1 = "(1 + 0.5*x1*x2) * (sqrt(s) + exp(s) - 1)"
+rho1 = 1.0
+lambda1 = 1.0
+i0 = 1
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -197,6 +215,55 @@ def test_lower_half_failure_is_a_warning(tmp_path, capsys):
     assert not (out / "solution_lower.csv").exists()
 
 
+@pytest.mark.parametrize("text,k,lam,code", [
+    # above lambda2's bound the supersolution check fails; below lambda1's
+    # the run still certifies, since the bounds are only sufficient
+    (SYSTEM_CFG.replace("lambda2 = 5.0", "lambda2 = 5.5"), 2, "5.5", 1),
+    (SYSTEM_CFG.replace("lambda1 = 1.6", "lambda1 = 0.5"), 1, "0.5", 0),
+    (ROBIN_CFG.replace("lambda1 = 1.0", "lambda1 = 100"), 1, "100", 1),
+])
+def test_lambda_outside_its_interval_is_a_warning(tmp_path, capsys, text, k,
+                                                  lam, code):
+    cfg = write(tmp_path, "outside.cfg", text)
+    assert main(["solve", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == code
+    assert (f"warning: lambda{k} = {lam} outside the admissible interval; "
+            "existence is not guaranteed (the bound is sufficient, not "
+            "necessary)") in capsys.readouterr().out.splitlines()
+
+
+def test_no_subsolution_is_a_note_before_exit_2(tmp_path, capsys):
+    text = SYSTEM_CFG.replace("lambda1 = 1.6", "lambda1 = 1e-6")
+    text = text.replace("lambda2 = 5.0", "lambda2 = 1e-6")
+    cfg = write(tmp_path, "tiny.cfg", text)
+    assert main(["solve", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert ("note: no subsolution found by the eigenfunction sweep; the "
+            "iteration may reach the trivial fixed point"
+            in capsys.readouterr().out.splitlines())
+
+
+def test_a_two_half_violation_falls_back_to_beta(tmp_path, monkeypatch,
+                                                 capsys):
+    from conesolve import cli
+    from conesolve.errors import MonotonicityViolation
+    iterate = cli.monotone_iterate
+
+    def failing_lower_half(problem, alpha=None, beta=None, **kwargs):
+        if alpha is not None:
+            raise MonotonicityViolation("planted")
+        return iterate(problem, beta=beta, **kwargs)
+
+    monkeypatch.setattr(cli, "monotone_iterate", failing_lower_half)
+    cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--csv"]) == 0
+    assert ("warning: lower iteration did not complete: planted"
+            in capsys.readouterr().out.splitlines())
+    assert not (out / "solution_lower.csv").exists()
+    assert (out / "solution.csv").exists()
+
+
 def test_lambda_range_exits(tmp_path):
     cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
     assert main(["lambda-range", "--config", cfg,
@@ -342,25 +409,6 @@ def test_shipped_system_certifies_at_h_1_128(tmp_path, capsys):
     assert solution.shape == (51_429, 4)
     assert np.abs(solution[:, 2:]).max() == pytest.approx(
         0.216987517111, abs=10 * 1e-9)
-
-
-# The rect-robin benchmark problem: Robin rectangle, single equation with an
-# x-dependent nonlinearity.
-ROBIN_CFG = """
-domain = rectangle 0 1 0 1
-h = 0.03125
-bc = robin "1 + x1"
-n = 1
-a11 = "1 + 0.5*x1"
-a22 = "1 + 0.5*x2"
-b1 = "2"
-b2 = "-1 + x1"
-c = "1"
-f1 = "(1 + 0.5*x1*x2) * (sqrt(s) + exp(s) - 1)"
-rho1 = 1.0
-lambda1 = 1.0
-i0 = 1
-"""
 
 
 @pytest.mark.parametrize("command", ["solve", "lambda-range"])
@@ -516,13 +564,30 @@ def test_growth_screen_holds_at_most_one_check_of_entries(monkeypatch,
     assert sizes and max(sizes) <= cfg.samples
 
 
-def test_single_equation_grid_points_below_100_exit_64(tmp_path, capsys):
-    cfg = write(tmp_path, "robin.cfg", ROBIN_CFG + "grid_points = 50\n")
+def test_grid_points_is_an_unknown_key(tmp_path, capsys):
+    cfg = write(tmp_path, "robin.cfg", ROBIN_CFG + "grid_points = 1000\n")
     code = main(["lambda-range", "--config", cfg,
                  "--out", str(tmp_path / "o")])
     assert code == 64
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "grid_points" in err
+    line = ROBIN_CFG.count("\n") + 1
+    assert capsys.readouterr().err.strip() == \
+        f"error: line {line}: unknown key 'grid_points'"
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("lambda-range", "--tol", "1e-9"), ("lambda-range", "--max-iter", "50"),
+    ("spectrum", "--tol", "1e-9"), ("spectrum", "--max-iter", "50"),
+    ("spectrum", "--seed", "7")])
+def test_flags_a_command_does_not_read_exit_64(tmp_path, capsys, command,
+                                               flag, value):
+    cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
+    code = main([command, "--config", cfg, flag, value,
+                 "--out", str(tmp_path / "o")])
+    assert code == 64
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: unrecognized arguments: {flag} {value}"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_python_dash_m_runs_the_cli(monkeypatch, capsys):

@@ -102,6 +102,18 @@ def test_overflow_names_the_operation(src, op, value):
     assert (err.value.function, err.value.value) == (op, value)
 
 
+@pytest.mark.parametrize("src", [
+    "max(1, -(1e308*10))", "min(1, 1e308*10)", "pow(1e308*10, 0)",
+    "(s*s)^0", "1/(1e308*10)", "exp(-(1e308*10))",
+    # the overflow comes before sqrt's domain error and is the one named
+    "sqrt(-(s*10))",
+])
+def test_an_overflow_a_later_op_masks_still_raises(src):
+    with pytest.raises(EvalDomainError) as err:
+        eval_expr(parse(src, {"s"}), {"s": 1e308})
+    assert (err.value.function, err.value.value) == ("*", 1e308)
+
+
 def test_overflow_on_arrays_reports_the_operand():
     tree = parse("u1 * u2", UV)
     with pytest.raises(EvalDomainError) as err:

@@ -7,6 +7,7 @@ from conesolve import (Nonlinearity, Rectangle, UnitDisk, build_grid,
                        max_over_domain, ratio_curve, single_range,
                        system_ranges)
 from conesolve import expr as expr_module
+from conesolve import ranges
 from conesolve.errors import (ConditionCViolation, EvalDomainError,
                               NonpositiveM)
 from conesolve.expr import eval_on_arrays
@@ -98,8 +99,8 @@ def test_m_homogeneity_keeps_upper_invariant(disk_grid):
 
 
 def test_single_range_reference_sup():
-    rng = single_range(scalar_sqrt_tan(), math.pi / 2 - 1e-6, 1.0, 0.7,
-                       0.25, MU1_DISK, grid_points=1000)
+    assert ranges.CURVE_POINTS == 1000
+    rng = single_range(scalar_sqrt_tan(), 1.0, 0.25, MU1_DISK)
     assert rng.upper == pytest.approx(1.66924, abs=1e-3)
     assert rng.upper == pytest.approx(1.6692395899937982, abs=1e-6)
     assert rng.lower == pytest.approx(MU1_DISK)
@@ -108,34 +109,33 @@ def test_single_range_reference_sup():
 
 def test_single_range_linear_ratio_constant():
     nl = Nonlinearity.from_strings(["s"], (1.0,))
-    rng = single_range(nl, 1.0, 1.0, 0.5, 0.25, MU1_DISK)
+    rng = single_range(nl, 1.0, 0.25, MU1_DISK)
     assert rng.upper == pytest.approx(4.0, rel=1e-9)
     assert rng.empty     # mu1 > 4
 
 
 def test_single_range_constant_f_sup_at_rho():
     nl = Nonlinearity.from_strings(["1"], (0.8,))
-    rng = single_range(nl, 0.8, 8.0, 0.4, 0.25, MU1_DISK)
+    rng = single_range(nl, 8.0, 0.25, MU1_DISK)
     assert rng.upper == pytest.approx(4 * 0.8, rel=1e-9)
 
 
-def test_single_range_refinement_stable():
-    base = single_range(scalar_sqrt_tan(), math.pi / 2 - 1e-6, 1.0, 0.7,
-                        0.25, MU1_DISK, grid_points=1000)
-    fine = single_range(scalar_sqrt_tan(), math.pi / 2 - 1e-6, 1.0, 0.7,
-                        0.25, MU1_DISK, grid_points=2000)
+def test_single_range_refinement_stable(monkeypatch):
+    base = single_range(scalar_sqrt_tan(), 1.0, 0.25, MU1_DISK)
+    monkeypatch.setattr(ranges, "CURVE_POINTS", 2000)
+    fine = single_range(scalar_sqrt_tan(), 1.0, 0.25, MU1_DISK)
     assert abs(base.upper - fine.upper) < 1e-6
 
 
 def test_nonpositive_m_detected():
     nl = Nonlinearity.from_strings(["0"], (1.0,))
     with pytest.raises(NonpositiveM):
-        single_range(nl, 1.0, 1.0, 0.5, 0.25, MU1_DISK)
+        single_range(nl, 1.0, 0.25, MU1_DISK)
 
 
-def test_ratio_curve_shape():
-    s, ratios = ratio_curve(scalar_sqrt_tan(), math.pi / 2 - 1e-6, 0.25,
-                            500)
+def test_ratio_curve_shape(monkeypatch):
+    monkeypatch.setattr(ranges, "CURVE_POINTS", 500)
+    s, ratios = ratio_curve(scalar_sqrt_tan(), 0.25)
     assert len(s) == len(ratios) == 500
     assert s[0] == pytest.approx((math.pi / 2 - 1e-6) * 1e-8)
     assert ratios.max() <= 1.6692395899937982 + 1e-9
@@ -175,8 +175,9 @@ def per_point_ratio(nl, s, k1_norm, grid):
     return s / (m * k1_norm)
 
 
-def per_point_curve(nl, rho, k1_norm, grid_points, grid):
-    s = np.geomspace(rho * 1e-8, rho, grid_points)
+def per_point_curve(nl, k1_norm, grid):
+    rho = nl.box[0]
+    s = np.geomspace(rho * 1e-8, rho, ranges.CURVE_POINTS)
     return s, np.array([per_point_ratio(nl, float(v), k1_norm, grid)
                         for v in s])
 
@@ -189,9 +190,8 @@ def test_ratio_curve_is_bitwise_the_per_point_walk(case):
     else:
         nl = scalar_sqrt_tan()
         grid = build_grid(UnitDisk(), 1 / 64)
-    rho = nl.box[0]
-    s, ratios = ratio_curve(nl, rho, 0.1234, 1000, grid)
-    s_ref, ratios_ref = per_point_curve(nl, rho, 0.1234, 1000, grid)
+    s, ratios = ratio_curve(nl, 0.1234, grid)
+    s_ref, ratios_ref = per_point_curve(nl, 0.1234, grid)
     assert s.tobytes() == s_ref.tobytes()
     assert ratios.tobytes() == ratios_ref.tobytes()
 
@@ -209,9 +209,9 @@ def test_ratio_curve_failure_names_the_first_failing_s(source, error):
     nl = Nonlinearity.from_strings([source], (1.0,))
     grid = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 1 / 32)
     with pytest.raises(error) as reference:
-        per_point_curve(nl, 1.0, 0.1, 1000, grid)
+        per_point_curve(nl, 0.1, grid)
     with pytest.raises(error) as blocked:
-        ratio_curve(nl, 1.0, 0.1, 1000, grid)
+        ratio_curve(nl, 0.1, grid)
     assert str(blocked.value) == str(reference.value)
 
 
@@ -242,7 +242,7 @@ def test_ratio_curve_blocks_stay_within_the_element_budget(monkeypatch):
     nodes = grid.interior_count
     nl = Nonlinearity.from_strings(["(1 + x1^2) * (sqrt(s) + tan(s))"],
                                    (math.pi / 2 - 1e-6,))
-    s, _ = ratio_curve(nl, nl.box[0], 0.25, 1000, grid)
+    s, _ = ratio_curve(nl, 0.25, grid)
     # blocks of whole s values, as many as fit, each covering its s
     # values' nodes once
     rows = BLOCK_ELEMENTS // nodes
@@ -252,16 +252,15 @@ def test_ratio_curve_blocks_stay_within_the_element_budget(monkeypatch):
     assert nodes_per_point(blocks) == {v: nodes for v in s}
     # a nonlinearity without x is one evaluation on the s values
     blocks.clear()
-    ratio_curve(scalar_sqrt_tan(), math.pi / 2 - 1e-6, 0.25, 1000, grid)
+    ratio_curve(scalar_sqrt_tan(), 0.25, grid)
     assert [(len(v), cols) for v, cols in blocks] == [(1000, 1)]
 
 
 def test_single_range_uses_a_given_curve():
     nl = scalar_sqrt_tan()
-    rho = math.pi / 2 - 1e-6
-    curve = ratio_curve(nl, rho, 0.25, 1000)
-    given = single_range(nl, rho, 1.0, 0.7, 0.25, MU1_DISK, curve=curve)
-    built = single_range(nl, rho, 1.0, 0.7, 0.25, MU1_DISK)
+    curve = ratio_curve(nl, 0.25)
+    given = single_range(nl, 1.0, 0.25, MU1_DISK, curve=curve)
+    built = single_range(nl, 1.0, 0.25, MU1_DISK)
     assert given == built
 
 
@@ -294,10 +293,11 @@ def golden_section_sup(nl, lo, hi, k1_norm, grid):
 ZOOM_CASES = ["rect-robin", "scalar_disk", "sqrt+tan"]
 
 
-def zoom_case(case):
-    """(nonlinearity, rho, grid_points, grid) of a single-equation case."""
+def zoom_case(case, monkeypatch):
+    """(nonlinearity, grid) of a single-equation case; sqrt+tan samples
+    its curve at 2000 points."""
     if case == "rect-robin":
-        return (Nonlinearity.from_strings([ROBIN_F], (1.0,)), 1.0, 1000,
+        return (Nonlinearity.from_strings([ROBIN_F], (1.0,)),
                 build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 1 / 32))
     if case == "scalar_disk":
         from importlib.resources import files
@@ -305,17 +305,16 @@ def zoom_case(case):
         from conesolve.config import parse_config
         cfg = parse_config(
             (files("conesolve") / "configs" / "scalar_disk.cfg").read_text())
-        return (cfg.nl, cfg.rho[0], cfg.grid_points,
-                build_grid(cfg.domain, cfg.h))
-    return scalar_sqrt_tan(), math.pi / 2 - 1e-6, 2000, None
+        return cfg.nl, build_grid(cfg.domain, cfg.h)
+    monkeypatch.setattr(ranges, "CURVE_POINTS", 2000)
+    return scalar_sqrt_tan(), None
 
 
 @pytest.mark.parametrize("case", ZOOM_CASES)
-def test_zoom_sup_matches_a_golden_section_reference(case):
-    nl, rho, grid_points, grid = zoom_case(case)
-    s, ratios = ratio_curve(nl, rho, 0.25, grid_points, grid)
-    rng = single_range(nl, rho, 1.0, rho / 2, 0.25, MU1_DISK,
-                       grid_points=grid_points, grid=grid)
+def test_zoom_sup_matches_a_golden_section_reference(monkeypatch, case):
+    nl, grid = zoom_case(case, monkeypatch)
+    s, ratios = ratio_curve(nl, 0.25, grid)
+    rng = single_range(nl, 1.0, 0.25, MU1_DISK, grid=grid)
     k = int(np.argmax(ratios))
     reference = max(float(ratios[k]), golden_section_sup(
         nl, float(s[k - 1]), float(s[min(k + 1, len(s) - 1)]), 0.25, grid))
@@ -331,10 +330,10 @@ BUDGET_CASES = {"budget of 5 rows": 5 * 961, "block floor of 2": 1000}
 @pytest.mark.parametrize("case", ZOOM_CASES + list(BUDGET_CASES))
 def test_zoom_rounds_are_blocks_within_the_element_budget(monkeypatch,
                                                           case):
-    from conesolve import nonlinearity, ranges
-    nl, rho, grid_points, grid = zoom_case(
-        "rect-robin" if case in BUDGET_CASES else case)
-    curve = ratio_curve(nl, rho, 0.25, grid_points, grid)
+    from conesolve import nonlinearity
+    nl, grid = zoom_case("rect-robin" if case in BUDGET_CASES else case,
+                         monkeypatch)
+    curve = ratio_curve(nl, 0.25, grid)
     budget = BUDGET_CASES.get(case, BLOCK_ELEMENTS)
     monkeypatch.setattr(nonlinearity, "BLOCK_ELEMENTS", budget)
     blocks, starts = [], []
@@ -346,11 +345,10 @@ def test_zoom_rounds_are_blocks_within_the_element_budget(monkeypatch,
 
     monkeypatch.setattr(ranges, "_checked_max_f", zoom_round)
     recording_blocks(monkeypatch, blocks)
-    single_range(nl, rho, 1.0, rho / 2, 0.25, MU1_DISK,
-                 grid_points=grid_points, grid=grid, curve=curve)
+    single_range(nl, 1.0, 0.25, MU1_DISK, grid=grid, curve=curve)
     nodes = grid.interior_count if nl.uses_x(0) else 1
     *zoom, m_rho = blocks
-    assert list(m_rho[0]) == [rho] and m_rho[1] == nodes
+    assert list(m_rho[0]) == [nl.box[0]] and m_rho[1] == nodes
     # every block is within the budget, and each round's blocks cover
     # ZOOM_POINTS points, each point's nodes once
     assert max(len(v) * cols for v, cols in zoom) <= budget
@@ -379,7 +377,7 @@ def test_zoom_failure_names_the_smallest_failing_s(monkeypatch, source,
                                                    error):
     nl = Nonlinearity.from_strings([source], (1.0,))
     grid = build_grid(Rectangle(0.0, 1.0, 0.0, 1.0), 1 / 32)
-    s, _ = curve = ratio_curve(nl, 1.0, 0.25, 1000, grid)
+    s, _ = curve = ratio_curve(nl, 0.25, grid)
     blocks = []
 
     def recording(expr, bindings):
@@ -388,8 +386,7 @@ def test_zoom_failure_names_the_smallest_failing_s(monkeypatch, source,
 
     monkeypatch.setattr(expr_module, "eval_on_arrays", recording)
     with pytest.raises(error) as zoomed:
-        single_range(nl, 1.0, 1.0, 0.5, 0.25, MU1_DISK, grid=grid,
-                     curve=curve)
+        single_range(nl, 1.0, 0.25, MU1_DISK, grid=grid, curve=curve)
     monkeypatch.undo()
     block = [b for b in blocks if b.size > 1][-1]
     assert np.all((block > s[-2]) & (block < s[-1]))
