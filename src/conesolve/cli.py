@@ -209,6 +209,17 @@ def build_pipeline(cfg: Config) -> Pipeline:
     return Pipeline(cfg, grid, op, k1_norm, spectrum)
 
 
+POWER_ITERATION_RISK = ("the power iteration may not converge to a positive "
+                        "eigenpair")
+
+
+def _warn_unless_m_matrix(pipe: Pipeline, consequence: str):
+    """Print the one warning line of a command whose operator is not an
+    M-matrix."""
+    if not pipe.op.diagnostics.is_m_matrix:
+        print(f"warning: operator matrix is not an M-matrix; {consequence}")
+
+
 def _growth_parameters(pipe: Pipeline):
     """Resolve (delta, rho0, report): use the configured values when given,
     otherwise sweep delta over decades (largest validated first) and rho0
@@ -312,9 +323,8 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
           f"({pipe.grid.interior_count} interior nodes)")
     print(pipe.symmetry_text())
     print(f"|K(1)| = {pipe.k1_norm:.6g}, mu1 = {pipe.spectrum.mu1:.6g}")
-    if not pipe.op.diagnostics.is_m_matrix:
-        print("warning: operator matrix is not an M-matrix; positivity of "
-              "the iteration is not guaranteed")
+    _warn_unless_m_matrix(pipe, "positivity of the iteration is not "
+                                "guaranteed")
 
     checks = []
     for i in range(cfg.n):
@@ -436,6 +446,7 @@ def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:
     pipe = build_pipeline(cfg)
     print(pipe.symmetry_text())
     print(f"|K(1)| = {pipe.k1_norm:.6g}, mu1 = {pipe.spectrum.mu1:.6g}")
+    _warn_unless_m_matrix(pipe, POWER_ITERATION_RISK)
     delta, rho0, growth_rep = _growth_parameters(pipe)
     if delta is None:
         print(growth_rep.to_text())
@@ -475,6 +486,7 @@ def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
     pipe = build_pipeline(cfg)
     est = pipe.spectrum
     print(pipe.symmetry_text())
+    _warn_unless_m_matrix(pipe, POWER_ITERATION_RISK)
     print(f"r(K)       = {_fmt(est.r)}")
     print(f"mu1        = {_fmt(est.mu1)}")
     print(f"iterations = {est.iterations}")

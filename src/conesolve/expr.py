@@ -33,6 +33,9 @@ FUNCTION_ARITY = {
 }
 
 TAN_GUARD = 1e-8   # exclusion window around the poles of tan
+# arguments inside (-TAN_CLEAR, TAN_CLEAR) are clear of every exclusion
+# window, with a margin far above the rounding of _tan_pole_mask
+TAN_CLEAR = math.pi / 2 - 2 * TAN_GUARD
 
 
 @dataclass(frozen=True)
@@ -266,6 +269,19 @@ def _check_domain(name, arg, mask):
         _first_bad(name, arg, mask)
 
 
+# Each domain check first tests the argument's range, which proves most
+# evaluations in the domain, and builds the per-value mask only when that
+# fails.  A NaN makes the range NaN, which fails every test, so NaN still
+# reaches the mask and the checked walk.
+
+def _low(x):
+    return np.min(x, initial=np.inf)
+
+
+def _high(x):
+    return np.max(x, initial=-np.inf)
+
+
 def _check_finite(name, arg, result):
     bad = ~np.isfinite(result)
     if np.any(bad):
@@ -284,18 +300,25 @@ def _tan_pole_mask(x):
 def _pow(name, base, expo):
     base = np.asarray(base, dtype=float)
     expo = np.asarray(expo, dtype=float)
-    _check_domain(name, base, (base < 0) & (expo != np.floor(expo)))
-    _check_domain(name, base, (base == 0) & (expo < 0))
+    lo, e_lo, e_hi = _low(base), _low(expo), _high(expo)
+    # a negative base needs an integer exponent, a zero base a
+    # nonnegative one
+    if not (lo >= 0 or e_lo == e_hi == np.floor(e_lo)):
+        _check_domain(name, base, (base < 0) & (expo != np.floor(expo)))
+    if not (lo > 0 or _high(base) < 0 or e_lo >= 0):
+        _check_domain(name, base, (base == 0) & (expo < 0))
     return _check_finite(name, base, np.power(base, expo))
 
 
 def _call(name, args):
     a = args[0]
     if name == "sqrt":
-        _check_domain(name, a, np.asarray(a) < 0)
+        if not (_low(a) >= 0):
+            _check_domain(name, a, np.asarray(a) < 0)
         return np.sqrt(a)
     if name == "tan":
-        _check_domain(name, a, _tan_pole_mask(a))
+        if not (-TAN_CLEAR < _low(a) and _high(a) < TAN_CLEAR):
+            _check_domain(name, a, _tan_pole_mask(a))
         return _check_finite(name, a, np.tan(a))
     if name == "sin":
         return np.sin(a)
@@ -304,7 +327,8 @@ def _call(name, args):
     if name == "exp":
         return _check_finite(name, a, np.exp(a))
     if name == "log":
-        _check_domain(name, a, np.asarray(a) <= 0)
+        if not (_low(a) > 0):
+            _check_domain(name, a, np.asarray(a) <= 0)
         return np.log(a)
     if name == "abs":
         return np.abs(a)
@@ -348,7 +372,8 @@ def _walk(node, bindings, checked=False):
             out = _ARITHMETIC[node.op](left, right)
             return _check_finite(node.op, left, out) if checked else out
         if node.op == "/":
-            _check_domain("/", right, np.asarray(right) == 0)
+            if not (_low(right) > 0 or _high(right) < 0):
+                _check_domain("/", right, np.asarray(right) == 0)
             out = np.divide(left, right)
             return _check_finite("/", right, out)
         return _pow("^", left, right)

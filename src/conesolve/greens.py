@@ -10,7 +10,6 @@ with the principal eigenfunction by power iteration.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +104,10 @@ def spectral_radius(op: DiscreteOperator) -> SpectralEstimate:
     positive principal eigenfunction).  Terminates when successive estimates
     agree to a relative SPECTRUM_TOL and the sup-norm eigen-residual is
     below SPECTRUM_TOL, or raises NoConvergence after SPECTRUM_MAX_ITER
-    applications of K.
+    applications of K.  On an operator that is not an M-matrix
+    (op.diagnostics.is_m_matrix) the iteration may not converge to a
+    positive eigenpair.
     """
-    if not op.diagnostics.is_m_matrix:
-        warnings.warn("operator matrix is not an M-matrix; the power "
-                      "iteration may not converge to a positive eigenpair",
-                      stacklevel=2)
     phi = np.ones(op.grid.interior_count)
     r_prev = None
     for it in range(1, SPECTRUM_MAX_ITER + 1):

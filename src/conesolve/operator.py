@@ -23,6 +23,12 @@ along the inward lattice line.  Corner values (needed only by the cross
 stencil) average the two edge eliminations.  These rules form a sparse map
 P from lattice values to unknowns, so that A = A_II + A_IB P.
 
+Every entry of A lies in the 3x3 lattice window around its row's node (an
+eliminated boundary value reaches one node past the row's own), so A is
+held as a table of 9 stencil slots per row (ELLPACK storage; Saad,
+Iterative Methods for Sparse Linear Systems, 2003, sec. 3.4) and emitted
+as CSR from it.
+
 When A is invariant under some of the eight symmetries of the lattice
 (the dihedral group D4), `fold` restricts it to the functions those maps
 leave invariant: one unknown per orbit of interior nodes (Bossavit 1986,
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,18 +105,44 @@ class OperatorDiagnostics:
     ellipticity_mu0: float
 
 
+# The slots of the 3x3 lattice window around a node, as (di, dj) offsets in
+# the order SW S SE W C E NW N NE.  Interior ids are row-major, so within a
+# row of A slot order is column order.
+SLOT_OFFSETS = np.array([(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1)])
+CENTRE = 4
+
+
+def _slot(di, dj):
+    return 3 * (dj + 1) + di + 1
+
+
+class Stencil(NamedTuple):
+    """The rows of A as an (N, 9) table of stencil slots.  Slot s of row k
+    is the node at SLOT_OFFSETS[s] from node k: `columns[k, s]` is its
+    unknown (-1 if none), `values[k, s]` the entry of A there (0 where A
+    stores none) and `present[k, s]` whether A stores it.  The tables are
+    Fortran-ordered, so each slot is one contiguous array."""
+
+    values: np.ndarray
+    present: np.ndarray
+    columns: np.ndarray
+
+
 @dataclass(eq=False)
 class DiscreteOperator:
     """Sparse realization of (L, B) on the interior nodes of a grid.
 
     A folded operator (see `fold`) acts on one unknown per orbit: its grid
     holds the orbit representatives, and `symmetry` names the lattice maps
-    other than the identity that were folded out (empty when unfolded)."""
+    other than the identity that were folded out (empty when unfolded).
+    `stencil` holds the matrix as slots; `assemble` sets it, and `fold`
+    reads it."""
 
     matrix: sp.csr_matrix
     grid: Grid
     diagnostics: OperatorDiagnostics
     symmetry: tuple = ()
+    stencil: Stencil | None = None
 
     def __post_init__(self):
         self._lu = None
@@ -257,9 +289,11 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
 
     Each interior node contributes its stencil terms w * z(lattice node) in
     a fixed order (legs E W N S, the cross stencil NE SW SE NW, upwind x,
-    upwind y, then the diagonal).  Mapping every lattice value through
-    `_lattice_map` gives A = A_II + A_IB P, and one COO -> CSR conversion
-    sums the duplicates in that order.
+    upwind y, then the diagonal).  Each term is added into the slot of its
+    lattice node in the (N, 9) slot table, so every entry sums its terms in
+    that order; the CSR matrix is read off the table row by row.  Rows that
+    reach a Neumann / Robin boundary value map it through `_lattice_map`
+    (A = A_II + A_IB P) and are summed by a COO -> CSR conversion instead.
 
     Returns a DiscreteOperator whose diagnostics report the sampled
     ellipticity constant and whether the matrix is an M-matrix (positive
@@ -285,10 +319,8 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     h = grid.h
     n = grid.interior_count
     te, tw, tn, ts = grid.arms.T
-    # interior nodes never sit on the outermost lattice ring, so these
-    # shifted flat indices stay on the node's row and column lines
-    node = grid.nodes[:, 1] * grid.nx + grid.nodes[:, 0]
-    east, west, north, south = 1, -1, grid.nx, -grid.nx
+    east, west, north, south = (_slot(1, 0), _slot(-1, 0), _slot(0, 1),
+                                _slot(0, -1))
 
     # -a11 z_xx, -a22 z_yy with shortened legs; a leg with arm < 1 ends
     # at the boundary crossing where the Dirichlet value is 0
@@ -301,45 +333,84 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     # -2 a12 z_xy by the 4-point cross stencil
     w = a12 / (2.0 * h * h)
     cross = a12 != 0.0
-    terms += [(north + east, -w, cross), (south + west, -w, cross),
-              (south + east, w, cross), (north + west, w, cross)]
-    # upwind first-order terms
+    terms += [(_slot(1, 1), -w, cross), (_slot(-1, -1), -w, cross),
+              (_slot(1, -1), w, cross), (_slot(-1, 1), w, cross)]
+    # upwind first-order terms, one slot per sign of the coefficient
     up1, up2 = b1 >= 0.0, b2 >= 0.0
-    terms += [
-        (np.where(up1, west, east), np.where(up1, -b1 / (tw * h),
-                                             b1 / (te * h)),
-         np.where(up1, tw, te) == 1.0),
-        (np.where(up2, south, north), np.where(up2, -b2 / (ts * h),
-                                               b2 / (tn * h)),
-         np.where(up2, ts, tn) == 1.0),
-    ]
+    bw, be = b1 / (tw * h), b1 / (te * h)
+    bs, bn = b2 / (ts * h), b2 / (tn * h)
+    terms += [(west, -bw, up1 & (tw == 1.0)), (east, be, ~up1 & (te == 1.0)),
+              (south, -bs, up2 & (ts == 1.0)),
+              (north, bn, ~up2 & (tn == 1.0))]
     diag = 2.0 * a11 / (h * h * te * tw)
     diag += 2.0 * a22 / (h * h * tn * ts)
-    diag += np.where(up1, b1 / (tw * h), -b1 / (te * h))
-    diag += np.where(up2, b2 / (ts * h), -b2 / (tn * h))
+    diag += np.where(up1, bw, -be)
+    diag += np.where(up2, bs, -bn)
     diag += c
 
+    # interior nodes never sit on the outermost lattice ring, so the
+    # window's flat lattice indices stay on the node's rows and columns
+    node = grid.nodes[:, 1] * grid.nx + grid.nodes[:, 0]
+    steps = SLOT_OFFSETS[:, 1] * grid.nx + SLOT_OFFSETS[:, 0]
+    ids = grid.interior_ids.ravel()
+    eliminated = (ids < 0) & (np.diff(lattice_map.indptr) > 0)
+    columns = np.empty((n, 9), dtype=ids.dtype, order="F")
+    near = np.zeros(n, dtype=bool)     # rows that reach an eliminated value
+    for s, step in enumerate(steps):
+        at = node + step
+        columns[:, s] = ids[at]
+        near |= eliminated[at]
+
+    # a term adds to a slot of a row at most once, so adding the terms in
+    # turn sums each entry in their order.  So does a COO -> CSR
+    # conversion for a row of at most 16 entries, where the std::sort
+    # scipy sorts a row with keeps equal columns in order; a row that
+    # reaches no eliminated value has at most 11
+    values = np.zeros((n, 9), order="F")
+    present = np.zeros((n, 9), dtype=bool, order="F")
+    rows = np.flatnonzero(near)
     entries = []
-    for step, weight, on in terms:
+    for slot, weight, on in terms:
         on = on & (weight != 0.0)
-        entries.append(_expand(lattice_map, np.flatnonzero(on),
-                               (node + step)[on], weight[on]))
-    rows = np.arange(n)
-    entries.append((rows, rows, diag))
-    matrix = _coo_to_csr(entries, (n, n))
-    if not np.all(np.isfinite(matrix.data)):
+        if not on.any():
+            continue
+        r = rows[on[rows]]
+        entries.append(_expand(lattice_map, r, node[r] + steps[slot],
+                               weight[r]))
+        on &= ~near & (columns[:, slot] >= 0)
+        values[:, slot] += np.where(on, weight, 0.0)
+        present[:, slot] |= on
+    values[:, CENTRE] += diag
+    present[:, CENTRE] = True
+    if rows.size:
+        # rows that reach an eliminated value can have more entries, in an
+        # order only the conversion itself reproduces; their entries stay
+        # in the window, since P's rows reach one node past the row's own
+        entries.append((rows, rows, diag[rows]))
+        coo = _coo_to_csr(entries, (n, n)).tocoo()
+        slot_of_step = np.empty(2 * grid.nx + 3, dtype=np.intp)
+        slot_of_step[steps + grid.nx + 1] = np.arange(9)
+        slots = slot_of_step[node[coo.col] - node[coo.row] + grid.nx + 1]
+        values[coo.row, slots] = coo.data
+        present[coo.row, slots] = True
+    high, low = values.max(axis=0), values.min(axis=0)
+    if not (np.all(np.isfinite(high)) and np.all(np.isfinite(low))):
         raise CoefficientViolation(
             f"a stencil weight overflows at h={h}: the coefficients are too "
             "large for this mesh")
 
-    coo = matrix.tocoo()
-    off = coo.row != coo.col
-    scale = float(np.abs(coo.data).max()) if coo.data.size else 1.0
-    tol = 1e-12 * scale
-    m_diag = matrix.diagonal()
-    is_m = bool(np.all(m_diag > 0) and
-                (not np.any(off) or np.all(coo.data[off] <= tol)))
-    return DiscreteOperator(matrix, grid, OperatorDiagnostics(is_m, mu0))
+    stored = np.flatnonzero(present)        # row by row, in column order
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    matrix = sp.csr_matrix((values.ravel()[stored],
+                            columns.ravel()[stored], indptr), shape=(n, n))
+    matrix.has_canonical_format = True
+
+    # absent entries are 0, so the off-diagonal maximum covers them
+    tol = 1e-12 * max(high.max(), -low.min())
+    is_m = bool(low[CENTRE] > 0 and np.delete(high, CENTRE).max() <= tol)
+    return DiscreteOperator(matrix, grid, OperatorDiagnostics(is_m, mu0),
+                            stencil=Stencil(values, present, columns))
 
 
 # The symmetries of a lattice other than the identity, as (name, swap,
@@ -367,14 +438,39 @@ def _node_map(grid: Grid, swap, flip_i, flip_j):
         i = grid.nx - 1 - i
     if flip_j:
         j = grid.ny - 1 - j
-    image = grid.interior_ids[j, i]
+    image = grid.interior_ids.ravel()[j * grid.nx + i]
     return None if np.any(image < 0) else image
 
 
-def _keeps(a, image) -> bool:
-    """Whether the node permutation `image` leaves the matrix a unchanged,
-    bit for bit."""
-    return (a[image][:, image] != a).nnz == 0
+def _slot_map(swap, flip_i, flip_j):
+    """The slot each slot of a node's window goes to under a lattice map."""
+    di, dj = SLOT_OFFSETS.T
+    if swap:
+        di, dj = dj, di
+    return _slot(-di if flip_i else di, -dj if flip_j else dj)
+
+
+def _keeps(values, image, slots) -> bool:
+    """Whether the lattice map that takes node k to image[k] and slot s to
+    slots[s] leaves the slot table `values` unchanged, so that
+    A[g k, g c] == A[k, c] for all nodes k, c."""
+    return all(np.array_equal(values[:, slots[s]].take(image, axis=0),
+                              values[:, s]) for s in range(9))
+
+
+def _orbit_sums(values, orbits, present):
+    """Each row's entries summed by orbit, in slot order, which is the
+    column order in which csr_matmat sums A E.  Returns sums[k, s], the sum
+    over the slots t of row k with orbits[k, t] == orbits[k, s], and
+    first[k, s], whether s is the first stored slot of its orbit in row
+    k."""
+    sums = np.zeros(values.shape)
+    first = present.copy()
+    for t in range(9):
+        same = orbits == orbits[:, t:t + 1]
+        sums += np.where(same, values[:, t:t + 1], 0.0)
+        first[:, t + 1:] &= ~(same[:, t + 1:] & present[:, t:t + 1])
+    return sums, first
 
 
 def _compose(g, h):
@@ -398,14 +494,18 @@ def fold(op: DiscreteOperator) -> DiscreteOperator:
     """Fold out of op the largest group of lattice maps that leaves its
     matrix A invariant, bit for bit.
 
-    A map g keeps A when A[g][:, g] == A; the maps that do form a group G,
-    since invariance is exact.  So only the maps the accepted ones do not
-    generate already are tested (3 of the 7 when G is all of D4).  The
-    orbits of G partition the interior nodes, each represented by its
-    smallest node index.  With E the 0/1 map from nodes to orbits, the
-    folded matrix is A_f = A[reps] E, whose entries are orbit sums of A's
-    rows.  When A E == E A_f holds bitwise, K maps G-invariant data
-    u = E v to E K_f v exactly, so every iterate, K(1) and the principal
+    op is an operator as `assemble` returns it, with its slot table.  A map
+    g keeps A when A[g k, g c] == A[k, c] for all nodes k, c: on the table,
+    row g k holds row k's entries with each slot moved by g's action on the
+    window.  The maps that keep A form a group G, since invariance is
+    exact, so only the maps the accepted ones do not generate already are
+    tested (3 of the 7 when G is all of D4).  The orbits of G partition the
+    interior nodes; a node represents its orbit when it is the least of
+    its images.  With E the 0/1 map from nodes to orbits, the folded matrix
+    is A_f = (A E)[reps], whose entries are orbit sums of the
+    representatives' rows, summed in column order as A @ E sums them.
+    When A E == E A_f holds bitwise, K maps G-invariant data u = E v to
+    E K_f v exactly, so every iterate, K(1) and the principal
     eigenfunction can be computed on the orbits.
 
     Returns op itself when no map other than the identity keeps A or when
@@ -413,10 +513,10 @@ def fold(op: DiscreteOperator) -> DiscreteOperator:
     representatives whose `interior_ids` maps every lattice node to its
     orbit, carrying op's diagnostics.
     """
-    grid, a = op.grid, op.matrix
+    grid, (values, present, columns) = op.grid, op.stencil
     identity = np.arange(grid.interior_count,
                          dtype=grid.interior_ids.dtype)
-    names, images = [], [identity]
+    names, maps = [], []
     group = {(False, False, False)}     # generated by the accepted maps
     for name, *code in LATTICE_MAPS:
         code = tuple(code)
@@ -425,21 +525,52 @@ def fold(op: DiscreteOperator) -> DiscreteOperator:
         image = _node_map(grid, *code)
         if image is None:
             continue
+        slots = _slot_map(*code)
         if code not in group:
-            if not _keeps(a, image):
+            if not _keeps(values, image, slots):
                 continue
             group = _closure(group | {code})
         names.append(name)
-        images.append(image)
+        maps.append((image, slots))
     if not names:
         return op
-    reps, orbit = np.unique(np.min(images, axis=0), return_inverse=True)
-    e = sp.csr_matrix((np.ones(orbit.size), (np.arange(orbit.size), orbit)),
-                      shape=(orbit.size, reps.size))
-    ae = a @ e
-    folded = ae[reps]
-    if (ae != folded[orbit]).nnz:       # E A_f is A_f's rows by orbit
-        return op
+    least = np.min([identity] + [image for image, _ in maps], axis=0)
+    is_rep = least == identity
+    reps = np.flatnonzero(is_rep)
+    orbit = (np.cumsum(is_rep, dtype=columns.dtype) - 1)[least]
+    # the orbit of each slot's node; a slot off the interior has its own
+    orbits = np.where(columns >= 0, orbit[columns],
+                      -1 - np.arange(9, dtype=columns.dtype))
+
+    # A E == E A_f when the orbit sums of every row agree along every map
+    # in G.  A row whose window meets no orbit twice holds its orbit sums
+    # as its entries, which agree since A is invariant.  The rows that do
+    # meet an orbit twice, and only they, map onto one another.
+    twice = np.zeros(orbit.size, dtype=bool)
+    for t in range(1, 9):
+        twice |= (orbits[:, :t] == orbits[:, t:t + 1]).any(axis=1)
+    rows = np.flatnonzero(twice)
+    sums, first = _orbit_sums(values[rows], orbits[rows], present[rows])
+    row_of = np.empty(orbit.size, dtype=np.intp)
+    row_of[rows] = np.arange(rows.size)
+    for image, slots in maps:
+        if not np.array_equal(sums[row_of[image[rows]]][:, slots], sums):
+            return op
+
+    # A_f = (A E)[reps] as csr_matmat lays it out: each row lists its
+    # orbits in the reverse order of their first stored slot, and drops
+    # the sums that are 0
+    rep_sums, rep_first = values[reps], present[reps]
+    meets = twice[reps]
+    rep_sums[meets] = sums[row_of[reps[meets]]]
+    rep_first[meets] = first[row_of[reps[meets]]]
+    keep = (rep_first & (rep_sums != 0))[:, ::-1]
+    stored = np.flatnonzero(keep)
+    indptr = np.zeros(reps.size + 1, dtype=np.intp)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    folded = sp.csr_matrix((rep_sums[:, ::-1].ravel()[stored],
+                            orbits[reps][:, ::-1].ravel()[stored], indptr),
+                           shape=(reps.size, reps.size))
     ids = grid.interior_ids
     reps_grid = _freeze(replace(
         grid, interior_ids=np.where(ids >= 0, orbit[ids], -1).astype(np.int32),

@@ -612,6 +612,29 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue(), caught
 
 
+@pytest.mark.parametrize("command,consequence", [
+    ("solve", "positivity of the iteration is not guaranteed"),
+    ("lambda-range", "the power iteration may not converge to a positive "
+                     "eigenpair"),
+    ("spectrum", "the power iteration may not converge to a positive "
+                 "eigenpair"),
+])
+def test_a_non_m_matrix_is_one_stdout_warning(tmp_path, command,
+                                               consequence):
+    from importlib.resources import files
+    text = (files("conesolve") / "configs" / "system_disk.cfg").read_text()
+    path = tmp_path / "a12.cfg"
+    path.write_text(text + 'a12 = "0.3"\n')
+    code, out, err, caught = _run_quietly(
+        [command, "--config", str(path), "--h", "0.0625",
+         "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert [line for line in out.splitlines()
+            if line.startswith("warning:")] == [
+        f"warning: operator matrix is not an M-matrix; {consequence}"]
+    assert err == "" and not caught
+
+
 @pytest.mark.parametrize("text,extra,code,fragment", [
     (SYSTEM_CFG.replace("rho1 = 0.7363107781851077", "rho1 = inf"), [],
      64, "rho1 must be positive and finite"),

@@ -161,6 +161,50 @@ def test_array_domain_error_reports_offender():
     assert err.value.value == -9.0
 
 
+# each checked function on values where the range test fails: the error
+# names the op and the first value the mask flags, also past a NaN, and
+# before a value that would overflow
+@pytest.mark.parametrize("src,u1,u2,op,bad", [
+    ("sqrt(u1)", [4.0, -1.0, -2.0], 0.0, "sqrt", -1.0),
+    ("sqrt(u1)", [np.nan, 1.0, -3.0], 0.0, "sqrt", -3.0),
+    ("log(u1)", [2.0, 0.0, -1.0], 0.0, "log", 0.0),
+    ("log(u1)", [np.nan, -1.0], 0.0, "log", -1.0),
+    ("tan(u1)", [0.5, 3 * math.pi / 2, math.pi / 2], 0.0, "tan",
+     3 * math.pi / 2),
+    ("tan(u1)", [np.nan, -math.pi / 2], 0.0, "tan", -math.pi / 2),
+    ("tan(u1)", [0.5, np.nan], 0.0, "tan", np.nan),
+    ("u1^0.5", [1.0, -4.0, -9.0], 0.0, "^", -4.0),
+    ("u1^-1", [np.nan, 2.0, 0.0], 0.0, "^", 0.0),
+    ("u1^u2", [10.0, 0.0], [400.0, -1.0], "^", 0.0),
+    ("pow(u1, u2)", [0.0, -8.0, 1.0], [-1.0, 0.5, 2.0], "pow", -8.0),
+    ("pow(u1, u2)", [10.0, 0.0, 1.0], [400.0, -1.0, 2.0], "pow", 0.0),
+    ("1/u1", [-1.0, 0.0, 2.0], 0.0, "/", 0.0),
+    ("1/u1", [np.nan, 1.0, -0.0], 0.0, "/", -0.0),
+    ("u2/u1", [1e-10, 0.0, 1.0], [1e308, 1.0, 1.0], "/", 0.0),
+])
+def test_domain_error_names_the_first_bad_value(src, u1, u2, op, bad):
+    with pytest.raises(EvalDomainError) as err:
+        eval_on_arrays(parse(src, UV), {"u1": np.array(u1),
+                                        "u2": np.array(u2)})
+    assert err.value.function == op
+    assert np.array_equal(err.value.value, bad, equal_nan=True)
+    assert math.isnan(bad) or (math.copysign(1.0, err.value.value)
+                               == math.copysign(1.0, bad))
+
+
+def test_a_range_in_the_domain_builds_no_mask(monkeypatch):
+    def no_mask(*args):
+        raise AssertionError("mask built")
+    monkeypatch.setattr("conesolve.expr._check_domain", no_mask)
+    monkeypatch.setattr("conesolve.expr._tan_pole_mask", no_mask)
+    tree = parse("sqrt(u1) + tan(-u1) + log(1 + u1) + 1/(u1 - 1) "
+                 "+ u1^0.5 + pow(u2, -1) + (-u2)^2", UV)
+    u1 = np.linspace(0.0, 0.7, 5)
+    got = eval_on_arrays(tree, {"u1": u1, "u2": -1 - u1})
+    assert np.array_equal(got, [eval_expr(tree, {"u1": a, "u2": -1 - a})
+                                for a in u1])
+
+
 def test_determinism():
     tree = parse("sqrt(u1) * tan(u2) - u1/u2 + 2^u1", UV)
     vals = {"u1": 0.37, "u2": 0.91}

@@ -10,8 +10,12 @@ from importlib.resources import files
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from conesolve import cli, k_one_norm, operator
+from conesolve import (Dirichlet, EllipticCoefficients, Neumann, Rectangle,
+                       Robin, UnitDisk, build_grid, cli, k_one_norm,
+                       operator)
 from conesolve.config import parse_config
 from conesolve.operator import LATTICE_MAPS
 from test_config_cli import ROBIN_CFG
@@ -141,8 +145,10 @@ def test_symmetry_breaking_narrows_the_fold(tmp_path, case):
 
 
 def _reference_fold(op):
-    """The symmetry and the lattice-to-orbit map found by testing every
-    lattice map for invariance."""
+    """The symmetry, the lattice-to-orbit map and the folded matrix found
+    on the CSR matrix A: every lattice map is tested with
+    A[g][:, g] == A, the orbits are ranked by np.unique, and A_f is
+    (A @ E)[reps], or None when A E == E A_f fails or nothing folds."""
     grid, a = op.grid, op.matrix
     names, images = [], [np.arange(grid.interior_count)]
     for name, swap, flip_i, flip_j in LATTICE_MAPS:
@@ -152,9 +158,15 @@ def _reference_fold(op):
         if image is not None and (a[image][:, image] != a).nnz == 0:
             names.append(name)
             images.append(image)
-    _, orbit = np.unique(np.min(images, axis=0), return_inverse=True)
+    reps, orbit = np.unique(np.min(images, axis=0), return_inverse=True)
     ids = grid.interior_ids
-    return tuple(names), np.where(ids >= 0, orbit[ids], -1)
+    e = sp.csr_matrix((np.ones(orbit.size), (np.arange(orbit.size), orbit)),
+                      shape=(orbit.size, reps.size))
+    ae = a @ e
+    folded = ae[reps]
+    if not names or (ae != folded[orbit]).nnz:
+        folded = None
+    return tuple(names), np.where(ids >= 0, orbit[ids], -1), folded
 
 
 # config text, the lattice maps folded out and the invariance tests fold
@@ -166,6 +178,11 @@ CLOSURE = {
     "disk a12 = 0.3": (SYSTEM_DISK + 'a12 = "0.3"\n',
                        ("half turn", "transpose", "antitranspose"), 6),
     "centred square": (CENTRED_SQUARE, ALL_MAPS, 3),
+    # boundary rows eliminated through P
+    "centred square, robin": (CENTRED_SQUARE.replace(
+        "bc = dirichlet", 'bc = robin "1"'), ALL_MAPS, 3),
+    "centred square, neumann": (CENTRED_SQUARE.replace(
+        "bc = dirichlet", "bc = neumann") + 'c = "1"\n', ALL_MAPS, 3),
 }
 
 
@@ -179,12 +196,88 @@ def test_fold_tests_only_the_maps_not_yet_generated(case):
     keeps = operator._keeps
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(operator, "_keeps",
-                      lambda a, image: tested.append(image) or keeps(a, image))
+                      lambda *args: tested.append(args) or keeps(*args))
         folded = operator.fold(op)
-    names, orbit_ids = _reference_fold(op)
+    names, orbit_ids, a_f = _reference_fold(op)
     assert folded.symmetry == names == maps
     assert np.array_equal(folded.grid.interior_ids, orbit_ids)
+    assert_same_csr(folded.matrix, a_f)
     assert len(tested) == tests
+
+
+def assert_same_csr(a, b):
+    """a and b hold the same CSR arrays, entry order and bits included."""
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+
+
+def _coefficient(kind):
+    """A coefficient function of (x1, x2) by name: constants, and terms
+    that keep or break some lattice symmetries of a centred domain."""
+    return {
+        "0": lambda x, y: 0.0 * x,
+        "0.3": lambda x, y: 0.3 + 0.0 * x,
+        "0.123": lambda x, y: 0.123 + 0.0 * x,
+        "1.3": lambda x, y: 1.3 + 0.0 * x,
+        "-0.5": lambda x, y: -0.5 + 0.0 * x,
+        "1": lambda x, y: 1.0 + 0.0 * x,
+        "2 + x1^2 + x2^2": lambda x, y: 2.0 + x * x + y * y,
+        "1 + x1^2": lambda x, y: 1.0 + x * x,
+        "1 + 0.5*x1": lambda x, y: 1.0 + 0.5 * x,
+        "0.3*x1*x2": lambda x, y: 0.3 * x * y,
+        "x1": lambda x, y: x + 0.0 * y,
+        "x2^2": lambda x, y: y * y + 0.0 * x,
+    }[kind]
+
+
+@st.composite
+def fold_cases(draw):
+    """A domain, a mesh step, coefficients and a boundary condition."""
+    domain = draw(st.sampled_from([
+        UnitDisk(), UnitDisk(), Rectangle(-1, 1, -1, 1),
+        Rectangle(-1, 1, -1, 1), Rectangle(0, 1, 0, 1),
+        Rectangle(-1.5, 1.5, -1, 1), Rectangle(-1, 1, -0.5, 0.5)]))
+    h = draw(st.sampled_from([1 / 4, 0.2, 1 / 8, 0.1]))
+    even = ["1", "1", "2 + x1^2 + x2^2", "1 + x1^2"]
+    a11 = draw(st.sampled_from(even + ["1 + 0.5*x1"]))
+    a22 = draw(st.sampled_from(even))
+    a12 = draw(st.sampled_from(["0", "0", "0.3", "0.123", "0.3*x1*x2"]))
+    b1 = draw(st.sampled_from(["0", "0", "0", "0.3", "-0.5", "x1"]))
+    b2 = draw(st.sampled_from(["0", "0", "0", "0.3", "-0.5"]))
+    c = draw(st.sampled_from(["0", "1", "1", "x2^2"]))
+    bc = Dirichlet()
+    if isinstance(domain, Rectangle):
+        bc = draw(st.sampled_from([
+            Dirichlet(), Neumann(), Robin(_coefficient("1")),
+            Robin(_coefficient("1.3")), Robin(_coefficient("1 + x1^2"))]))
+        if isinstance(bc, Neumann):
+            c = "1"
+    coeffs = EllipticCoefficients(*(_coefficient(k) for k in
+                                    (a11, a12, a22, b1, b2, c)))
+    return domain, h, coeffs, bc
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fold_cases())
+# invariant under the half turn and both transposes, yet A E != E A_f
+# bitwise, so the fold falls back to the full operator
+@example((Rectangle(-1, 1, -1, 1), 1 / 4, EllipticCoefficients(
+    *(_coefficient(k) for k in ("1", "0.123", "1", "0", "0", "0"))),
+    Robin(_coefficient("1.3"))))
+def test_slot_table_fold_matches_the_sparse_reference(case):
+    domain, h, coeffs, bc = case
+    op = operator.assemble(build_grid(domain, h), coeffs, bc)
+    folded = operator.fold(op)
+    names, orbit_ids, a_f = _reference_fold(op)
+    if a_f is None:
+        assert folded is op
+        return
+    assert folded.symmetry == names
+    assert np.array_equal(folded.grid.interior_ids, orbit_ids)
+    assert_same_csr(folded.matrix, a_f)
 
 
 def test_x_dependent_f_is_not_folded_even_on_a_symmetric_operator():

@@ -12,8 +12,9 @@ from conesolve.config import parse_config
 from conesolve.errors import (CoefficientViolation, EllipticityViolation,
                               NeumannRequiresZerothOrder, SolverFailure,
                               UnsupportedBC)
-from conesolve.operator import (DiscreteOperator, OperatorDiagnostics,
-                                _check_ellipticity, constant)
+from conesolve.operator import (SLOT_OFFSETS, DiscreteOperator,
+                                OperatorDiagnostics, _check_ellipticity,
+                                constant)
 
 
 def test_laplacian_single_node_matrix():
@@ -362,6 +363,24 @@ def test_assembly_matches_golden_csr(name):
     op = assemble(*_golden_case(name))
     assert op.matrix.has_canonical_format
     assert _csr_digest(op.matrix) == GOLDEN_CSR[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSR))
+def test_slot_table_holds_the_matrix(name):
+    op = assemble(*_golden_case(name))
+    values, present, columns = op.stencil
+    grid = op.grid
+    i, j = grid.nodes.T
+    for s, (di, dj) in enumerate(SLOT_OFFSETS):
+        assert np.array_equal(columns[:, s], grid.interior_ids[j + dj, i + di])
+    rows = np.broadcast_to(np.arange(grid.interior_count)[:, None],
+                           present.shape)
+    stored = sp.csr_matrix((values[present], (rows[present],
+                                              columns[present])),
+                           shape=op.matrix.shape)
+    assert stored.nnz == op.matrix.nnz == present.sum()
+    assert (stored != op.matrix).nnz == 0
+    assert not values[~present].any()
 
 
 def test_disk_lu_fill_uses_a_fill_reducing_ordering():

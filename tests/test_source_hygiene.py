@@ -46,3 +46,34 @@ def test_every_parameter_in_the_package_is_read():
                   ast.parse(path.read_text(encoding="utf-8")))]
     assert SOURCES
     assert unread == []
+
+
+def warnings_imports(tree):
+    """Line of each import of the standard library's warnings module in
+    tree.  The package reports through `warning:` lines and exit codes,
+    which a library warning would bypass."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "warnings" for name in names):
+            yield node.lineno
+
+
+def test_the_check_finds_a_warnings_import():
+    tree = ast.parse("import os, warnings\nfrom warnings import warn\n"
+                     "import warnings as w\nfrom . import warnings\n"
+                     "from os import path\nimport numpy.warnings\n"
+                     "def f():\n    import warnings\n")
+    assert list(sorted(warnings_imports(tree))) == [1, 2, 3, 8]
+
+
+def test_no_module_in_the_package_imports_warnings():
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in warnings_imports(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert SOURCES
+    assert found == []
