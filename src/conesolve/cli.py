@@ -190,7 +190,8 @@ class Pipeline:
             return f"no lattice symmetry: solving on all {nodes} nodes"
         maps = len(self.op.symmetry) + 1
         group = {8: "D4", 4: "C4" if "quarter turn" in self.op.symmetry
-                 else "D2", 2: "C2"}[maps]
+                 else "D2", 2: "C2" if "half turn" in self.op.symmetry
+                 else "D1"}[maps]
         which = ("all 8 maps" if maps == 8
                  else ", ".join(self.op.symmetry))
         return (f"lattice symmetry: {group} ({which}): solving on "

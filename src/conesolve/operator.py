@@ -20,8 +20,9 @@ the outward normal derivative:
 
 so z_B = (4 z_1 - z_2) / (3 + 2 h b), where z_1, z_2 are the next two nodes
 along the inward lattice line.  Corner values (needed only by the cross
-stencil) average the two edge eliminations.  These rules form a sparse map
-P from lattice values to unknowns, so that A = A_II + A_IB P.
+stencil) average the two edge eliminations.  These rules give each
+eliminated value as at most four (node, weight) pairs, and a term that
+reaches it adds into the slots of those nodes.
 
 Every entry of A lies in the 3x3 lattice window around its row's node (an
 eliminated boundary value reaches one node past the row's own), so A is
@@ -201,59 +202,6 @@ def _check_ellipticity(a11, a12, a22):
     return mu0
 
 
-def _expand(lattice_map, rows, targets, weights):
-    """COO entries of the terms weights * z(targets) in rows `rows`, with
-    each lattice value replaced by its row of `lattice_map`; a term's
-    entries follow in column order and keep the order of the terms."""
-    start = lattice_map.indptr[targets]
-    count = lattice_map.indptr[targets + 1] - start
-    pos = (np.repeat(start - np.cumsum(count) + count, count)
-           + np.arange(count.sum()))
-    return (np.repeat(rows, count), lattice_map.indices[pos],
-            np.repeat(weights, count) * lattice_map.data[pos])
-
-
-def _coo_to_csr(entries, shape):
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-
-
-def _lattice_map(grid: Grid, bc: BoundarySpec, robin_b) -> sp.csr_matrix:
-    """The sparse map P from lattice node values to interior unknowns.
-
-    Row j*nx + i of P holds the value at lattice node (i, j): the unit vector
-    of its unknown at an interior node, nothing at exterior nodes and
-    Dirichlet boundary nodes (value 0).  A Neumann / Robin boundary node
-    applies z_B = (4 z_1 - z_2) / (3 + 2 h b) along each inward lattice line
-    and, at a corner, averages the two lines.  Corner lines end on edge
-    nodes, so corner rows are resolved through the edge rows.
-    """
-    ids = grid.interior_ids.ravel()
-    shape = (ids.size, grid.interior_count)
-    q = np.flatnonzero(ids >= 0)
-    entries = [(q, ids[q], np.ones(q.size))]
-    lattice_map = _coo_to_csr(entries, shape)
-    if isinstance(bc, Dirichlet):
-        return lattice_map
-    nx, ny = grid.nx, grid.ny
-    jb, ib = np.nonzero(grid.classification == BOUNDARY)
-    qb = jb * nx + ib
-    denom = 3.0 + 2.0 * grid.h * robin_b
-    lines = [(ib == 0, 1), (ib == nx - 1, -1), (jb == 0, nx),
-             (jb == ny - 1, -nx)]
-    n_lines = np.sum([on for on, _ in lines], axis=0)
-    share = 1.0 / n_lines
-    for count in (1, 2):        # edge lines end inside, corner lines on edges
-        for on, inward in lines:
-            sel = on & (n_lines == count)
-            for step, w in ((1, 4.0), (2, -1.0)):
-                entries.append(_expand(lattice_map, qb[sel],
-                                       qb[sel] + step * inward,
-                                       (share * (w / denom))[sel]))
-        lattice_map = _coo_to_csr(entries, shape)
-    return lattice_map
-
-
 def _validate_bc(grid, bc, c_vals):
     """Check `bc` against the grid; return the Robin coefficient sampled at
     the boundary nodes in row-major order (zero for Neumann)."""
@@ -282,6 +230,47 @@ def _validate_bc(grid, bc, c_vals):
     return bvals
 
 
+def _elimination(grid: Grid, robin_b):
+    """The elimination table of the Neumann / Robin boundary values.
+
+    Returns (entry, nodes, weights): the lattice node at flat index q is
+    eliminated when e = entry[q] >= 0, and then its value is the sum of
+    weights[e, p] * z(nodes[e, p]) over the pairs p with nodes[e, p] >= 0,
+    nodes holding flat lattice indices of interior nodes.  An edge node
+    holds the two nodes of its inward lattice line.  A corner averages its
+    two lines, each ending on an edge node that is resolved by the edge
+    rule, so it holds the 2x2 block of nodes next to it.  `robin_b` is the
+    Robin coefficient at the boundary nodes in row-major order.
+    """
+    nx, ny = grid.nx, grid.ny
+    jb, ib = np.nonzero(grid.classification == BOUNDARY)
+    at = jb * nx + ib
+    entry = np.full(nx * ny, -1)
+    entry[at] = np.arange(at.size)
+    denom = 3.0 + 2.0 * grid.h * robin_b
+    rule = (4.0, -1.0)      # (3 + 2 h b) z_B = 4 z_1 - z_2
+    # the inward steps along i and along j, 0 on the edges they follow
+    di = np.select([ib == 0, ib == nx - 1], [1, -1])
+    dj = np.select([jb == 0, jb == ny - 1], [nx, -nx])
+    nodes = np.full((at.size, 4), -1)
+    weights = np.zeros((at.size, 4))
+    edge = (di == 0) | (dj == 0)
+    inward = (di + dj)[edge]
+    for p, w in enumerate(rule):
+        nodes[edge, p] = at[edge] + (p + 1) * inward
+        weights[edge, p] = w / denom[edge]
+    # the corner's line along i steps a to an edge node whose rule steps b
+    # along j; its line along j steps b to one whose rule steps a along i
+    corner = np.flatnonzero(~edge)
+    q, si, sj, d = at[corner], di[corner], dj[corner], denom[corner]
+    for p, (a, b) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        nodes[corner, p] = q + (a + 1) * si + (b + 1) * sj
+        weights[corner, p] = (
+            (0.5 * (rule[a] / d)) * weights[entry[q + (a + 1) * si], b]
+            + (0.5 * (rule[b] / d)) * weights[entry[q + (b + 1) * sj], a])
+    return entry, nodes, weights
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def assemble(grid: Grid, coeffs: EllipticCoefficients,
              bc: BoundarySpec) -> DiscreteOperator:
@@ -290,10 +279,10 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     Each interior node contributes its stencil terms w * z(lattice node) in
     a fixed order (legs E W N S, the cross stencil NE SW SE NW, upwind x,
     upwind y, then the diagonal).  Each term is added into the slot of its
-    lattice node in the (N, 9) slot table, so every entry sums its terms in
-    that order; the CSR matrix is read off the table row by row.  Rows that
-    reach a Neumann / Robin boundary value map it through `_lattice_map`
-    (A = A_II + A_IB P) and are summed by a COO -> CSR conversion instead.
+    lattice node in the (N, 9) slot table; a term that reaches an eliminated
+    Neumann / Robin boundary value adds w * weight into the slot of each
+    node of its `_elimination` pairs instead.  So every entry sums its terms
+    in that order, and the CSR matrix is read off the table row by row.
 
     Returns a DiscreteOperator whose diagnostics report the sampled
     ellipticity constant and whether the matrix is an M-matrix (positive
@@ -314,7 +303,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
         k = int(np.argmin(c))
         raise CoefficientViolation(
             f"zero-order coefficient negative ({c[k]:.3e}) at node {k}")
-    lattice_map = _lattice_map(grid, bc, _validate_bc(grid, bc, c))
+    robin_b = _validate_bc(grid, bc, c)
 
     h = grid.h
     n = grid.interior_count
@@ -353,46 +342,40 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     node = grid.nodes[:, 1] * grid.nx + grid.nodes[:, 0]
     steps = SLOT_OFFSETS[:, 1] * grid.nx + SLOT_OFFSETS[:, 0]
     ids = grid.interior_ids.ravel()
-    eliminated = (ids < 0) & (np.diff(lattice_map.indptr) > 0)
     columns = np.empty((n, 9), dtype=ids.dtype, order="F")
-    near = np.zeros(n, dtype=bool)     # rows that reach an eliminated value
     for s, step in enumerate(steps):
-        at = node + step
-        columns[:, s] = ids[at]
-        near |= eliminated[at]
+        columns[:, s] = ids[node + step]
+    if not isinstance(bc, Dirichlet):
+        entry, pair_nodes, pair_weights = _elimination(grid, robin_b)
+        slot_of_step = np.empty(2 * grid.nx + 3, dtype=np.intp)
+        slot_of_step[steps + grid.nx + 1] = np.arange(9)
 
-    # a term adds to a slot of a row at most once, so adding the terms in
-    # turn sums each entry in their order.  So does a COO -> CSR
-    # conversion for a row of at most 16 entries, where the std::sort
-    # scipy sorts a row with keeps equal columns in order; a row that
-    # reaches no eliminated value has at most 11
+    # a term adds to a slot of a row at most once, since the pairs of an
+    # eliminated value name distinct nodes, so adding the terms in turn
+    # sums each entry in their order
     values = np.zeros((n, 9), order="F")
     present = np.zeros((n, 9), dtype=bool, order="F")
-    rows = np.flatnonzero(near)
-    entries = []
     for slot, weight, on in terms:
         on = on & (weight != 0.0)
         if not on.any():
             continue
-        r = rows[on[rows]]
-        entries.append(_expand(lattice_map, r, node[r] + steps[slot],
-                               weight[r]))
-        on &= ~near & (columns[:, slot] >= 0)
-        values[:, slot] += np.where(on, weight, 0.0)
-        present[:, slot] |= on
+        direct = on & (columns[:, slot] >= 0)
+        values[:, slot] += np.where(direct, weight, 0.0)
+        present[:, slot] |= direct
+        if isinstance(bc, Dirichlet):
+            continue
+        # a term that reaches an eliminated value adds into the slots of
+        # the nodes its pairs name
+        e = entry[node + steps[slot]]
+        rows = np.flatnonzero(on & (e >= 0))
+        targets, pair_w = pair_nodes[e[rows]], pair_weights[e[rows]]
+        named = targets >= 0
+        rows = np.broadcast_to(rows[:, None], named.shape)[named]
+        slots = slot_of_step[targets[named] - node[rows] + grid.nx + 1]
+        values[rows, slots] += weight[rows] * pair_w[named]
+        present[rows, slots] = True
     values[:, CENTRE] += diag
     present[:, CENTRE] = True
-    if rows.size:
-        # rows that reach an eliminated value can have more entries, in an
-        # order only the conversion itself reproduces; their entries stay
-        # in the window, since P's rows reach one node past the row's own
-        entries.append((rows, rows, diag[rows]))
-        coo = _coo_to_csr(entries, (n, n)).tocoo()
-        slot_of_step = np.empty(2 * grid.nx + 3, dtype=np.intp)
-        slot_of_step[steps + grid.nx + 1] = np.arange(9)
-        slots = slot_of_step[node[coo.col] - node[coo.row] + grid.nx + 1]
-        values[coo.row, slots] = coo.data
-        present[coo.row, slots] = True
     high, low = values.max(axis=0), values.min(axis=0)
     if not (np.all(np.isfinite(high)) and np.all(np.isfinite(low))):
         raise CoefficientViolation(

@@ -6,6 +6,7 @@ disk configs keep folding."""
 import contextlib
 import io
 from importlib.resources import files
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ CLOSURE = {
     "disk a12 = 0.3": (SYSTEM_DISK + 'a12 = "0.3"\n',
                        ("half turn", "transpose", "antitranspose"), 6),
     "centred square": (CENTRED_SQUARE, ALL_MAPS, 3),
-    # boundary rows eliminated through P
+    # boundary rows reach eliminated Neumann / Robin values
     "centred square, robin": (CENTRED_SQUARE.replace(
         "bc = dirichlet", 'bc = robin "1"'), ALL_MAPS, 3),
     "centred square, neumann": (CENTRED_SQUARE.replace(
@@ -310,3 +311,39 @@ def test_every_command_names_its_symmetry(tmp_path, capsys, command, line):
     printed = capsys.readouterr().out.splitlines()
     assert printed[line] == ("lattice symmetry: D4 (all 8 maps): solving on "
                              "113 orbits of 793 nodes")
+
+
+# the lattice maps other than the identity that a group holds, in the
+# order of LATTICE_MAPS, and the name of the group
+GROUPS = [
+    (ALL_MAPS, "D4"),
+    (("half turn", "quarter turn", "three-quarter turn"), "C4"),
+    (("i -> nx-1-i", "j -> ny-1-j", "half turn"), "D2"),
+    (("half turn", "transpose", "antitranspose"), "D2"),
+    (("half turn",), "C2"),
+    (("i -> nx-1-i",), "D1"),
+    (("j -> ny-1-j",), "D1"),
+    (("transpose",), "D1"),
+    (("antitranspose",), "D1"),
+]
+
+
+@pytest.mark.parametrize("maps, group", GROUPS)
+def test_the_symmetry_line_names_the_group(maps, group):
+    op = SimpleNamespace(symmetry=maps,
+                         grid=SimpleNamespace(interior_count=7))
+    pipe = cli.Pipeline(None, SimpleNamespace(interior_count=50), op, 0.0,
+                        None)
+    which = "all 8 maps" if group == "D4" else ", ".join(maps)
+    assert pipe.symmetry_text() == (f"lattice symmetry: {group} ({which}): "
+                                    "solving on 7 orbits of 50 nodes")
+
+
+def test_a_single_mirror_is_named_d1(tmp_path, capsys):
+    path = tmp_path / "system.cfg"
+    path.write_text(SYSTEM_DISK + 'b1 = "0.5"\n')
+    assert cli.main(["lambda-range", "--config", str(path), "--h",
+                     "0.0625"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "lattice symmetry: D1 (j -> ny-1-j): solving on 412 orbits of 793 "
+        "nodes")

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conesolve import (Dirichlet, EllipticCoefficients, Neumann, Rectangle,
                        Robin, UnitDisk, apply_K, assemble, build_grid)
@@ -12,9 +14,10 @@ from conesolve.config import parse_config
 from conesolve.errors import (CoefficientViolation, EllipticityViolation,
                               NeumannRequiresZerothOrder, SolverFailure,
                               UnsupportedBC)
+from conesolve.geometry import BOUNDARY
 from conesolve.operator import (SLOT_OFFSETS, DiscreteOperator,
                                 OperatorDiagnostics, _check_ellipticity,
-                                constant)
+                                _sample, constant)
 
 
 def test_laplacian_single_node_matrix():
@@ -337,9 +340,9 @@ def _csr_digest(matrix):
     return digest.hexdigest()
 
 
-# SHA-256 of the CSR arrays (indptr, indices, data) as assembled by the
-# per-node reference assembly; the array assembly must reproduce every
-# index and every bit of every entry
+# SHA-256 of the CSR arrays (indptr, indices, data) as `assemble` sums
+# them, every entry in the order of its stencil terms, a Neumann / Robin
+# elimination included; they pin every index and every bit of every entry
 GOLDEN_CSR = {
     "disk-laplacian":
         "6a3ab5eff44c9f33383af17d1e446930fe6c036b43ca12a30d281540514f0545",
@@ -350,7 +353,7 @@ GOLDEN_CSR = {
     "rect-robin":
         "a19d23c4c3dedd8b05573d4c8cea3062fed7545cad7256c88f7461a63c164a53",
     "mixed-robin-corners":
-        "a4338ca93e0efb5c1c965392de1b76727510e658ed6a4d259b24b98e15205e42",
+        "1eed2adb8ad57a2cf66c8f8838e8df00dad399fdad6ff40e6f63ecae25812ac3",
     "upwind-both-signs":
         "d036ed364e5af576fb7bcf737b25176ce07af934cc0978d0357a9e847fc59dcc",
     "disk-mixed-upwind":
@@ -363,6 +366,22 @@ def test_assembly_matches_golden_csr(name):
     op = assemble(*_golden_case(name))
     assert op.matrix.has_canonical_format
     assert _csr_digest(op.matrix) == GOLDEN_CSR[name]
+
+
+# the digests of `_reference_assemble`, which sums rows of more than 16
+# COO entries in std::sort's order: three entries of mixed-robin-corners,
+# in rows next to a corner, differ from the term order by one ulp
+REFERENCE_CSR = {
+    **GOLDEN_CSR,
+    "mixed-robin-corners":
+        "a4338ca93e0efb5c1c965392de1b76727510e658ed6a4d259b24b98e15205e42",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CSR))
+def test_reference_assembly_matches_its_digest(name):
+    matrix, _ = _reference_assemble(*_golden_case(name))
+    assert _csr_digest(matrix) == REFERENCE_CSR[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSR))
@@ -391,3 +410,172 @@ def test_disk_lu_fill_uses_a_fill_reducing_ordering():
     lu = assemble(grid, EllipticCoefficients.laplacian(),
                   Dirichlet()).factorization()
     assert lu.L.nnz + lu.U.nnz < 600_000
+
+
+def _expand(lattice_map, rows, targets, weights):
+    """COO entries of the terms weights * z(targets) in rows `rows`, with
+    each lattice value replaced by its row of `lattice_map`; a term's
+    entries follow in column order and keep the order of the terms."""
+    start = lattice_map.indptr[targets]
+    count = lattice_map.indptr[targets + 1] - start
+    pos = (np.repeat(start - np.cumsum(count) + count, count)
+           + np.arange(count.sum()))
+    return (np.repeat(rows, count), lattice_map.indices[pos],
+            np.repeat(weights, count) * lattice_map.data[pos])
+
+
+def _coo_to_csr(entries, shape):
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def _lattice_map(grid, bc, robin_b):
+    """The sparse map P from lattice node values to interior unknowns.
+
+    Row j*nx + i of P holds the value at lattice node (i, j): the unit vector
+    of its unknown at an interior node, nothing at exterior nodes and
+    Dirichlet boundary nodes (value 0).  A Neumann / Robin boundary node
+    applies z_B = (4 z_1 - z_2) / (3 + 2 h b) along each inward lattice line
+    and, at a corner, averages the two lines.  Corner lines end on edge
+    nodes, so corner rows are resolved through the edge rows.
+    """
+    ids = grid.interior_ids.ravel()
+    shape = (ids.size, grid.interior_count)
+    q = np.flatnonzero(ids >= 0)
+    entries = [(q, ids[q], np.ones(q.size))]
+    lattice_map = _coo_to_csr(entries, shape)
+    if isinstance(bc, Dirichlet):
+        return lattice_map
+    nx, ny = grid.nx, grid.ny
+    jb, ib = np.nonzero(grid.classification == BOUNDARY)
+    qb = jb * nx + ib
+    denom = 3.0 + 2.0 * grid.h * robin_b
+    lines = [(ib == 0, 1), (ib == nx - 1, -1), (jb == 0, nx),
+             (jb == ny - 1, -nx)]
+    n_lines = np.sum([on for on, _ in lines], axis=0)
+    share = 1.0 / n_lines
+    for count in (1, 2):        # edge lines end inside, corner lines on edges
+        for on, inward in lines:
+            sel = on & (n_lines == count)
+            for step, w in ((1, 4.0), (2, -1.0)):
+                entries.append(_expand(lattice_map, qb[sel],
+                                       qb[sel] + step * inward,
+                                       (share * (w / denom))[sel]))
+        lattice_map = _coo_to_csr(entries, shape)
+    return lattice_map
+
+
+def _reference_assemble(grid, coeffs, bc):
+    """A as a sparse map P from lattice values to unknowns assembles it:
+    A = A_II + A_IB P, every row's terms expanded through P into COO
+    entries, which one COO -> CSR conversion sums.  Returns A and the COO
+    entries (rows, columns, values) in term order.  scipy sums a row of at
+    most 16 entries in their order, which is the term order of `assemble`,
+    and a longer one in libstdc++ std::sort's order."""
+    xs, ys = grid.xs, grid.ys
+    a11, a12, a22, b1, b2, c = (_sample(f, xs, ys) for f in (
+        coeffs.a11, coeffs.a12, coeffs.a22, coeffs.b1, coeffs.b2, coeffs.c))
+    jb, ib = np.nonzero(grid.classification == BOUNDARY)
+    robin_b = (_sample(bc.b, grid.x0 + ib * grid.h, grid.y0 + jb * grid.h)
+               if isinstance(bc, Robin) else np.zeros(ib.size))
+    h = grid.h
+    te, tw, tn, ts = grid.arms.T
+    w = a12 / (2.0 * h * h)
+    cross = a12 != 0.0
+    up1, up2 = b1 >= 0.0, b2 >= 0.0
+    bw, be = b1 / (tw * h), b1 / (te * h)
+    bs, bn = b2 / (ts * h), b2 / (tn * h)
+    terms = [
+        ((1, 0), -2.0 * a11 / (h * h * te * (te + tw)), te == 1.0),
+        ((-1, 0), -2.0 * a11 / (h * h * tw * (te + tw)), tw == 1.0),
+        ((0, 1), -2.0 * a22 / (h * h * tn * (tn + ts)), tn == 1.0),
+        ((0, -1), -2.0 * a22 / (h * h * ts * (tn + ts)), ts == 1.0),
+        ((1, 1), -w, cross), ((-1, -1), -w, cross),
+        ((1, -1), w, cross), ((-1, 1), w, cross),
+        ((-1, 0), -bw, up1 & (tw == 1.0)), ((1, 0), be, ~up1 & (te == 1.0)),
+        ((0, -1), -bs, up2 & (ts == 1.0)), ((0, 1), bn, ~up2 & (tn == 1.0)),
+    ]
+    diag = 2.0 * a11 / (h * h * te * tw)
+    diag += 2.0 * a22 / (h * h * tn * ts)
+    diag += np.where(up1, bw, -be)
+    diag += np.where(up2, bs, -bn)
+    diag += c
+
+    lattice_map = _lattice_map(grid, bc, robin_b)
+    n = grid.interior_count
+    node = grid.nodes[:, 1] * grid.nx + grid.nodes[:, 0]
+    entries = []
+    for (di, dj), weight, on in terms:
+        r = np.flatnonzero(on & (weight != 0.0))
+        entries.append(_expand(lattice_map, r, node[r] + dj * grid.nx + di,
+                               weight[r]))
+    entries.append((np.arange(n), np.arange(n), diag))
+    return (_coo_to_csr(entries, (n, n)),
+            tuple(np.concatenate(part) for part in zip(*entries)))
+
+
+def _coefficient(text):
+    """A coefficient function of (x1, x2) from a Python expression."""
+    return eval(f"lambda x1, x2: {text} + 0.0 * x1")
+
+
+@st.composite
+def elimination_cases(draw):
+    """A grid, coefficients and a boundary condition, mostly Neumann and
+    Robin on square and non-square rectangles; coefficients are not
+    dyadic, so that summing an entry in another order changes its bits."""
+    domain, h = draw(st.sampled_from([
+        (Rectangle(0, 1, 0, 1), 0.1), (Rectangle(0, 1, 0, 1), 1 / 8),
+        (Rectangle(0, 1, 0, 1), 0.25), (Rectangle(0, 0.3, 0, 0.3), 0.1),
+        (Rectangle(0, 1.5, 0, 1), 0.1), (Rectangle(0, 1.5, 0, 1), 0.25),
+        (Rectangle(-1, 1, -0.5, 0.5), 0.1), (Rectangle(0, 0.3, 0, 0.7), 0.1),
+        (UnitDisk(), 1 / 8)]))
+    a11 = draw(st.sampled_from(["1", "1.3", "1 + 0.3*x1", "1 + 0.3*x1*x1"]))
+    a22 = draw(st.sampled_from(["1", "0.7", "2 + 0.7*x2", "1.1 + 0.2*x1"]))
+    a12 = draw(st.sampled_from(["0", "0", "0.2 + 0.1*x1*x2", "-0.15",
+                                "0.3*x1"]))
+    b1 = draw(st.sampled_from(["0", "0.7", "-1.3", "10*(x1 - 0.5)"]))
+    b2 = draw(st.sampled_from(["0", "-0.3", "2.1", "8 - 16*x2"]))
+    c = draw(st.sampled_from(["0", "0.3", "1.1 + x2", "1 + 0.2*x1"]))
+    bc = Dirichlet()
+    if isinstance(domain, Rectangle):
+        bc = draw(st.sampled_from([
+            Neumann(), Neumann(), Robin(_coefficient("0.8 + x1*x2")),
+            Robin(_coefficient("1.2 + x1")), Robin(_coefficient("1.3")),
+            Dirichlet()]))
+        if isinstance(bc, Neumann) and c == "0":
+            c = "0.3"
+    coeffs = EllipticCoefficients(*(_coefficient(t) for t in
+                                    (a11, a12, a22, b1, b2, c)))
+    return build_grid(domain, h), coeffs, bc
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(elimination_cases())
+@example(_golden_case("mixed-robin-corners"))
+@example(_golden_case("rect-robin"))
+def test_elimination_table_matches_the_sparse_lattice_map(case):
+    op = assemble(*case)
+    ref, (rows, cols, vals) = _reference_assemble(*case)
+    assert np.array_equal(op.matrix.indptr, ref.indptr)
+    assert np.array_equal(op.matrix.indices, ref.indices)
+    # np.add.at sums each entry in the order of the COO entries, which is
+    # the term order, bit for bit
+    n = op.matrix.shape[0]
+    at = np.repeat(np.arange(n), np.diff(ref.indptr)) * n + ref.indices
+    term_order, magnitude = np.zeros(n * n), np.zeros(n * n)
+    np.add.at(term_order, rows * n + cols, vals)
+    np.add.at(magnitude, rows * n + cols, np.abs(vals))
+    new, old = op.matrix.data, ref.data
+    assert np.array_equal(new.view(np.int64), term_order[at].view(np.int64))
+    # so is scipy's on the rows of at most 16 entries; elsewhere two orders
+    # of summing k terms x_i differ by less than k eps sum |x_i| (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2)
+    short = np.repeat(np.bincount(rows, minlength=n) <= 16,
+                      np.diff(ref.indptr))
+    assert np.array_equal(new[short].view(np.int64),
+                          old[short].view(np.int64))
+    terms = np.bincount(rows * n + cols, minlength=n * n)[at]
+    assert np.all(np.abs(new - old)
+                  <= terms * np.finfo(float).eps * magnitude[at])

@@ -77,3 +77,48 @@ def test_no_module_in_the_package_imports_warnings():
                  ast.parse(path.read_text(encoding="utf-8")))]
     assert SOURCES
     assert found == []
+
+
+def coo_builds(tree):
+    """Line of each COO matrix that tree builds with scipy: a name
+    coo_matrix or coo_array, imported or called, and a sparse constructor
+    given (data, (rows, columns)).  Converting COO to CSR sums duplicate
+    entries in the order std::sort leaves them, which is unspecified for a
+    row of more than 16 entries; the package sums each entry in the order
+    of its terms."""
+    builders = {"coo_matrix", "coo_array"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.Call) and node.args:
+            arg = node.args[0]
+            if (isinstance(arg, ast.Tuple) and len(arg.elts) == 2
+                    and isinstance(arg.elts[1], ast.Tuple)):
+                yield node.lineno
+            continue
+        else:
+            continue
+        if names & builders:
+            yield node.lineno
+
+
+def test_the_check_finds_a_coo_matrix():
+    tree = ast.parse("import scipy.sparse as sp\n"
+                     "a = sp.coo_matrix((v, (r, c)))\n"
+                     "from scipy.sparse import coo_array as C\n"
+                     "b = sp.csr_matrix((v, (r, c)), shape=(2, 2))\n"
+                     "d = sp.csr_matrix((v, j, p))\n"
+                     "e = x.tocoo()\n")
+    assert sorted(set(coo_builds(tree))) == [2, 3, 4]
+
+
+def test_no_module_in_the_package_builds_a_coo_matrix():
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in coo_builds(ast.parse(path.read_text(
+                 encoding="utf-8")))]
+    assert SOURCES
+    assert found == []
