@@ -107,10 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"conesolve {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, iterates=False, samples=False):
+    def common(p, csv_help, iterates=False, samples=False):
         """The flags of a config command: --config, --h, --out and --csv,
-        plus --tol and --max-iter where it iterates and --seed where it
-        samples the nonlinearity."""
+        whose help names the files it adds, plus --tol and --max-iter
+        where it iterates and --seed where it samples the nonlinearity."""
         p.add_argument("--config", required=True,
                        help="path to the config file")
         p.add_argument("--h", type=float, default=None,
@@ -125,18 +125,20 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the sampling seed")
         p.add_argument("--out", default=".",
                        help="directory for output artifacts")
-        p.add_argument("--csv", action="store_true",
-                       help="write CSV artifacts")
+        p.add_argument("--csv", action="store_true", help=csv_help)
 
     common(sub.add_parser("solve", help="run the full pipeline and certify "
                                         "a fixed point"),
+           "also write solution_lower.csv, the limit from below",
            iterates=True, samples=True)
     common(sub.add_parser("lambda-range",
                           help="compute admissible lambda intervals"),
+           "write ranges.csv, and ratio_curve.csv for a single equation",
            samples=True)
     common(sub.add_parser("spectrum",
                           help="principal spectral data of the solution "
-                               "operator"))
+                               "operator"),
+           "write the eigenfunction as eigenfunction.csv")
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--h", type=float, default=None,
                    help="override the mesh step; every criterion is "
@@ -388,8 +390,8 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
     print(upper.to_text())
     coordinates = _coordinate_text(pipe.grid)
     if low is not None:
-        print(f"bracket: smallest fixed point norm {low.norm:.6g} <= "
-              f"greatest {upper.norm:.6g}")
+        print(f"bracket: lower limit norm {low.norm:.6g} <= "
+              f"upper limit norm {upper.norm:.6g}")
         if want_csv:
             _write_solution_csv(os.path.join(out_dir, "solution_lower.csv"),
                                 coordinates, pipe.unfold_text(low.solution))

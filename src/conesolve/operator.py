@@ -27,8 +27,9 @@ reaches it adds into the slots of those nodes.
 Every entry of A lies in the 3x3 lattice window around its row's node (an
 eliminated boundary value reaches one node past the row's own), so A is
 held as a table of 9 stencil slots per row (ELLPACK storage; Saad,
-Iterative Methods for Sparse Linear Systems, 2003, sec. 3.4) and emitted
-as CSR from it.
+Iterative Methods for Sparse Linear Systems, 2003, sec. 3.4).  The table
+is A's only stored form: its CSR form is built from it when first read,
+so a folded run never builds the full operator's.
 
 When A is invariant under some of the eight symmetries of the lattice
 (the dihedral group D4), `fold` restricts it to the functions those maps
@@ -54,8 +55,10 @@ Coefficient = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def constant(value: float) -> Coefficient:
+    """The coefficient that takes one value everywhere, given as that
+    single value."""
     val = float(value)
-    return lambda x1, x2: np.full(np.broadcast(x1, x2).shape, val)
+    return lambda _x1, _x2: val
 
 
 @dataclass(frozen=True)
@@ -118,11 +121,18 @@ def _slot(di, dj):
 
 
 class Stencil(NamedTuple):
-    """The rows of A as an (N, 9) table of stencil slots.  Slot s of row k
-    is the node at SLOT_OFFSETS[s] from node k: `columns[k, s]` is its
-    unknown (-1 if none), `values[k, s]` the entry of A there (0 where A
-    stores none) and `present[k, s]` whether A stores it.  The tables are
-    Fortran-ordered, so each slot is one contiguous array."""
+    """The rows of A as an (N, 9) table of stencil slots: `columns[k, s]`
+    is the unknown of slot s of row k (-1 if none), `values[k, s]` the
+    entry of A there (0 where A stores none) and `present[k, s]` whether A
+    stores it.  A row's stored slots, in table order, are its CSR entries.
+
+    As `assemble` builds it, slot s of row k is the node at
+    SLOT_OFFSETS[s] from node k, and the tables are Fortran-ordered, so
+    each slot is one contiguous array.  As `fold` builds it, row k is the
+    row of orbit k's representative, and its slot 8 - s holds the sum of
+    the row's entries in the orbit of slot s's node; each sum is stored
+    once, at the least stored s of its orbit, and only when it is not
+    0."""
 
     values: np.ndarray
     present: np.ndarray
@@ -133,17 +143,16 @@ class Stencil(NamedTuple):
 class DiscreteOperator:
     """Sparse realization of (L, B) on the interior nodes of a grid.
 
-    A folded operator (see `fold`) acts on one unknown per orbit: its grid
+    `stencil` holds the matrix A as a slot table, its only stored form;
+    `matrix` is A in CSR form, built from the table when first read.  A
+    folded operator (see `fold`) acts on one unknown per orbit: its grid
     holds the orbit representatives, and `symmetry` names the lattice maps
-    other than the identity that were folded out (empty when unfolded).
-    `stencil` holds the matrix as slots; `assemble` sets it, and `fold`
-    reads it."""
+    other than the identity that were folded out (empty when unfolded)."""
 
-    matrix: sp.csr_matrix
+    stencil: Stencil
     grid: Grid
     diagnostics: OperatorDiagnostics
     symmetry: tuple = ()
-    stencil: Stencil | None = None
 
     def __post_init__(self):
         self._lu = None
@@ -167,14 +176,28 @@ class DiscreteOperator:
         return self._lu
 
     @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """A in CSR form: each row lists its stored slots in table order."""
+        values, present, columns = self.stencil
+        n = present.shape[0]
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(present.sum(axis=1), out=indptr[1:])
+        return sp.csr_matrix((values[present], columns[present], indptr),
+                             shape=(n, n))
+
+    @cached_property
     def norm_inf(self) -> float:
         """|A|_inf, the largest absolute row sum of the matrix."""
         return float(abs(self.matrix).sum(axis=1).max())
 
 
 def _sample(fn: Coefficient, xs, ys) -> np.ndarray:
+    """fn at the points (xs, ys): one value per point, or a 0-d array when
+    fn gives a single value for all of them."""
     out = np.asarray(fn(xs, ys), dtype=float)
-    return np.broadcast_to(out, np.shape(xs)).copy() if out.shape != np.shape(xs) else out
+    if out.ndim == 0 or out.shape == np.shape(xs):
+        return out
+    return np.broadcast_to(out, np.shape(xs)).copy()
 
 
 def _check_ellipticity(a11, a12, a22):
@@ -182,7 +205,9 @@ def _check_ellipticity(a11, a12, a22):
     matrix over the nodes, or raise EllipticityViolation unless it is
     positive.  Each node's matrix is scaled by its largest magnitude s, so
     no square overflows; lam_min = s det' / lam_max' where lam_max' > 0
-    also avoids the cancellation of half_trace' - radius'."""
+    also avoids the cancellation of half_trace' - radius'.  A coefficient
+    given as a single value is judged once, not at every node."""
+    a11, a12, a22 = np.broadcast_arrays(*np.atleast_1d(a11, a12, a22))
     s = np.maximum(np.maximum(np.abs(a11), np.abs(a22)), np.abs(a12))
     s[s == 0] = 1.0         # a zero matrix keeps lam_min = 0
     p, q, r = a11 / s, a12 / s, a22 / s
@@ -215,7 +240,7 @@ def _validate_bc(grid, bc, c_vals):
     if isinstance(bc, Robin):
         bx = grid.x0 + ii * grid.h
         by = grid.y0 + jj * grid.h
-        bvals = _sample(bc.b, bx, by)
+        bvals = np.broadcast_to(_sample(bc.b, bx, by), ii.shape)
         if np.any(bvals < 0):
             raise CoefficientViolation(
                 "Robin coefficient must be nonnegative on the boundary")
@@ -279,10 +304,12 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     Each interior node contributes its stencil terms w * z(lattice node) in
     a fixed order (legs E W N S, the cross stencil NE SW SE NW, upwind x,
     upwind y, then the diagonal).  Each term is added into the slot of its
-    lattice node in the (N, 9) slot table; a term that reaches an eliminated
-    Neumann / Robin boundary value adds w * weight into the slot of each
-    node of its `_elimination` pairs instead.  So every entry sums its terms
-    in that order, and the CSR matrix is read off the table row by row.
+    lattice node in the (N, 9) slot table as soon as it is formed; a term
+    that reaches an eliminated Neumann / Robin boundary value adds
+    w * weight into the slot of each node of its `_elimination` pairs
+    instead.  So every entry sums its terms in that order.  A coefficient
+    given as a single value stays one value until a term spreads it over
+    the nodes.
 
     Returns a DiscreteOperator whose diagnostics report the sampled
     ellipticity constant and whether the matrix is an M-matrix (positive
@@ -302,7 +329,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     if np.any(c < 0):
         k = int(np.argmin(c))
         raise CoefficientViolation(
-            f"zero-order coefficient negative ({c[k]:.3e}) at node {k}")
+            f"zero-order coefficient negative ({np.min(c):.3e}) at node {k}")
     robin_b = _validate_bc(grid, bc, c)
 
     h = grid.h
@@ -310,32 +337,6 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     te, tw, tn, ts = grid.arms.T
     east, west, north, south = (_slot(1, 0), _slot(-1, 0), _slot(0, 1),
                                 _slot(0, -1))
-
-    # -a11 z_xx, -a22 z_yy with shortened legs; a leg with arm < 1 ends
-    # at the boundary crossing where the Dirichlet value is 0
-    terms = [
-        (east, -2.0 * a11 / (h * h * te * (te + tw)), te == 1.0),
-        (west, -2.0 * a11 / (h * h * tw * (te + tw)), tw == 1.0),
-        (north, -2.0 * a22 / (h * h * tn * (tn + ts)), tn == 1.0),
-        (south, -2.0 * a22 / (h * h * ts * (tn + ts)), ts == 1.0),
-    ]
-    # -2 a12 z_xy by the 4-point cross stencil
-    w = a12 / (2.0 * h * h)
-    cross = a12 != 0.0
-    terms += [(_slot(1, 1), -w, cross), (_slot(-1, -1), -w, cross),
-              (_slot(1, -1), w, cross), (_slot(-1, 1), w, cross)]
-    # upwind first-order terms, one slot per sign of the coefficient
-    up1, up2 = b1 >= 0.0, b2 >= 0.0
-    bw, be = b1 / (tw * h), b1 / (te * h)
-    bs, bn = b2 / (ts * h), b2 / (tn * h)
-    terms += [(west, -bw, up1 & (tw == 1.0)), (east, be, ~up1 & (te == 1.0)),
-              (south, -bs, up2 & (ts == 1.0)),
-              (north, bn, ~up2 & (tn == 1.0))]
-    diag = 2.0 * a11 / (h * h * te * tw)
-    diag += 2.0 * a22 / (h * h * tn * ts)
-    diag += np.where(up1, bw, -be)
-    diag += np.where(up2, bs, -bn)
-    diag += c
 
     # interior nodes never sit on the outermost lattice ring, so the
     # window's flat lattice indices stay on the node's rows and columns
@@ -355,15 +356,17 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     # sums each entry in their order
     values = np.zeros((n, 9), order="F")
     present = np.zeros((n, 9), dtype=bool, order="F")
-    for slot, weight, on in terms:
+
+    def add(slot, weight, on):
+        """Add the term weight * z(node at slot) in the rows where `on`."""
         on = on & (weight != 0.0)
         if not on.any():
-            continue
+            return
         direct = on & (columns[:, slot] >= 0)
         values[:, slot] += np.where(direct, weight, 0.0)
         present[:, slot] |= direct
         if isinstance(bc, Dirichlet):
-            continue
+            return
         # a term that reaches an eliminated value adds into the slots of
         # the nodes its pairs name
         e = entry[node + steps[slot]]
@@ -372,8 +375,35 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
         named = targets >= 0
         rows = np.broadcast_to(rows[:, None], named.shape)[named]
         slots = slot_of_step[targets[named] - node[rows] + grid.nx + 1]
-        values[rows, slots] += weight[rows] * pair_w[named]
+        values[rows, slots] += (np.broadcast_to(weight, (n,))[rows]
+                                * pair_w[named])
         present[rows, slots] = True
+
+    # -a11 z_xx, -a22 z_yy with shortened legs; a leg with arm < 1 ends
+    # at the boundary crossing where the Dirichlet value is 0
+    add(east, -2.0 * a11 / (h * h * te * (te + tw)), te == 1.0)
+    add(west, -2.0 * a11 / (h * h * tw * (te + tw)), tw == 1.0)
+    add(north, -2.0 * a22 / (h * h * tn * (tn + ts)), tn == 1.0)
+    add(south, -2.0 * a22 / (h * h * ts * (tn + ts)), ts == 1.0)
+    diag = 2.0 * a11 / (h * h * te * tw)
+    diag += 2.0 * a22 / (h * h * tn * ts)
+    # -2 a12 z_xy by the 4-point cross stencil
+    w = a12 / (2.0 * h * h)
+    cross = a12 != 0.0
+    add(_slot(1, 1), -w, cross)
+    add(_slot(-1, -1), -w, cross)
+    add(_slot(1, -1), w, cross)
+    add(_slot(-1, 1), w, cross)
+    # upwind first-order terms, one slot per sign of the coefficient
+    up, bw, be = b1 >= 0.0, b1 / (tw * h), b1 / (te * h)
+    add(west, -bw, up & (tw == 1.0))
+    add(east, be, ~up & (te == 1.0))
+    diag += np.where(up, bw, -be)
+    up, bs, bn = b2 >= 0.0, b2 / (ts * h), b2 / (tn * h)
+    add(south, -bs, up & (ts == 1.0))
+    add(north, bn, ~up & (tn == 1.0))
+    diag += np.where(up, bs, -bn)
+    diag += c
     values[:, CENTRE] += diag
     present[:, CENTRE] = True
     high, low = values.max(axis=0), values.min(axis=0)
@@ -382,18 +412,11 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
             f"a stencil weight overflows at h={h}: the coefficients are too "
             "large for this mesh")
 
-    stored = np.flatnonzero(present)        # row by row, in column order
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    matrix = sp.csr_matrix((values.ravel()[stored],
-                            columns.ravel()[stored], indptr), shape=(n, n))
-    matrix.has_canonical_format = True
-
     # absent entries are 0, so the off-diagonal maximum covers them
     tol = 1e-12 * max(high.max(), -low.min())
     is_m = bool(low[CENTRE] > 0 and np.delete(high, CENTRE).max() <= tol)
-    return DiscreteOperator(matrix, grid, OperatorDiagnostics(is_m, mu0),
-                            stencil=Stencil(values, present, columns))
+    return DiscreteOperator(Stencil(values, present, columns), grid,
+                            OperatorDiagnostics(is_m, mu0))
 
 
 # The symmetries of a lattice other than the identity, as (name, swap,
@@ -473,6 +496,46 @@ def _closure(codes) -> frozenset:
     return group
 
 
+def _folded_table(op: DiscreteOperator, orbit, reps, maps):
+    """The slot table of A_f = (A E)[reps], or None when A E != E A_f.
+
+    `orbit` holds each node's orbit and `maps` the (code, slot map) of
+    each folded lattice map."""
+    values, present, columns = op.stencil
+    # the orbit of each slot's node; a slot off the interior has its own
+    orbits = np.empty_like(columns)
+    for t in range(9):
+        at = columns[:, t]
+        orbits[:, t] = np.where(at >= 0, orbit[at], -1 - t)
+
+    # A E == E A_f when the orbit sums of every row agree along every map
+    # in G.  A row whose window meets no orbit twice holds its orbit sums
+    # as its entries, which agree since A is invariant.  The rows that do
+    # meet an orbit twice, and only they, map onto one another.
+    twice = np.zeros(orbit.size, dtype=bool)
+    for t in range(1, 9):
+        twice |= (orbits[:, :t] == orbits[:, t:t + 1]).any(axis=1)
+    rows = np.flatnonzero(twice)
+    sums, first = _orbit_sums(values[rows], orbits[rows], present[rows])
+    row_of = np.empty(orbit.size, dtype=orbit.dtype)
+    row_of[rows] = np.arange(rows.size)
+    for code, slots in maps:
+        image = _node_map(op.grid, *code)
+        if not np.array_equal(sums[row_of[image[rows]]][:, slots], sums):
+            return None
+
+    # A_f as csr_matmat lays it out: each row lists its orbits in the
+    # reverse order of their first stored slot, and drops the sums that
+    # are 0
+    rep_sums, rep_first = values[reps], present[reps]
+    meets = twice[reps]
+    rep_sums[meets] = sums[row_of[reps[meets]]]
+    rep_first[meets] = first[row_of[reps[meets]]]
+    keep = rep_first & (rep_sums != 0)
+    rep_sums[~keep] = 0.0
+    return Stencil(rep_sums[:, ::-1], keep[:, ::-1], orbits[reps][:, ::-1])
+
+
 def fold(op: DiscreteOperator) -> DiscreteOperator:
     """Fold out of op the largest group of lattice maps that leaves its
     matrix A invariant, bit for bit.
@@ -496,9 +559,10 @@ def fold(op: DiscreteOperator) -> DiscreteOperator:
     representatives whose `interior_ids` maps every lattice node to its
     orbit, carrying op's diagnostics.
     """
-    grid, (values, present, columns) = op.grid, op.stencil
+    grid = op.grid
     identity = np.arange(grid.interior_count,
                          dtype=grid.interior_ids.dtype)
+    least = identity.copy()         # the least image of each node
     names, maps = [], []
     group = {(False, False, False)}     # generated by the accepted maps
     for name, *code in LATTICE_MAPS:
@@ -510,50 +574,20 @@ def fold(op: DiscreteOperator) -> DiscreteOperator:
             continue
         slots = _slot_map(*code)
         if code not in group:
-            if not _keeps(values, image, slots):
+            if not _keeps(op.stencil.values, image, slots):
                 continue
             group = _closure(group | {code})
         names.append(name)
-        maps.append((image, slots))
+        maps.append((code, slots))
+        np.minimum(least, image, out=least)
     if not names:
         return op
-    least = np.min([identity] + [image for image, _ in maps], axis=0)
     is_rep = least == identity
     reps = np.flatnonzero(is_rep)
-    orbit = (np.cumsum(is_rep, dtype=columns.dtype) - 1)[least]
-    # the orbit of each slot's node; a slot off the interior has its own
-    orbits = np.where(columns >= 0, orbit[columns],
-                      -1 - np.arange(9, dtype=columns.dtype))
-
-    # A E == E A_f when the orbit sums of every row agree along every map
-    # in G.  A row whose window meets no orbit twice holds its orbit sums
-    # as its entries, which agree since A is invariant.  The rows that do
-    # meet an orbit twice, and only they, map onto one another.
-    twice = np.zeros(orbit.size, dtype=bool)
-    for t in range(1, 9):
-        twice |= (orbits[:, :t] == orbits[:, t:t + 1]).any(axis=1)
-    rows = np.flatnonzero(twice)
-    sums, first = _orbit_sums(values[rows], orbits[rows], present[rows])
-    row_of = np.empty(orbit.size, dtype=np.intp)
-    row_of[rows] = np.arange(rows.size)
-    for image, slots in maps:
-        if not np.array_equal(sums[row_of[image[rows]]][:, slots], sums):
-            return op
-
-    # A_f = (A E)[reps] as csr_matmat lays it out: each row lists its
-    # orbits in the reverse order of their first stored slot, and drops
-    # the sums that are 0
-    rep_sums, rep_first = values[reps], present[reps]
-    meets = twice[reps]
-    rep_sums[meets] = sums[row_of[reps[meets]]]
-    rep_first[meets] = first[row_of[reps[meets]]]
-    keep = (rep_first & (rep_sums != 0))[:, ::-1]
-    stored = np.flatnonzero(keep)
-    indptr = np.zeros(reps.size + 1, dtype=np.intp)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    folded = sp.csr_matrix((rep_sums[:, ::-1].ravel()[stored],
-                            orbits[reps][:, ::-1].ravel()[stored], indptr),
-                           shape=(reps.size, reps.size))
+    orbit = (np.cumsum(is_rep, dtype=identity.dtype) - 1)[least]
+    folded = _folded_table(op, orbit, reps, maps)
+    if folded is None:
+        return op
     ids = grid.interior_ids
     reps_grid = _freeze(replace(
         grid, interior_ids=np.where(ids >= 0, orbit[ids], -1).astype(np.int32),

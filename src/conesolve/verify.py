@@ -280,12 +280,12 @@ def _crit_bracketing(ctx: VerifyContext):
             return False, "alpha_k <= beta_k violated along the iteration"
         if not np.all(bracket.lower.solution
                       <= bracket.upper.solution + 1e-9):
-            return False, "smallest fixed point exceeds greatest"
+            return False, "lower limit exceeds upper limit"
     if succeeded < attempted // 2:
         return False, (f"only {succeeded}/{attempted} instances produced a "
                        "subsolution; suite too vacuous")
     return True, (f"{succeeded}/{attempted} instances bracketed; ordering "
-                  "held at every step, smallest <= greatest throughout")
+                  "held at every step, lower limit <= upper limit in each")
 
 
 def _crit_operator_properties(ctx: VerifyContext):

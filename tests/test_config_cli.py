@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conesolve.cli import _write_csv, main
+from conesolve.cli import _write_csv, build_parser, main
 from conesolve.config import parse_config
 from conesolve.errors import ConfigError
 from conesolve.geometry import Rectangle, UnitDisk
@@ -292,6 +293,27 @@ def test_spectrum_command(tmp_path, capsys):
     rows = (out / "eigenfunction.csv").read_text().splitlines()
     assert rows[0] == "x1,x2,phi"
     assert len(rows) == 794                    # header + interior nodes
+
+
+@pytest.mark.parametrize("command", ["solve", "lambda-range", "spectrum"])
+def test_csv_help_names_the_files_the_flag_adds(tmp_path, command):
+    text = SCALAR_LINEAR_CFG if command == "lambda-range" else SYSTEM_CFG
+    cfg = write(tmp_path, "p.cfg", text)
+    written = []
+    for flags in ([], ["--csv"]):
+        out = tmp_path / f"out{len(flags)}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            main([command, "--config", cfg, "--out", str(out), *flags])
+        written.append({path.name for path in out.iterdir()})
+    added = written[1] - written[0]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    help_text, = [a.help for a in sub.choices[command]._actions
+                  if "--csv" in a.option_strings]
+    assert added and written[0] <= written[1]
+    named = {word.strip(",") for word in help_text.split()
+             if word.strip(",").endswith(".csv")}
+    assert named == added
 
 
 def _cell_by_cell_csv(header, rows):

@@ -347,3 +347,30 @@ def test_a_single_mirror_is_named_d1(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == (
         "lattice symmetry: D1 (j -> ny-1-j): solving on 412 orbits of 793 "
         "nodes")
+
+
+@pytest.mark.parametrize("name, h, full_builds", [
+    ("system_disk", 1 / 64, 0),       # folded on D4
+    ("rect-robin", 1 / 32, 1),        # f1 reads x: unfolded
+])
+def test_the_full_csr_is_built_only_when_read(tmp_path, name, h,
+                                              full_builds):
+    """A folded solve reads only the folded operator's CSR and never
+    builds the full one; an unfolded solve builds its CSR once, however
+    often the LU and the refinement read it."""
+    real, shapes = sp.csr_matrix, []
+
+    def spy(*args, **kwargs):
+        matrix = real(*args, **kwargs)
+        shapes.append(matrix.shape)
+        return matrix
+
+    text = {"system_disk": SYSTEM_DISK, "rect-robin": ROBIN_CFG}[name]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operator.sp, "csr_matrix", spy)
+        code, pipe, full_op, _, _ = _solve(tmp_path, name, text, h)
+    assert code == 0
+    n, n_f = full_op.grid.interior_count, pipe.op.grid.interior_count
+    assert (n_f < n) == (full_builds == 0)
+    assert shapes.count((n, n)) == full_builds
+    assert shapes.count((n_f, n_f)) == 1

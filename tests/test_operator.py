@@ -15,9 +15,9 @@ from conesolve.errors import (CoefficientViolation, EllipticityViolation,
                               NeumannRequiresZerothOrder, SolverFailure,
                               UnsupportedBC)
 from conesolve.geometry import BOUNDARY
-from conesolve.operator import (SLOT_OFFSETS, DiscreteOperator,
-                                OperatorDiagnostics, _check_ellipticity,
-                                _sample, constant)
+from conesolve.operator import (CENTRE, SLOT_OFFSETS, DiscreteOperator,
+                                OperatorDiagnostics, Stencil,
+                                _check_ellipticity, _sample, constant)
 
 
 def test_laplacian_single_node_matrix():
@@ -173,8 +173,14 @@ def test_overflowing_stencil_weight_rejected_without_warnings(key):
 
 def test_singular_factor_raises_solver_failure():
     grid = build_grid(Rectangle(0, 1, 0, 1), 1 / 3)     # 4 unknowns
-    matrix = sp.csr_matrix(np.diag([1.0, 2.0, 0.0, 3.0]))
-    op = DiscreteOperator(matrix, grid, OperatorDiagnostics(False, 1.0))
+    values = np.zeros((4, 9))
+    values[:, CENTRE] = [1.0, 2.0, 0.0, 3.0]
+    present = np.zeros((4, 9), dtype=bool)
+    present[:, CENTRE] = True
+    columns = np.full((4, 9), -1)
+    columns[:, CENTRE] = np.arange(4)
+    op = DiscreteOperator(Stencil(values, present, columns), grid,
+                          OperatorDiagnostics(False, 1.0))
     with pytest.raises(SolverFailure, match="singular"):
         op.factorization()
 
@@ -361,6 +367,45 @@ GOLDEN_CSR = {
 }
 
 
+CONSTANT_CFG = """
+domain = {domain}
+h = 0.1
+bc = {bc}
+n = 1
+a11 = "1.3{x}"
+a12 = "{a12}{x}"
+a22 = "0.7{x}"
+b1 = "0.9{x}"
+b2 = "-0.4{x}"
+c = "0.3{x}"
+f1 = "s"
+rho1 = 1.0
+"""
+
+
+@pytest.mark.parametrize("domain, bc, a12", [
+    ("unitdisk", "dirichlet", "0"),
+    ("unitdisk", "dirichlet", "0.2"),
+    ("rectangle 0 1 0 1", 'robin "1.7{x}"', "0.2"),
+])
+def test_constant_coefficients_assemble_as_x_dependent_ones(domain, bc,
+                                                            a12):
+    """A coefficient given as a number stays a single value in assembly;
+    its slot table is bitwise that of the same constant written as an
+    expression in x."""
+    ops = []
+    for x in ("", " + 0*x1"):
+        cfg = parse_config(CONSTANT_CFG.format(
+            domain=domain, bc=bc.format(x=x), a12=a12, x=x))
+        ops.append(assemble(build_grid(cfg.domain, cfg.h), cfg.coefficients,
+                            cfg.bc))
+    number, expression = ops
+    assert number.diagnostics == expression.diagnostics
+    for a, b in zip(number.stencil, expression.stencil):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSR))
 def test_assembly_matches_golden_csr(name):
     op = assemble(*_golden_case(name))
@@ -473,10 +518,13 @@ def _reference_assemble(grid, coeffs, bc):
     most 16 entries in their order, which is the term order of `assemble`,
     and a longer one in libstdc++ std::sort's order."""
     xs, ys = grid.xs, grid.ys
-    a11, a12, a22, b1, b2, c = (_sample(f, xs, ys) for f in (
-        coeffs.a11, coeffs.a12, coeffs.a22, coeffs.b1, coeffs.b2, coeffs.c))
+    a11, a12, a22, b1, b2, c = (
+        np.broadcast_to(_sample(f, xs, ys), xs.shape) for f in (
+            coeffs.a11, coeffs.a12, coeffs.a22, coeffs.b1, coeffs.b2,
+            coeffs.c))
     jb, ib = np.nonzero(grid.classification == BOUNDARY)
-    robin_b = (_sample(bc.b, grid.x0 + ib * grid.h, grid.y0 + jb * grid.h)
+    bx, by = grid.x0 + ib * grid.h, grid.y0 + jb * grid.h
+    robin_b = (np.broadcast_to(_sample(bc.b, bx, by), bx.shape)
                if isinstance(bc, Robin) else np.zeros(ib.size))
     h = grid.h
     te, tw, tn, ts = grid.arms.T

@@ -122,3 +122,53 @@ def test_no_module_in_the_package_builds_a_coo_matrix():
                  encoding="utf-8")))]
     assert SOURCES
     assert found == []
+
+
+def csr_builds(tree):
+    """(line, enclosing function) of each place tree builds a CSR matrix:
+    a call of csr_matrix, csr_array or tocsr, by name or attribute, and
+    an import of csr_matrix or csr_array.  The enclosing function is
+    named by its dotted path through classes and functions ("" at module
+    level)."""
+    builders = {"csr_matrix", "csr_array", "tocsr"}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                fn = child.func
+                name = getattr(fn, "id", getattr(fn, "attr", None))
+                if name in builders:
+                    yield child.lineno, where
+            elif isinstance(child, ast.ImportFrom):
+                if {alias.name for alias in child.names} & builders:
+                    yield child.lineno, where
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            yield from visit(child, inner)
+
+    return list(visit(tree, ""))
+
+
+def test_the_check_finds_a_csr_build():
+    tree = ast.parse("import scipy.sparse as sp\n"
+                     "from scipy.sparse import csr_array as C\n"
+                     "class A:\n"
+                     "    def m(self):\n"
+                     "        return sp.csr_matrix((v, j, p))\n"
+                     "def f(x):\n"
+                     "    def g():\n"
+                     "        return x.tocsr()\n"
+                     "    return g, csr_matrix(x), x.tocsc()\n")
+    assert sorted(csr_builds(tree)) == [(2, ""), (5, "A.m"), (8, "f.g"),
+                                       (9, "f")]
+
+
+def test_the_package_builds_a_csr_matrix_only_from_the_slot_table():
+    """Every CSR matrix the package holds is A's, built on first read of
+    DiscreteOperator.matrix from the slot table."""
+    found = [(path.name, where) for path in SOURCES
+             for _, where in csr_builds(ast.parse(path.read_text(
+                 encoding="utf-8")))]
+    assert found == [("operator.py", "DiscreteOperator.matrix")]
