@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import Config, _validate, load_config
+from .config import SETTINGS, Config, _validate, load_config
 from .errors import (ConesolveError, ConfigError, ExprError,
                      MonotonicityViolation, NoConvergence, SolverFailure)
 from .fixedpoint import (ProblemInstance, certify, check_supersolution,
@@ -50,6 +50,16 @@ EXIT_SOFTWARE = 70
 
 DELTA_SWEEP = tuple(10.0 ** k for k in range(4, -3, -1))
 CSV_CHUNK_ROWS = 2048
+
+# The config keys each command's flags override, in flag order: a command
+# takes --tol and --max-iter where it iterates and --seed where it samples
+# the nonlinearity.
+OVERRIDES = {"solve": ("h", "tol", "max_iter", "seed"),
+             "lambda-range": ("h", "seed"), "spectrum": ("h",)}
+OVERRIDE_HELP = {"h": "override the mesh step",
+                 "tol": "override the iteration tolerance",
+                 "max_iter": "override the monotone iteration budget",
+                 "seed": "override the sampling seed"}
 
 
 def _fmt(x: float) -> str:
@@ -82,16 +92,6 @@ def _text(values) -> np.ndarray:
         values.shape)
 
 
-def _text_column(values) -> np.ndarray:
-    """_text of a float array, formatting each distinct value (by its
-    bits, so -0.0 keeps its sign) once.  Grid coordinates take one of a
-    few hundred lattice values, so this is how a coordinate column is
-    written."""
-    values = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return _text(bits.view(float))[inverse.reshape(values.shape)]
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -107,38 +107,24 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"conesolve {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, csv_help, iterates=False, samples=False):
-        """The flags of a config command: --config, --h, --out and --csv,
-        whose help names the files it adds, plus --tol and --max-iter
-        where it iterates and --seed where it samples the nonlinearity."""
+    for name, help_, csv_help in (
+            ("solve", "run the full pipeline and certify a fixed point",
+             "also write solution_lower.csv, the limit from below"),
+            ("lambda-range", "compute admissible lambda intervals",
+             "write ranges.csv, and ratio_curve.csv for a single equation"),
+            ("spectrum", "principal spectral data of the solution operator",
+             "write the eigenfunction as eigenfunction.csv")):
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True,
                        help="path to the config file")
-        p.add_argument("--h", type=float, default=None,
-                       help="override the mesh step")
-        if iterates:
-            p.add_argument("--tol", type=float, default=None,
-                           help="override the iteration tolerance")
-            p.add_argument("--max-iter", type=int, default=None,
-                           help="override the monotone iteration budget")
-        if samples:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the sampling seed")
+        for key in OVERRIDES[name]:
+            # h is the one required key a flag overrides
+            kind = SETTINGS[key][0] if key in SETTINGS else float
+            p.add_argument("--" + key.replace("_", "-"), type=kind,
+                           default=None, help=OVERRIDE_HELP[key])
         p.add_argument("--out", default=".",
                        help="directory for output artifacts")
         p.add_argument("--csv", action="store_true", help=csv_help)
-
-    common(sub.add_parser("solve", help="run the full pipeline and certify "
-                                        "a fixed point"),
-           "also write solution_lower.csv, the limit from below",
-           iterates=True, samples=True)
-    common(sub.add_parser("lambda-range",
-                          help="compute admissible lambda intervals"),
-           "write ranges.csv, and ratio_curve.csv for a single equation",
-           samples=True)
-    common(sub.add_parser("spectrum",
-                          help="principal spectral data of the solution "
-                               "operator"),
-           "write the eigenfunction as eigenfunction.csv")
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--h", type=float, default=None,
                    help="override the mesh step; every criterion is "
@@ -149,15 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: Config, args) -> Config:
-    if args.h is not None:
-        cfg.h = args.h
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        cfg.max_iter = args.max_iter
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    _validate(vars(cfg))
+    for key in OVERRIDES[args.command]:
+        if (value := getattr(args, key)) is not None:
+            setattr(cfg, key, value)
+    _validate(vars(cfg), cfg.rho)
     return cfg
 
 
@@ -287,8 +268,12 @@ def _choose_beta(pipe: Pipeline, curve) -> list:
 
 
 def _coordinate_text(grid):
-    """The x1 and x2 columns of a table over the interior nodes, as text."""
-    return _text_column(grid.xs), _text_column(grid.ys)
+    """The x1 and x2 columns of a table over the interior nodes, as text:
+    each lattice coordinate x0 + i h is formatted once, the same double as
+    grid.xs holds, and gathered by the nodes' lattice indices."""
+    i, j = grid.nodes.T
+    return (_text(grid.x0 + np.arange(grid.nx) * grid.h)[i],
+            _text(grid.y0 + np.arange(grid.ny) * grid.h)[j])
 
 
 def _write_solution_csv(path, coordinates, text):

@@ -19,29 +19,28 @@ Example::
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from . import expr as ex
 from .errors import ConfigError
+from .fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .geometry import DomainSpec, Rectangle, UnitDisk
 from .nonlinearity import Nonlinearity
 from .operator import (BoundarySpec, Dirichlet, EllipticCoefficients,
                        Neumann, Robin)
 
-_COEFF_KEYS = ("a11", "a12", "a22", "b1", "b2", "c")
-_COEFF_DEFAULTS = {"a11": "1", "a12": "0", "a22": "1",
-                   "b1": "0", "b2": "0", "c": "0"}
-
-_SCALAR_KEYS = {
-    "i0": int, "delta": float, "rho0": float, "tol": float,
-    "max_iter": int, "seed": int, "samples": int,
+# The optional settings: key -> (type, default).
+SETTINGS = {
+    "i0": (int, 1), "delta": (float, None), "rho0": (float, None),
+    "tol": (float, DEFAULT_TOL), "max_iter": (int, DEFAULT_MAX_ITER),
+    "seed": (int, 1234), "samples": (int, 10_000),
 }
 
-_DEFAULTS = {
-    "i0": 1, "delta": None, "rho0": None, "tol": 1e-9, "max_iter": 10_000,
-    "seed": 1234, "samples": 10_000,
-}
+# The coefficients of L: key -> default expression in x1, x2.
+COEFFICIENTS = {"a11": "1", "a12": "0", "a22": "1",
+                "b1": "0", "b2": "0", "c": "0"}
 
 
 @dataclass
@@ -50,9 +49,7 @@ class Config:
     h: float
     bc: BoundarySpec
     coefficients: EllipticCoefficients
-    n: int
     nl: Nonlinearity             # f1..fn over the box prod [0, rho_j]
-    rho: list
     lambdas: list | None
     i0: int                      # 0-based internally (1-based in the file)
     delta: float | None
@@ -61,6 +58,14 @@ class Config:
     max_iter: int
     seed: int
     samples: int
+
+    @property
+    def n(self) -> int:
+        return self.nl.n
+
+    @property
+    def rho(self) -> tuple:
+        return self.nl.box
 
 
 def _split_line(raw, lineno):
@@ -87,20 +92,48 @@ def _split_line(raw, lineno):
 
 
 def _unquote(value, key, lineno):
-    if value.startswith('"'):
-        if not (value.endswith('"') and len(value) >= 2):
-            raise ConfigError(f"line {lineno}: unterminated string for "
-                              f"'{key}'")
-        return value[1:-1]
-    return None
+    """The text of an expression value: inside its quotes, or the bare
+    value itself."""
+    if not value.startswith('"'):
+        return value
+    if not (value.endswith('"') and len(value) >= 2):
+        raise ConfigError(f"line {lineno}: unterminated string for '{key}'")
+    return value[1:-1]
 
 
-def _parse_scalar(value, key, lineno, caster):
+def _quoted(value, key, lineno):
+    if not value.startswith('"'):
+        raise ConfigError(f"line {lineno}: expression '{key}' must be quoted")
+    return _unquote(value, key, lineno)
+
+
+def _parse_scalar(value, key, lineno, caster=float):
     try:
         return caster(value)
     except ValueError:
         raise ConfigError(
             f"line {lineno}: cannot parse '{key}' value {value!r}") from None
+
+
+def _parse_positive(value, key, lineno):
+    x = _parse_scalar(value, key, lineno)
+    if not (0 < x < math.inf):
+        raise ConfigError(f"{key} must be positive and finite")
+    return x
+
+
+def _required(entries, key, parse, note=""):
+    """parse(value, key, lineno) of a key every config gives."""
+    item = entries.pop(key, None)
+    if item is None:
+        raise ConfigError(f"missing key '{key}'{note}")
+    return parse(item[0], key, item[1])
+
+
+def _numbered(entries, stem, n, parse):
+    """The values of the keys stem1 .. stemn, each read by parse."""
+    return [_required(entries, f"{stem}{k}", parse, f" (n = {n})")
+            for k in range(1, n + 1)]
 
 
 def parse_config(text: str) -> Config:
@@ -115,59 +148,24 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {ln}: duplicate key '{key}'")
         entries[key] = (value, ln)
 
-    def take(key):
-        return entries.pop(key, None)
-
-    item = take("domain")
-    if item is None:
-        raise ConfigError("missing key 'domain'")
-    domain = _parse_domain(*item)
-
-    item = take("h")
-    if item is None:
-        raise ConfigError("missing key 'h'")
-    h = _parse_scalar(item[0], "h", item[1], float)
-
-    bc = _parse_bc(take("bc"))
-
-    item = take("n")
-    if item is None:
-        raise ConfigError("missing key 'n'")
-    n = _parse_scalar(item[0], "n", item[1], int)
+    domain = _required(entries, "domain", _parse_domain)
+    h = _required(entries, "h", _parse_scalar)
+    bc = _parse_bc(entries.pop("bc", None))
+    n = _required(entries, "n", functools.partial(_parse_scalar, caster=int))
     if n < 1:
         raise ConfigError("n must be at least 1")
 
-    coeff_sources = {}
-    for key in _COEFF_KEYS:
-        item = take(key)
-        if item is None:
-            coeff_sources[key] = _COEFF_DEFAULTS[key]
-        else:
-            src = _unquote(item[0], key, item[1])
-            if src is None:
-                src = item[0]   # allow bare numeric coefficients
-            coeff_sources[key] = src
-    coefficients = _build_coefficients(coeff_sources)
+    # every coefficient is unquoted before any is parsed
+    sources = {}
+    for key, default in COEFFICIENTS.items():
+        value, lineno = entries.pop(key, (default, None))
+        sources[key] = (_unquote(value, key, lineno), lineno)
+    coefficients = EllipticCoefficients(
+        **{key: _coefficient(src, key, lineno)
+           for key, (src, lineno) in sources.items()})
 
-    # numbered keys: f, rho, lambda
-    f_sources = []
-    for k in range(1, n + 1):
-        item = take(f"f{k}")
-        if item is None:
-            raise ConfigError(f"missing key 'f{k}' (n = {n})")
-        src = _unquote(item[0], f"f{k}", item[1])
-        if src is None:
-            raise ConfigError(
-                f"line {item[1]}: expression 'f{k}' must be quoted")
-        f_sources.append(src)
-    rho = []
-    for k in range(1, n + 1):
-        item = take(f"rho{k}")
-        if item is None:
-            raise ConfigError(f"missing key 'rho{k}' (n = {n})")
-        rho.append(_parse_scalar(item[0], f"rho{k}", item[1], float))
-        if not (0 < rho[-1] < math.inf):
-            raise ConfigError(f"rho{k} must be positive and finite")
+    f_sources = _numbered(entries, "f", n, _quoted)
+    rho = _numbered(entries, "rho", n, _parse_positive)
     present = [k for k in range(1, n + 1) if f"lambda{k}" in entries]
     if not present:
         lambdas = None
@@ -176,38 +174,34 @@ def parse_config(text: str) -> Config:
         raise ConfigError(f"missing key 'lambda{missing}' (n = {n}; give "
                           "all lambdas or none)")
     else:
-        lambdas = []
-        for k in range(1, n + 1):
-            item = take(f"lambda{k}")
-            lambdas.append(
-                _parse_scalar(item[0], f"lambda{k}", item[1], float))
+        lambdas = _numbered(entries, "lambda", n, _parse_scalar)
         for k, lam in enumerate(lambdas, 1):
             if not (0 < lam < math.inf):
                 raise ConfigError(f"lambda{k} must be positive and finite")
 
-    scalars = dict(_DEFAULTS)
-    for key, caster in _SCALAR_KEYS.items():
-        item = take(key)
-        if item is not None:
-            scalars[key] = _parse_scalar(item[0], key, item[1], caster)
+    settings = {}
+    for key, (kind, default) in SETTINGS.items():
+        item = entries.pop(key, None)
+        settings[key] = (default if item is None
+                         else _parse_scalar(item[0], key, item[1], kind))
 
     if entries:
         stray = sorted(entries)[0]
         raise ConfigError(
             f"line {entries[stray][1]}: unknown key '{stray}'")
 
-    if not (1 <= scalars["i0"] <= n):
+    if not (1 <= settings["i0"] <= n):
         raise ConfigError(f"i0 must be between 1 and n = {n}")
-    scalars["i0"] -= 1
+    settings["i0"] -= 1
     # the nonlinearity is parsed last, so a config with several faults
     # reports a scalar fault first
-    _validate(dict(scalars, n=n, rho=rho))
+    _validate(settings, rho)
     try:
         nl = Nonlinearity.from_strings(f_sources, rho)
     except (ex.ExprSyntaxError, ValueError) as err:
         raise ConfigError(f"bad nonlinearity: {err}") from None
-    return Config(domain=domain, h=h, bc=bc, coefficients=coefficients, n=n,
-                  nl=nl, rho=rho, lambdas=lambdas, **scalars)
+    return Config(domain=domain, h=h, bc=bc, coefficients=coefficients,
+                  nl=nl, lambdas=lambdas, **settings)
 
 
 def load_config(path) -> Config:
@@ -215,7 +209,7 @@ def load_config(path) -> Config:
         return parse_config(fh.read())
 
 
-def _parse_domain(value, lineno) -> DomainSpec:
+def _parse_domain(value, key, lineno) -> DomainSpec:
     parts = value.split()
     kind = parts[0].lower()
     if kind == "unitdisk":
@@ -227,8 +221,7 @@ def _parse_domain(value, lineno) -> DomainSpec:
             raise ConfigError(
                 f"line {lineno}: rectangle needs 4 bounds "
                 "(x_min x_max y_min y_max)")
-        vals = [_parse_scalar(p, "domain", lineno, float) for p in parts[1:]]
-        return Rectangle(*vals)
+        return Rectangle(*(_parse_scalar(p, key, lineno) for p in parts[1:]))
     raise ConfigError(f"line {lineno}: unknown domain '{parts[0]}'")
 
 
@@ -246,45 +239,32 @@ def _parse_bc(item) -> BoundarySpec:
         if len(parts) != 2:
             raise ConfigError(
                 f"line {lineno}: robin needs a coefficient expression")
-        src = _unquote(parts[1].strip(), "bc", lineno) or parts[1].strip()
-        tree = _parse_coeff_expr(src, "bc", lineno)
-        return Robin(_coeff_callable(tree))
+        return Robin(_coefficient(_unquote(parts[1].strip(), "bc", lineno),
+                                  "bc", lineno))
     raise ConfigError(f"line {lineno}: unknown boundary condition '{kind}'")
 
 
-def _parse_coeff_expr(src, key, lineno=None):
+def _coefficient(src, key, lineno):
+    """The function of (x1, x2) that the unquoted expression src gives."""
     try:
-        return ex.parse(src, {"x1", "x2"})
+        tree = ex.parse(src, {"x1", "x2"})
     except ex.ExprSyntaxError as err:
-        where = f"line {lineno}: " if lineno else ""
-        raise ConfigError(f"{where}bad expression for '{key}': {err}") \
-            from None
-
-
-def _coeff_callable(tree):
+        raise ConfigError(
+            f"line {lineno}: bad expression for '{key}': {err}") from None
     return lambda x1, x2: ex.eval_on_arrays(tree, {"x1": x1, "x2": x2})
 
 
-def _build_coefficients(sources) -> EllipticCoefficients:
-    trees = {key: _parse_coeff_expr(src, key)
-             for key, src in sources.items()}
-    return EllipticCoefficients(
-        a11=_coeff_callable(trees["a11"]), a12=_coeff_callable(trees["a12"]),
-        a22=_coeff_callable(trees["a22"]), b1=_coeff_callable(trees["b1"]),
-        b2=_coeff_callable(trees["b2"]), c=_coeff_callable(trees["c"]))
-
-
-def _validate(values):
-    """Check the scalar settings, a mapping of Config field names to values
-    (vars() of a Config will do)."""
-    delta, rho0 = values["delta"], values["rho0"]
+def _validate(settings, rho):
+    """Check the settings, a mapping of Config field names to values (vars()
+    of a Config will do), against the box bounds rho."""
+    delta, rho0 = settings["delta"], settings["rho0"]
     if delta is not None and not (0 < delta < math.inf):
         raise ConfigError("delta must be positive and finite")
-    if rho0 is not None and not (0 < rho0 < min(values["rho"])):
+    if rho0 is not None and not (0 < rho0 < min(rho)):
         raise ConfigError("rho0 must lie strictly between 0 and min rho")
-    if not (0 < values["tol"] < math.inf):
+    if not (0 < settings["tol"] < math.inf):
         raise ConfigError("tol must be positive and finite")
-    if values["seed"] < 0:
+    if settings["seed"] < 0:
         raise ConfigError("seed must be non-negative")
-    if values["max_iter"] < 1 or values["samples"] < 1:
+    if settings["max_iter"] < 1 or settings["samples"] < 1:
         raise ConfigError("max_iter and samples must be at least 1")

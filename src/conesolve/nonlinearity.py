@@ -304,11 +304,10 @@ def max_over_domain(nl: Nonlinearity, i: int, states,
     of the (k, n) array states; returns the (k,) maxima.
 
     Every entry must lie in the box up to BOX_SLACK and is clamped onto it.
-    An f_i without x is evaluated on the states alone.  Otherwise blocks of
-    whole states are evaluated over all nodes, as many as fit in
-    BLOCK_ELEMENTS; when fewer than 2 fit, all states share each node chunk
-    of BLOCK_ELEMENTS // k nodes.  Node maxima are exact, so each maximum is
-    bitwise that of evaluating its state on its own.
+    An f_i without x is evaluated on the states alone.  Otherwise all k
+    states are evaluated on each chunk of max(1, BLOCK_ELEMENTS // k)
+    nodes.  Node maxima are exact, so each maximum is bitwise that of
+    evaluating its state on its own.
     """
     u = np.asarray(states, dtype=float)
     if u.ndim != 2 or u.shape[1] != nl.n:
@@ -326,17 +325,12 @@ def max_over_domain(nl: Nonlinearity, i: int, states,
         return m
     if grid is None:
         raise ValueError("x-dependent nonlinearity needs a grid")
-    rows = BLOCK_ELEMENTS // grid.interior_count
-    if rows < 2:
-        rows = min(len(u), BLOCK_ELEMENTS)
-    width = max(1, BLOCK_ELEMENTS // rows)      # all nodes when rows fit
-    for top in range(0, len(u), rows):
-        part, comps = m[top:top + rows], u.T[:, top:top + rows, None]
-        for start in range(0, grid.interior_count, width):
-            xs = grid.xs[start:start + width]
-            out = ex.eval_on_arrays(nl.exprs[i], nl.bindings(
-                xs, grid.ys[start:start + width], comps))
-            # rebinding out frees the block before the next one is made
-            out = np.broadcast_to(out, (len(part), len(xs))).max(axis=1)
-            np.maximum(part, out, out=part)
+    width = max(1, BLOCK_ELEMENTS // max(len(u), 1))
+    for start in range(0, grid.interior_count, width):
+        xs = grid.xs[start:start + width]
+        out = ex.eval_on_arrays(nl.exprs[i], nl.bindings(
+            xs, grid.ys[start:start + width], u.T[:, :, None]))
+        # rebinding out frees the block before the next one is made
+        out = np.broadcast_to(out, (len(u), len(xs))).max(axis=1)
+        np.maximum(m, out, out=m)
     return m

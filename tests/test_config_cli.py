@@ -4,13 +4,16 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conesolve import cli
 from conesolve.cli import _write_csv, build_parser, main
-from conesolve.config import parse_config
+from conesolve.config import COEFFICIENTS, SETTINGS, parse_config
 from conesolve.errors import ConfigError
 from conesolve.geometry import Rectangle, UnitDisk
 from conesolve.operator import Dirichlet, Neumann, Robin
@@ -759,3 +762,63 @@ def test_x_dependent_system_ranges_match_the_library(tmp_path):
     assert [(row["upper"], row["m_value"]) for row in rows] == [
         (f"{rng.upper:.17g}", f"{rng.provenance.m_value:.17g}")
         for rng in ranges]
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("a11", '""', "bad expression for 'a11': empty expression (column 1)"),
+    ("c", "q", "bad expression for 'c': unknown variable 'q' (column 1)"),
+    ("bc", 'robin ""', "bad expression for 'bc': empty expression "
+                       "(column 1)"),
+    ("bc", "robin q", "bad expression for 'bc': unknown variable 'q' "
+                      "(column 1)")])
+def test_expression_errors_name_their_line(tmp_path, capsys, key, value,
+                                           message):
+    lines = ROBIN_CFG.splitlines()
+    line = next(k for k, raw in enumerate(lines, 1)
+                if raw.startswith(f"{key} ="))
+    lines[line - 1] = f"{key} = {value}"
+    cfg = write(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
+    assert main(["spectrum", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 64
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
+FLAG_CASES = {"h": ("0.125", 0.125), "tol": ("1e-7", 1e-7),
+              "max_iter": ("77", 77), "seed": ("9", 9)}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, keys in cli.OVERRIDES.items()
+    for key in keys])
+def test_each_override_flag_sets_exactly_its_field(tmp_path, command, key):
+    text, expected = FLAG_CASES[key]
+    flag = "--" + key.replace("_", "-")
+    args = build_parser().parse_args(
+        [command, "--config", write(tmp_path, "s.cfg", SYSTEM_CFG),
+         flag, text])
+    cfg = parse_config(SYSTEM_CFG)
+    before = dict(vars(cfg))
+    after = vars(cli._apply_overrides(cfg, args))
+    assert [k for k in after if after[k] != before[k]] == [key]
+    assert after[key] == expected
+
+
+def test_omitted_settings_take_their_declared_defaults():
+    from conesolve.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
+    omitted = ("tol", "max_iter", "seed", "samples")
+    cfg = parse_config("".join(
+        line + "\n" for line in SYSTEM_CFG.splitlines()
+        if line.partition(" =")[0] not in omitted))
+    assert {key: getattr(cfg, key) for key in omitted} == {
+        key: SETTINGS[key][1] for key in omitted}
+    assert (cfg.tol, cfg.max_iter) == (DEFAULT_TOL, DEFAULT_MAX_ITER)
+
+
+def test_readme_config_block_parses_and_names_every_optional_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config("".join(line + "\n" for line in block.splitlines()
+                               if not line.startswith("#")))
+    assert cfg.n == 2 and cfg.lambdas is not None
+    for key in [*SETTINGS, *COEFFICIENTS]:
+        assert re.search(rf"\b{key} = ", block), key

@@ -246,7 +246,7 @@ def test_max_over_domain_stack_is_bitwise_one_state_at_a_time(
     assert f2 == (7,)
     assert max(rows * cols for rows, cols in blocks) <= limit
     assert sum(rows * cols for rows, cols in blocks) == 7 * nodes
-    if budget == "node chunks":
-        assert all(rows == 7 and cols < nodes for rows, cols in blocks)
-    else:
+    if budget == "default":
         assert all(cols == nodes for _, cols in blocks)
+    else:
+        assert all(rows == 7 and cols < nodes for rows, cols in blocks)

@@ -243,11 +243,11 @@ def test_ratio_curve_blocks_stay_within_the_element_budget(monkeypatch):
     nl = Nonlinearity.from_strings(["(1 + x1^2) * (sqrt(s) + tan(s))"],
                                    (math.pi / 2 - 1e-6,))
     s, _ = ratio_curve(nl, 0.25, grid)
-    # blocks of whole s values, as many as fit, each covering its s
-    # values' nodes once
-    rows = BLOCK_ELEMENTS // nodes
+    # every s value on each chunk of as many nodes as fit, the chunks
+    # covering the nodes once
+    width = BLOCK_ELEMENTS // 1000
     assert [(len(v), cols) for v, cols in blocks] == \
-        [(rows, nodes)] * (1000 // rows)
+        [(1000, min(width, nodes - start)) for start in range(0, nodes, width)]
     assert max(len(v) * cols for v, cols in blocks) <= BLOCK_ELEMENTS
     assert nodes_per_point(blocks) == {v: nodes for v in s}
     # a nonlinearity without x is one evaluation on the s values

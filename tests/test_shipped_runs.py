@@ -146,7 +146,7 @@ def test_text_columns_match_a_per_row_writer(tmp_path):
     values = np.array([0.0, -0.0, 5e-324, 1e22, -1e-300, 0.1, -0.0, 1e22,
                        -5e-324, 0.0])
     path = tmp_path / "table.csv"
-    cli._write_csv(path, ["x", "v"], [cli._text_column(values), values])
+    cli._write_csv(path, ["x", "v"], [cli._text(values), values])
     assert path.read_text() == per_row_csv(["x", "v"], [values, values])
     grid = build_grid(UnitDisk(), 1 / 8)
     x1, x2 = cli._coordinate_text(grid)
