@@ -231,23 +231,18 @@ def _growth_parameters(pipe: Pipeline):
     return None, None, report
 
 
-def _single_curve(pipe: Pipeline):
-    """The sampled curve s -> s / (M(s) |K1|) of a single equation, built
-    once per op and shared by the range, the supersolution level and
-    ratio_curve.csv; None for systems."""
+def _ranges(pipe: Pipeline, delta: float):
+    """(ranges, curve): the admissible lambda intervals and, for a single
+    equation, the sampled curve s -> s / (M(s) |K1|) its range is read
+    from, built once per op and shared by the supersolution level and
+    ratio_curve.csv; the curve is None for systems."""
     cfg = pipe.cfg
     if cfg.n > 1:
-        return None
-    return ratio_curve(cfg.nl, pipe.k1_norm, pipe.grid)
-
-
-def _compute_ranges(pipe: Pipeline, curve, delta: float):
-    cfg = pipe.cfg
-    if cfg.n == 1:
-        return [single_range(cfg.nl, delta, pipe.k1_norm, pipe.spectrum.mu1,
-                             pipe.grid, curve)]
-    return system_ranges(cfg.nl, cfg.rho, cfg.i0, delta, pipe.k1_norm,
-                         pipe.spectrum.mu1, pipe.grid)
+        return system_ranges(cfg.nl, cfg.rho, cfg.i0, delta, pipe.k1_norm,
+                             pipe.spectrum.mu1, pipe.grid), None
+    curve = ratio_curve(cfg.nl, pipe.k1_norm, pipe.grid)
+    return [single_range(cfg.nl, delta, pipe.k1_norm, pipe.spectrum.mu1,
+                         pipe.grid, curve)], curve
 
 
 def _choose_beta(pipe: Pipeline, curve) -> list:
@@ -333,8 +328,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
     print(f"growth parameters: delta = {delta:g}, rho0 = {rho0:g}")
 
     try:
-        curve = _single_curve(pipe)
-        ranges = _compute_ranges(pipe, curve, delta)
+        ranges, curve = _ranges(pipe, delta)
     except ConesolveError as err:
         return _abort(out_dir, checks, f"hypothesis (c) fails: {err}")
     for rng in ranges:
@@ -444,8 +438,7 @@ def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:
     else:
         print(f"growth parameters: delta = {delta:g}, rho0 = {rho0:g} "
               "(validated by sampling)")
-    curve = _single_curve(pipe)
-    ranges = _compute_ranges(pipe, curve, delta)
+    ranges, curve = _ranges(pipe, delta)
     for rng in ranges:
         print(rng.describe())
     if want_csv:

@@ -187,15 +187,9 @@ def _bounds(v, tv, lower, what: str, proposed=()) -> list:
 
 
 def _crossed(tv, lower, upper) -> bool:
+    """Whether T v_lower <= T v_upper fails (with both halves present)."""
     return (lower is not None and upper is not None
             and not _below(tv[lower], tv[upper]))
-
-
-def _check_crossing(tv, lower, upper, what: str):
-    """Raise unless T v_lower <= T v_upper (with both halves present)."""
-    if _crossed(tv, lower, upper):
-        raise MonotonicityViolation(
-            f"{what}: lower iterate exceeded upper iterate")
 
 
 class _Anderson:
@@ -313,7 +307,9 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
     u = np.stack([np.asarray(start, dtype=float) for _, start in halves])
     tu = apply_T(p, u)
     _bounds(u, tu, lower, "start is not admissible")
-    _check_crossing(tu, lower, upper, "start is not admissible")
+    if _crossed(tu, lower, upper):
+        raise MonotonicityViolation(
+            "start is not admissible: lower iterate exceeded upper iterate")
     box = np.asarray(p.nl.box, dtype=float)[:, None]
     work = np.empty((ANDERSON_M + 1, u[0].size))
     proposers = [_Anderson((tu[k] - u[k]).ravel(), tu[k].ravel(), work)
@@ -335,10 +331,15 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
         # a candidate moves only if it is admissible; a plain slot must be
         moved = _bounds(slots, ts, lower, what, proposed)
         v, tv = _advance(u, tu, slots, ts, moved)
-        if _crossed(tv, lower, upper) and any(moved[k] for k in proposed):
+        # judged once, and again only after the moved candidates revert
+        crossed = _crossed(tv, lower, upper)
+        if crossed and any(moved[k] for k in proposed):
             moved = [k not in proposed for k in range(len(halves))]
             v, tv = _advance(u, tu, slots, ts, moved)
-        _check_crossing(tv, lower, upper, what)
+            crossed = _crossed(tv, lower, upper)
+        if crossed:
+            raise MonotonicityViolation(
+                f"{what}: lower iterate exceeded upper iterate")
         for k in proposed:
             proposers[k].judge(moved[k])
         history.append(np.abs(v).max(axis=(1, 2)))

@@ -151,7 +151,8 @@ def _interior_arrays(h, x0, y0, classification):
     jj, ii = np.nonzero(classification == INTERIOR)   # row-major by (j, i)
     ids = np.full((ny, nx), -1, dtype=np.int32)
     ids[jj, ii] = np.arange(len(ii), dtype=np.int32)
-    nodes = np.column_stack([ii, jj]).astype(np.int64)
+    nodes = np.column_stack([ii, jj]).astype(np.int64, copy=False)
+    ii, jj = nodes.T    # frees np.nonzero's (N, 2) buffer
     xs = x0 + ii * h
     ys = y0 + jj * h
     return ids, nodes, xs, ys
@@ -182,25 +183,24 @@ def _build_disk(spec: UnitDisk, h: float) -> Grid:
     Y = y0 + idx[:, None] * h
     r = np.hypot(X, Y)
     snap = BOUNDARY_SNAP * h
-    classification = np.where(
-        np.abs(r - 1.0) <= snap, BOUNDARY,
-        np.where(r < 1.0, INTERIOR, EXTERIOR)).astype(np.int8)
+    classification = np.full((n, n), EXTERIOR, dtype=np.int8)
+    classification[r < 1.0] = INTERIOR
+    classification[np.abs(r - 1.0) <= snap] = BOUNDARY
+    del r               # no lattice-sized float outlives the classification
 
     ids, nodes, xs, ys = _interior_arrays(h, x0, y0, classification)
     arms = np.ones((len(nodes), 4))
 
-    # crossing distance along +-x is sqrt(1-y^2) -+ x, along +-y symmetric
-    cross_x = np.sqrt(np.maximum(1.0 - ys * ys, 0.0))
-    cross_y = np.sqrt(np.maximum(1.0 - xs * xs, 0.0))
-    ii, jj = nodes[:, 0], nodes[:, 1]
-    neighbor = {
-        EAST: (classification[jj, ii + 1], (cross_x - xs) / h),
-        WEST: (classification[jj, ii - 1], (cross_x + xs) / h),
-        NORTH: (classification[jj + 1, ii], (cross_y - ys) / h),
-        SOUTH: (classification[jj - 1, ii], (cross_y + ys) / h),
-    }
-    for d, (ncls, frac) in neighbor.items():
-        outside = ncls == EXTERIOR
-        arms[:, d] = np.where(outside, np.clip(frac, BOUNDARY_SNAP, 1.0), 1.0)
+    # an arm toward an exterior neighbor (read off a shifted view of the
+    # lattice) ends at the circle: sqrt(1 - y^2) -+ x away along +-x, etc.
+    inner = ids[1:-1, 1:-1]
+    for d, di, dj in ((EAST, 1, 0), (WEST, -1, 0), (NORTH, 0, 1),
+                      (SOUTH, 0, -1)):
+        beyond = classification[1 + dj:n - 1 + dj, 1 + di:n - 1 + di]
+        out = inner[(inner >= 0) & (beyond == EXTERIOR)]
+        along, across = (xs[out], ys[out]) if di else (ys[out], xs[out])
+        cross = np.sqrt(np.maximum(1.0 - across * across, 0.0))
+        arms[out, d] = np.clip((cross - (di + dj) * along) / h,
+                               BOUNDARY_SNAP, 1.0)
     return Grid(spec, h, x0, y0, n, n,
                 classification, ids, nodes, xs, ys, arms)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class Nonlinearity:
     exprs: tuple
     box: tuple
     n: int
+    # whether each f_i reads x, decided once from its free variables
+    _uses_x: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or len(self.exprs) != self.n or len(self.box) != self.n:
@@ -52,11 +54,13 @@ class Nonlinearity:
         if any(not (r > 0) for r in self.box):
             raise ValueError("box bounds must be strictly positive")
         allowed = allowed_variables(self.n)
-        for i, e in enumerate(self.exprs):
-            extra = ex.free_vars(e) - allowed
-            if extra:
+        variables = [ex.free_vars(e) for e in self.exprs]
+        for i, free in enumerate(variables):
+            if extra := free - allowed:
                 raise ValueError(
                     f"f{i + 1} uses unknown variable(s) {sorted(extra)}")
+        object.__setattr__(self, "_uses_x", tuple(
+            bool(free & {"x1", "x2"}) for free in variables))
 
     @classmethod
     def from_strings(cls, sources, box):
@@ -66,7 +70,7 @@ class Nonlinearity:
         return cls(exprs, tuple(float(r) for r in box), n)
 
     def uses_x(self, i: int) -> bool:
-        return bool(ex.free_vars(self.exprs[i]) & {"x1", "x2"})
+        return self._uses_x[i]
 
     def bindings(self, x1, x2, components):
         out = {"x1": x1, "x2": x2}

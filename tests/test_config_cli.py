@@ -348,6 +348,40 @@ def test_missing_config_exit_66(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 66
 
 
+def test_unreadable_config_exit_66(tmp_path, capsys):
+    # a directory exists but cannot be read as a file
+    assert main(["solve", "--config", str(tmp_path)]) == 66
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+
+def test_iteration_budget_exhausted_exit_70(tmp_path, capsys):
+    cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
+    assert main(["solve", "--config", cfg, "--max-iter", "1",
+                 "--out", str(tmp_path / "o")]) == 70
+    assert capsys.readouterr().err == (
+        "error: monotone iteration did not converge in 1 iterations\n")
+
+
+def test_nonpositive_m_j_fails_hypothesis_c_exit_1(tmp_path, capsys):
+    text = SYSTEM_CFG.replace('f2 = "max(u1,u2)^2"', 'f2 = "0*u2"')
+    cfg = write(tmp_path, "zero.cfg", text)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("hypothesis (c) fails: m2(beta) = 0 <= 0; ")
+    assert (out / "checks.csv").exists()
+
+
+def test_unvalidated_growth_is_a_warning_in_lambda_range(tmp_path, capsys):
+    # s^2 < delta s near 0 for every delta, so no (delta, rho0) passes
+    text = SCALAR_LINEAR_CFG.replace('f1 = "s"', 'f1 = "s^2"')
+    cfg = write(tmp_path, "square.cfg", text)
+    assert main(["lambda-range", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert ("warning: no validated growth constant; using delta = 1 "
+            "without certification") in capsys.readouterr().out.splitlines()
+
+
 def test_malformed_config_exit_64(tmp_path):
     cfg = write(tmp_path, "broken.cfg", "h = 0.5\n")
     assert main(["solve", "--config", cfg]) == 64

@@ -302,10 +302,10 @@ def test_rejected_candidates_keep_the_order_and_the_limit(disk_op,
     assert np.abs(upper.solution - honest.solution).max() <= 1e-9
 
 
-def test_crossing_candidates_are_rejected_together(disk_op, monkeypatch):
-    # a monotone map with stable fixed points near 0.107 and 0.893: 0.85 is
-    # a subsolution and 0.15 a supersolution, but T 0.85 > T 0.15, so the
-    # pair of candidates would cross and both must be rejected
+def _crossing_bracket(disk_op, monkeypatch):
+    """A two-half bracket whose pairs of candidates cross: with a monotone
+    map with stable fixed points near 0.107 and 0.893, 0.85 is a
+    subsolution and 0.15 a supersolution, but T 0.85 > T 0.15."""
     def staircase(p, u):
         return 0.5 + 0.4 * np.tanh(6.0 * (np.asarray(u) - 0.5))
 
@@ -318,14 +318,45 @@ def test_crossing_candidates_are_rejected_together(disk_op, monkeypatch):
     propose = fixedpoint._Anderson.candidate
     monkeypatch.setattr(fixedpoint, "apply_T", staircase)
     monkeypatch.setattr(fixedpoint._Anderson, "candidate", crossing)
-    p = reference_problem(disk_op)
-    zero = constant_state(disk_op.grid, (0.0, 0.0))
-    one = constant_state(disk_op.grid, (1.0, 1.0))
+    return (reference_problem(disk_op),
+            constant_state(disk_op.grid, (0.0, 0.0)),
+            constant_state(disk_op.grid, (1.0, 1.0)))
+
+
+def test_crossing_candidates_are_rejected_together(disk_op, monkeypatch):
+    # the pair of candidates would cross, so both must be rejected
+    p, zero, one = _crossing_bracket(disk_op, monkeypatch)
     report = monotone_iterate(p, zero, one, tol=1e-12)
     for half in (report.lower, report.upper):
         assert half.proposed > 0 and half.accepted == 0
     assert report.lower.norm == pytest.approx(0.1070, abs=1e-3)
     assert report.upper.norm == pytest.approx(0.8930, abs=1e-3)
+
+
+@pytest.mark.parametrize("crossing", [False, True],
+                         ids=["shipped system", "crossing candidates"])
+def test_the_crossing_is_judged_once_per_step(disk_op, monkeypatch,
+                                              crossing):
+    # one verdict on T v_lower <= T v_upper for the start, one per step,
+    # and one more for each step whose candidates crossed and were reverted
+    # (in a run that completes, those are the verdicts that found a crossing)
+    if crossing:
+        p, alpha, beta = _crossing_bracket(disk_op, monkeypatch)
+    else:
+        p, alpha, beta = _bracket(disk_op)
+    verdicts = []
+    judge = fixedpoint._crossed
+
+    def counting(*args):
+        verdicts.append(judge(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(fixedpoint, "_crossed", counting)
+    report = monotone_iterate(p, alpha, beta, tol=1e-12 if crossing
+                              else 1e-9)
+    reverted = sum(verdicts)
+    assert report.iterations > 1 and (reverted > 0) == crossing
+    assert len(verdicts) == 1 + report.iterations + reverted
 
 
 def test_anderson_steps_cut_the_plain_iteration():
