@@ -19,7 +19,6 @@ monotone solve -> certificate.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -67,20 +66,32 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path, header, columns):
-    """Write a table given by columns: float columns as their _text
-    (%.17g, which round-trips every double), columns of str as they are,
-    other columns as str().  Rows are joined and written CSV_CHUNK_ROWS at
-    a time, so the text of a whole table is never held at once."""
-    cells = []
-    for col in map(np.asarray, columns):
-        if col.dtype.kind == "f":
-            col = _text(col)
-        cells.append(col.tolist() if col.dtype.kind in "OU"
-                     else [str(v) for v in col.tolist()])
-    rows = map(",".join, itertools.chain([header], zip(*cells)))
+    """Write a table given by columns.  A column is a sequence of cells, or
+    a pair (values, index) of a float array and an index array, whose row k
+    is values[index[k]]: each value is formatted once and its text is
+    gathered.  Float cells are written as their _text (%.17g, which
+    round-trips every double), str cells as they are, other cells as str().
+    Rows are made and written CSV_CHUNK_ROWS at a time, so no column's text
+    is held at table length."""
+    table = [(_text(col[0]), col[1]) if isinstance(col, tuple)
+             and len(col) == 2 and isinstance(col[1], np.ndarray)
+             else (np.asarray(col), None) for col in columns]
+    rows = min((len(v if i is None else i) for v, i in table), default=0)
     with open(path, "w", encoding="utf-8") as fh:
-        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
-            fh.write("\n".join(chunk) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            part = slice(start, start + CSV_CHUNK_ROWS)
+            cells = [_cells(v[part]) if i is None else v[i[part]].tolist()
+                     for v, i in table]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _cells(col: np.ndarray) -> list:
+    """The cells of a plain column as text, as _write_csv writes them."""
+    if col.dtype.kind == "f":
+        return _text(col).tolist()
+    return (col.tolist() if col.dtype.kind in "OU"
+            else [str(v) for v in col.tolist()])
 
 
 def _text(values) -> np.ndarray:
@@ -161,10 +172,16 @@ class Pipeline:
         i, j = self.grid.nodes.T
         return u[..., self.op.grid.interior_ids[j, i]]
 
-    def unfold_text(self, u) -> np.ndarray:
-        """unfold of the %.17g text of u: each orbit's value is formatted
-        once, and every node of the orbit shares its string."""
-        return self.unfold(_text(u))
+    def nodal_columns(self, u) -> list:
+        """The _write_csv columns x1, x2 and one per row of u, values on
+        op.grid, at every node of grid: each lattice coordinate x0 + i h
+        (the double grid.xs holds) and each orbit's value is gathered."""
+        grid = self.grid
+        i, j = grid.nodes.T
+        orbit = self.unfold(np.arange(self.op.grid.interior_count))
+        return [(grid.x0 + np.arange(grid.nx) * grid.h, i),
+                (grid.y0 + np.arange(grid.ny) * grid.h, j),
+                *((row, orbit) for row in np.atleast_2d(u))]
 
     def symmetry_text(self) -> str:
         """One line naming the lattice symmetry solved under."""
@@ -262,22 +279,6 @@ def _choose_beta(pipe: Pipeline, curve) -> list:
     return [float(s[k])]
 
 
-def _coordinate_text(grid):
-    """The x1 and x2 columns of a table over the interior nodes, as text:
-    each lattice coordinate x0 + i h is formatted once, the same double as
-    grid.xs holds, and gathered by the nodes' lattice indices."""
-    i, j = grid.nodes.T
-    return (_text(grid.x0 + np.arange(grid.nx) * grid.h)[i],
-            _text(grid.y0 + np.arange(grid.ny) * grid.h)[j])
-
-
-def _write_solution_csv(path, coordinates, text):
-    """Write the text of u, as unfold_text gives it, next to the
-    coordinates _coordinate_text returned."""
-    header = ["x1", "x2"] + [f"u{i + 1}" for i in range(len(text))]
-    _write_csv(path, header, [*coordinates, *text])
-
-
 def _iterate(problem, alpha, beta, cfg):
     """Iterate from both alpha (if any) and beta in one engine run.  When
     that fails but beta alone succeeds, the failure was confined to the
@@ -367,20 +368,20 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
         return _abort(out_dir, checks, f"iteration aborted: {err}")
     upper, low = report.upper, report.lower
     print(upper.to_text())
-    coordinates = _coordinate_text(pipe.grid)
+    header = ["x1", "x2"] + [f"u{i + 1}" for i in range(cfg.n)]
     if low is not None:
         print(f"bracket: lower limit norm {low.norm:.6g} <= "
               f"upper limit norm {upper.norm:.6g}")
         if want_csv:
-            _write_solution_csv(os.path.join(out_dir, "solution_lower.csv"),
-                                coordinates, pipe.unfold_text(low.solution))
+            _write_csv(os.path.join(out_dir, "solution_lower.csv"), header,
+                       pipe.nodal_columns(low.solution))
 
     cert = certify(problem, upper.solution, tol=cfg.tol)
     print(cert.to_text())
 
     _write_checks(out_dir, checks)
-    _write_solution_csv(os.path.join(out_dir, "solution.csv"), coordinates,
-                        pipe.unfold_text(upper.solution))
+    _write_csv(os.path.join(out_dir, "solution.csv"), header,
+               pipe.nodal_columns(upper.solution))
     for name, record in (("certificate.txt", cert),
                          ("iteration_report.txt", upper)):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
@@ -474,9 +475,7 @@ def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
     print(f"residual   = {est.residual:.3e}")
     if want_csv:
         _write_csv(os.path.join(out_dir, "eigenfunction.csv"),
-                   ["x1", "x2", "phi"],
-                   [*_coordinate_text(pipe.grid),
-                    pipe.unfold_text(est.eigenfunction)])
+                   ["x1", "x2", "phi"], pipe.nodal_columns(est.eigenfunction))
     return EXIT_OK
 
 

@@ -52,7 +52,12 @@ def _backward_errors(op: DiscreteOperator, rhs, z) -> np.ndarray:
     g = rhs.T
     residual = np.abs(g - (op.matrix @ z).T).max(axis=-1)
     scale = op.norm_inf * np.abs(z.T).max(axis=-1) + np.abs(g).max(axis=-1)
-    return residual / (UNIT_ROUNDOFF * np.where(scale > 0, scale, 1.0))
+    scale = np.where(scale > 0, scale, 1.0)
+    # a subnormal scale underflows UNIT_ROUNDOFF * scale to 0: divide by the
+    # scale first there
+    unit = UNIT_ROUNDOFF * scale
+    return np.where(unit > 0, residual / np.where(unit > 0, unit, 1.0),
+                    residual / scale / UNIT_ROUNDOFF)
 
 
 def apply_K(op: DiscreteOperator, g) -> np.ndarray:

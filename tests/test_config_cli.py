@@ -362,6 +362,20 @@ def test_iteration_budget_exhausted_exit_70(tmp_path, capsys):
         "error: monotone iteration did not converge in 1 iterations\n")
 
 
+def test_subnormal_subsolution_fails_without_a_numpy_warning(tmp_path,
+                                                            capsys):
+    # UNIT_ROUNDOFF times a subnormal scale underflows to 0; the backward
+    # error is still finite, and far above the bound
+    cfg = write(tmp_path, "tiny.cfg",
+                SYSTEM_CFG.replace("rho0 = 0.01", "rho0 = 1e-320"))
+    with np.errstate(divide="raise"):
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 70
+    assert re.fullmatch(r"error: backward error \d\.\d\de\+\d\d u exceeds "
+                        r"100 u after one refinement step\n",
+                        capsys.readouterr().err)
+
+
 def test_nonpositive_m_j_fails_hypothesis_c_exit_1(tmp_path, capsys):
     text = SYSTEM_CFG.replace('f2 = "max(u1,u2)^2"', 'f2 = "0*u2"')
     cfg = write(tmp_path, "zero.cfg", text)

@@ -281,6 +281,20 @@ def test_backward_error_is_bitwise_the_column_formula(disk_op, shape):
     assert new.tobytes() == old.tobytes()
 
 
+def test_backward_error_of_subnormal_data_is_finite(disk_op):
+    # UNIT_ROUNDOFF * scale underflows to 0 for a subnormal scale
+    g = np.full((2, disk_op.grid.interior_count), 1e-320)
+    g[1] = 1.0
+    z = disk_op.factorization().solve(g.T)
+    with np.errstate(divide="raise"):
+        errors = greens._backward_errors(disk_op, g.T, z)
+        with pytest.raises(SolverFailure, match=r"backward error \d"):
+            apply_K(disk_op, g[0])
+    assert np.isfinite(errors[0]) and errors[0] > greens.BACKWARD_ERROR_C
+    normal = _column_backward_errors(disk_op, g[1:].T, z[:, 1:])
+    assert errors[1:].tobytes() == normal.tobytes()
+
+
 def test_k1_is_solved_once_per_operator(monkeypatch):
     def fresh():
         return assemble(build_grid(UnitDisk(), 1.0 / 16.0),

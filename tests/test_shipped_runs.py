@@ -2,15 +2,16 @@
 rect-robin problem: the monotone engine's step and Anderson counts, its
 least-squares candidates against an np.linalg.lstsq reference, and the
 solution tables against a per-row %.17g writer.  The eigenfunction
-table, the text helpers and the chunked writer are held to the same
+table, the nodal columns and the chunked writer are held to the same
 writer."""
 
+import tracemalloc
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from conesolve import UnitDisk, build_grid, cli
+from conesolve import cli
 from conesolve.config import parse_config
 from conesolve.fixedpoint import ANDERSON_M, _Anderson
 from test_config_cli import ROBIN_CFG
@@ -148,10 +149,14 @@ def test_text_columns_match_a_per_row_writer(tmp_path):
     path = tmp_path / "table.csv"
     cli._write_csv(path, ["x", "v"], [cli._text(values), values])
     assert path.read_text() == per_row_csv(["x", "v"], [values, values])
-    grid = build_grid(UnitDisk(), 1 / 8)
-    x1, x2 = cli._coordinate_text(grid)
-    cli._write_csv(path, ["x1", "x2"], [x1, x2])
-    assert path.read_text() == per_row_csv(["x1", "x2"], [grid.xs, grid.ys])
+    # the coordinate columns alone: u with no rows
+    cfg = parse_config(CONFIGS["system_disk"])
+    cfg.h = 1 / 8
+    pipe = cli.build_pipeline(cfg)
+    cli._write_csv(path, ["x1", "x2"], pipe.nodal_columns(
+        np.empty((0, pipe.op.grid.interior_count))))
+    assert path.read_text() == per_row_csv(["x1", "x2"],
+                                           [pipe.grid.xs, pipe.grid.ys])
 
 
 @pytest.mark.parametrize("name, h", [("system_disk", "0.03125"),
@@ -185,25 +190,55 @@ def test_text_matches_per_entry_formatting():
 
 
 @pytest.mark.parametrize("name", ["system_disk", "rect_robin"])
-def test_unfold_text_formats_each_orbit_once(name):
+def test_unfold_text_formats_each_orbit_once(tmp_path, monkeypatch, name):
     cfg = parse_config(CONFIGS[name])
     cfg.h = 1 / 16
     pipe = cli.build_pipeline(cfg)
-    orbits = pipe.op.grid.interior_count
-    assert (orbits < pipe.grid.interior_count) == (name == "system_disk")
+    grid, orbits = pipe.grid, pipe.op.grid.interior_count
+    assert (orbits < grid.interior_count) == (name == "system_disk")
     u = np.random.default_rng(5).standard_normal((cfg.n, orbits))
-    text = pipe.unfold_text(u)
-    assert text.shape == (cfg.n, pipe.grid.interior_count)
-    assert list(text.ravel()) == [
-        "%.17g" % v for v in pipe.unfold(u).ravel()]
-    assert all(len({id(t) for t in row}) <= orbits for row in text)
+    formatted = []
+    text = cli._text
+    monkeypatch.setattr(cli, "_text",
+                        lambda v: formatted.append(np.size(v)) or text(v))
+    path = tmp_path / "table.csv"
+    header = ["x1", "x2"] + [f"u{i + 1}" for i in range(cfg.n)]
+    cli._write_csv(path, header, pipe.nodal_columns(u))
+    assert path.read_bytes() == per_row_csv(
+        header, [grid.xs, grid.ys, *pipe.unfold(u)]).encode()
+    # each lattice coordinate and each orbit value is formatted once
+    assert formatted == [grid.nx, grid.ny] + [orbits] * cfg.n
+
+
+def test_nodal_table_holds_no_text_at_table_length(tmp_path):
+    """A folded h = 1/128 solution table (51,429 rows, 6,538 orbits) is
+    written in about the orbit text (2 x 6,538 strings, 1.0 MB), the
+    node-to-orbit index (0.4 MB) and one chunk (0.4 MB).  Expanding each
+    column's text to table length peaked at 5.5 MB."""
+    cfg = parse_config(CONFIGS["system_disk"])
+    cfg.h = 1 / 128
+    pipe = cli.build_pipeline(cfg)
+    orbits = pipe.op.grid.interior_count
+    assert (pipe.grid.interior_count, orbits) == (51429, 6538)
+    u = np.random.default_rng(5).random((2, orbits))
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "solution.csv", ["x1", "x2", "u1", "u2"],
+                       pipe.nodal_columns(u))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 @pytest.mark.parametrize("rows", range(6))
 def test_csv_chunks_match_a_per_row_writer(tmp_path, monkeypatch, rows):
     monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 2)
     values = np.arange(rows) / 3.0
+    orbit_values = np.array([0.1, -0.0, 5e-324])
+    index = np.arange(rows) * 2 % 3       # 0, 2, 1, 0, 2, 1: repeated
     path = tmp_path / "table.csv"
-    cli._write_csv(path, ["k", "v"], [np.arange(rows), values])
-    assert path.read_text() == per_row_csv(["k", "v"],
-                                           [np.arange(rows), values])
+    cli._write_csv(path, ["k", "v", "w"],
+                   [np.arange(rows), values, (orbit_values, index)])
+    assert path.read_text() == per_row_csv(
+        ["k", "v", "w"], [np.arange(rows), values, orbit_values[index]])
