@@ -67,10 +67,9 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path, header, columns):
     """Write a table given by columns.  A column is a sequence of cells, or
-    a pair (values, index) of a float array and an index array, whose row k
-    is values[index[k]]: each value is formatted once and its text is
-    gathered.  Float cells are written as their _text (%.17g, which
-    round-trips every double), str cells as they are, other cells as str().
+    a pair (values, index) of a float array and an index array whose row k
+    is values[index[k]], each value formatted once.  Float cells are written
+    as their _text (%.17g, which round-trips every double), others as str().
     Rows are made and written CSV_CHUNK_ROWS at a time, so no column's text
     is held at table length."""
     table = [(_text(col[0]), col[1]) if isinstance(col, tuple)
@@ -88,10 +87,7 @@ def _write_csv(path, header, columns):
 
 def _cells(col: np.ndarray) -> list:
     """The cells of a plain column as text, as _write_csv writes them."""
-    if col.dtype.kind == "f":
-        return _text(col).tolist()
-    return (col.tolist() if col.dtype.kind in "OU"
-            else [str(v) for v in col.tolist()])
+    return (_text(col) if col.dtype.kind == "f" else col.astype(str)).tolist()
 
 
 def _text(values) -> np.ndarray:

@@ -53,8 +53,7 @@ def _backward_errors(op: DiscreteOperator, rhs, z) -> np.ndarray:
     residual = np.abs(g - (op.matrix @ z).T).max(axis=-1)
     scale = op.norm_inf * np.abs(z.T).max(axis=-1) + np.abs(g).max(axis=-1)
     scale = np.where(scale > 0, scale, 1.0)
-    # a subnormal scale underflows UNIT_ROUNDOFF * scale to 0: divide by the
-    # scale first there
+    # UNIT_ROUNDOFF * a subnormal scale underflows to 0: divide by it first
     unit = UNIT_ROUNDOFF * scale
     return np.where(unit > 0, residual / np.where(unit > 0, unit, 1.0),
                     residual / scale / UNIT_ROUNDOFF)

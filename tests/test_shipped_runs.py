@@ -213,8 +213,8 @@ def test_unfold_text_formats_each_orbit_once(tmp_path, monkeypatch, name):
 def test_nodal_table_holds_no_text_at_table_length(tmp_path):
     """A folded h = 1/128 solution table (51,429 rows, 6,538 orbits) is
     written in about the orbit text (2 x 6,538 strings, 1.0 MB), the
-    node-to-orbit index (0.4 MB) and one chunk (0.4 MB).  Expanding each
-    column's text to table length peaked at 5.5 MB."""
+    node-to-orbit index (0.4 MB) and one chunk (0.4 MB); a writer that
+    expands each column's text to table length peaks at 5.5 MB."""
     cfg = parse_config(CONFIGS["system_disk"])
     cfg.h = 1 / 128
     pipe = cli.build_pipeline(cfg)
