@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import SETTINGS, Config, _validate, load_config
-from .errors import (ConesolveError, ConfigError, ExprError,
+from .errors import (ConesolveError, ConfigError, EvalDomainError, ExprError,
                      MonotonicityViolation, NoConvergence, SolverFailure)
 from .fixedpoint import (ProblemInstance, certify, check_supersolution,
                          construct_subsolution, monotone_iterate)
@@ -435,7 +435,11 @@ def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:
     else:
         print(f"growth parameters: delta = {delta:g}, rho0 = {rho0:g} "
               "(validated by sampling)")
-    ranges, curve = _ranges(pipe, delta)
+    try:
+        ranges, curve = _ranges(pipe, delta)
+    except ConesolveError as err:
+        print(f"hypothesis (c) fails: {err}")
+        return EXIT_HYPOTHESIS
     for rng in ranges:
         print(rng.describe())
     if want_csv:
@@ -516,14 +520,14 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(cfg, args.out, args.csv)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, ExprError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NoConvergence, SolverFailure) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SOFTWARE
     except ConesolveError as err:
         print(f"error: {err}", file=sys.stderr)
+        if isinstance(err, (NoConvergence, SolverFailure)):
+            return EXIT_SOFTWARE
+        # an expression that parses but cannot be evaluated is bad data
+        if (isinstance(err, (ConfigError, ExprError))
+                and not isinstance(err, EvalDomainError)):
+            return EXIT_USAGE
         return EXIT_DATA
 
 

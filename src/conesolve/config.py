@@ -166,11 +166,11 @@ def parse_config(text: str) -> Config:
 
     f_sources = _numbered(entries, "f", n, _quoted)
     rho = _numbered(entries, "rho", n, _parse_positive)
-    present = [k for k in range(1, n + 1) if f"lambda{k}" in entries]
-    if not present:
+    given = [k for k in range(1, n + 1) if f"lambda{k}" in entries]
+    if not given:
         lambdas = None
-    elif len(present) < n:
-        missing = sorted(set(range(1, n + 1)) - set(present))[0]
+    elif len(given) < n:
+        missing = sorted(set(range(1, n + 1)) - set(given))[0]
         raise ConfigError(f"missing key 'lambda{missing}' (n = {n}; give "
                           "all lambdas or none)")
     else:

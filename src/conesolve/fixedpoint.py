@@ -187,7 +187,7 @@ def _bounds(v, tv, lower, what: str, proposed=()) -> list:
 
 
 def _crossed(tv, lower, upper) -> bool:
-    """Whether T v_lower <= T v_upper fails (with both halves present)."""
+    """Whether T v_lower <= T v_upper fails (with both halves given)."""
     return (lower is not None and upper is not None
             and not _below(tv[lower], tv[upper]))
 

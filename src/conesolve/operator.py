@@ -122,20 +122,19 @@ def _slot(di, dj):
 
 class Stencil(NamedTuple):
     """The rows of A as an (N, 9) table of stencil slots: `columns[k, s]`
-    is the unknown of slot s of row k (-1 if none), `values[k, s]` the
-    entry of A there (0 where A stores none) and `present[k, s]` whether A
-    stores it.  A row's stored slots, in table order, are its CSR entries.
+    is the unknown of slot s of row k (negative if none) and `values[k, s]`
+    the entry of A there.  A stores an entry exactly where its value is
+    not 0 (the diagonal is always positive), and a row's stored slots, in
+    table order, are its CSR entries.
 
     As `assemble` builds it, slot s of row k is the node at
     SLOT_OFFSETS[s] from node k, and the tables are Fortran-ordered, so
     each slot is one contiguous array.  As `fold` builds it, row k is the
-    row of orbit k's representative, and its slot 8 - s holds the sum of
-    the row's entries in the orbit of slot s's node; each sum is stored
-    once, at the least stored s of its orbit, and only when it is not
-    0."""
+    window of orbit k's representative with each node replaced by its
+    orbit, and the first slot of each orbit holds the sum of the row's
+    entries in that orbit."""
 
     values: np.ndarray
-    present: np.ndarray
     columns: np.ndarray
 
 
@@ -178,11 +177,12 @@ class DiscreteOperator:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """A in CSR form: each row lists its stored slots in table order."""
-        values, present, columns = self.stencil
-        n = present.shape[0]
+        values, columns = self.stencil
+        stored = values != 0
+        n = values.shape[0]
         indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(present.sum(axis=1), out=indptr[1:])
-        return sp.csr_matrix((values[present], columns[present], indptr),
+        np.cumsum(stored.sum(axis=1), out=indptr[1:])
+        return sp.csr_matrix((values[stored], columns[stored], indptr),
                              shape=(n, n))
 
     @cached_property
@@ -355,7 +355,6 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     # eliminated value name distinct nodes, so adding the terms in turn
     # sums each entry in their order
     values = np.zeros((n, 9), order="F")
-    present = np.zeros((n, 9), dtype=bool, order="F")
 
     def add(slot, weight, on):
         """Add the term weight * z(node at slot) in the rows where `on`."""
@@ -364,7 +363,6 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
             return
         direct = on & (columns[:, slot] >= 0)
         values[:, slot] += np.where(direct, weight, 0.0)
-        present[:, slot] |= direct
         if isinstance(bc, Dirichlet):
             return
         # a term that reaches an eliminated value adds into the slots of
@@ -377,7 +375,6 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
         slots = slot_of_step[targets[named] - node[rows] + grid.nx + 1]
         values[rows, slots] += (np.broadcast_to(weight, (n,))[rows]
                                 * pair_w[named])
-        present[rows, slots] = True
 
     # -a11 z_xx, -a22 z_yy with shortened legs; a leg with arm < 1 ends
     # at the boundary crossing where the Dirichlet value is 0
@@ -405,7 +402,6 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     diag += np.where(up, bs, -bn)
     diag += c
     values[:, CENTRE] += diag
-    present[:, CENTRE] = True
     high, low = values.max(axis=0), values.min(axis=0)
     if not (np.all(np.isfinite(high)) and np.all(np.isfinite(low))):
         raise CoefficientViolation(
@@ -415,7 +411,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     # absent entries are 0, so the off-diagonal maximum covers them
     tol = 1e-12 * max(high.max(), -low.min())
     is_m = bool(low[CENTRE] > 0 and np.delete(high, CENTRE).max() <= tol)
-    return DiscreteOperator(Stencil(values, present, columns), grid,
+    return DiscreteOperator(Stencil(values, columns), grid,
                             OperatorDiagnostics(is_m, mu0))
 
 
@@ -464,19 +460,15 @@ def _keeps(values, image, slots) -> bool:
                               values[:, s]) for s in range(9))
 
 
-def _orbit_sums(values, orbits, present):
+def _orbit_sums(values, orbits):
     """Each row's entries summed by orbit, in slot order, which is the
-    column order in which csr_matmat sums A E.  Returns sums[k, s], the sum
-    over the slots t of row k with orbits[k, t] == orbits[k, s], and
-    first[k, s], whether s is the first stored slot of its orbit in row
-    k."""
+    column order in which A @ E sums them: sums[k, s] is the sum over the
+    slots t of row k with orbits[k, t] == orbits[k, s]."""
     sums = np.zeros(values.shape)
-    first = present.copy()
     for t in range(9):
-        same = orbits == orbits[:, t:t + 1]
-        sums += np.where(same, values[:, t:t + 1], 0.0)
-        first[:, t + 1:] &= ~(same[:, t + 1:] & present[:, t:t + 1])
-    return sums, first
+        sums += np.where(orbits == orbits[:, t:t + 1], values[:, t:t + 1],
+                         0.0)
+    return sums
 
 
 def _compose(g, h):
@@ -499,41 +491,36 @@ def _closure(codes) -> frozenset:
 def _folded_table(op: DiscreteOperator, orbit, reps, maps):
     """The slot table of A_f = (A E)[reps], or None when A E != E A_f.
 
-    `orbit` holds each node's orbit and `maps` the (code, slot map) of
-    each folded lattice map."""
-    values, present, columns = op.stencil
+    `orbit` holds each node's orbit and `maps` the (node image, slot map)
+    of each folded lattice map."""
+    values, columns = op.stencil
     # the orbit of each slot's node; a slot off the interior has its own
     orbits = np.empty_like(columns)
+    repeat = np.zeros_like(columns, dtype=bool)     # met at an earlier slot
     for t in range(9):
         at = columns[:, t]
         orbits[:, t] = np.where(at >= 0, orbit[at], -1 - t)
+        repeat[:, t] = (orbits[:, :t] == orbits[:, t:t + 1]).any(axis=1)
 
     # A E == E A_f when the orbit sums of every row agree along every map
     # in G.  A row whose window meets no orbit twice holds its orbit sums
     # as its entries, which agree since A is invariant.  The rows that do
     # meet an orbit twice, and only they, map onto one another.
-    twice = np.zeros(orbit.size, dtype=bool)
-    for t in range(1, 9):
-        twice |= (orbits[:, :t] == orbits[:, t:t + 1]).any(axis=1)
+    twice = repeat.any(axis=1)
     rows = np.flatnonzero(twice)
-    sums, first = _orbit_sums(values[rows], orbits[rows], present[rows])
+    sums = _orbit_sums(values[rows], orbits[rows])
     row_of = np.empty(orbit.size, dtype=orbit.dtype)
     row_of[rows] = np.arange(rows.size)
-    for code, slots in maps:
-        image = _node_map(op.grid, *code)
+    for image, slots in maps:
         if not np.array_equal(sums[row_of[image[rows]]][:, slots], sums):
             return None
 
-    # A_f as csr_matmat lays it out: each row lists its orbits in the
-    # reverse order of their first stored slot, and drops the sums that
-    # are 0
-    rep_sums, rep_first = values[reps], present[reps]
+    # each orbit's sum stays at its first slot of the representative's row
+    rep_values = values[reps]
     meets = twice[reps]
-    rep_sums[meets] = sums[row_of[reps[meets]]]
-    rep_first[meets] = first[row_of[reps[meets]]]
-    keep = rep_first & (rep_sums != 0)
-    rep_sums[~keep] = 0.0
-    return Stencil(rep_sums[:, ::-1], keep[:, ::-1], orbits[reps][:, ::-1])
+    rep_values[meets] = sums[row_of[reps[meets]]]
+    rep_values[repeat[reps]] = 0.0
+    return Stencil(rep_values, orbits[reps])
 
 
 def fold(op: DiscreteOperator) -> DiscreteOperator:
@@ -578,7 +565,7 @@ def fold(op: DiscreteOperator) -> DiscreteOperator:
                 continue
             group = _closure(group | {code})
         names.append(name)
-        maps.append((code, slots))
+        maps.append((image, slots))
         np.minimum(least, image, out=least)
     if not names:
         return op

@@ -14,7 +14,8 @@ import pytest
 from conesolve import cli
 from conesolve.cli import _write_csv, build_parser, main
 from conesolve.config import COEFFICIENTS, SETTINGS, parse_config
-from conesolve.errors import ConfigError
+from conesolve.errors import (ConfigError, MonotonicityViolation,
+                              NoConvergence)
 from conesolve.geometry import Rectangle, UnitDisk
 from conesolve.operator import Dirichlet, Neumann, Robin
 
@@ -249,23 +250,31 @@ def test_no_subsolution_is_a_note_before_exit_2(tmp_path, capsys):
 
 def test_a_two_half_violation_falls_back_to_beta(tmp_path, monkeypatch,
                                                  capsys):
-    from conesolve import cli
-    from conesolve.errors import MonotonicityViolation
     iterate = cli.monotone_iterate
-
-    def failing_lower_half(problem, alpha=None, beta=None, **kwargs):
-        if alpha is not None:
-            raise MonotonicityViolation("planted")
-        return iterate(problem, beta=beta, **kwargs)
-
-    monkeypatch.setattr(cli, "monotone_iterate", failing_lower_half)
     cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
-    out = tmp_path / "o"
-    assert main(["solve", "--config", cfg, "--out", str(out), "--csv"]) == 0
-    assert ("warning: lower iteration did not complete: planted"
-            in capsys.readouterr().out.splitlines())
-    assert not (out / "solution_lower.csv").exists()
-    assert (out / "solution.csv").exists()
+    monkeypatch.setattr(cli, "construct_subsolution", lambda *args: None)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "none"),
+                 "--csv"]) == 0
+    monkeypatch.undo()
+    for error in (MonotonicityViolation, NoConvergence):
+        def failing_lower_half(problem, alpha=None, beta=None, **kwargs):
+            if alpha is not None:
+                raise error("planted")
+            return iterate(problem, beta=beta, **kwargs)
+
+        out = tmp_path / error.__name__
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "monotone_iterate", failing_lower_half)
+            assert main(["solve", "--config", cfg, "--out", str(out),
+                         "--csv"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "warning: lower iteration did not complete: planted" in printed
+        assert not any(line.startswith("bracket:") for line in printed)
+        assert not (out / "solution_lower.csv").exists()
+        # the fallback solves as a run that found no subsolution does
+        assert ((out / "solution.csv").read_bytes()
+                == (tmp_path / "none" / "solution.csv").read_bytes())
 
 
 def test_lambda_range_exits(tmp_path):
@@ -377,13 +386,19 @@ def test_subnormal_subsolution_fails_without_a_numpy_warning(tmp_path,
 
 
 def test_nonpositive_m_j_fails_hypothesis_c_exit_1(tmp_path, capsys):
-    text = SYSTEM_CFG.replace('f2 = "max(u1,u2)^2"', 'f2 = "0*u2"')
-    cfg = write(tmp_path, "zero.cfg", text)
-    out = tmp_path / "o"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
-    last = capsys.readouterr().out.splitlines()[-1]
-    assert last.startswith("hypothesis (c) fails: m2(beta) = 0 <= 0; ")
-    assert (out / "checks.csv").exists()
+    for f2, reason in [
+            ("0*u2", "m2(beta) = 0 <= 0; "),
+            # m2 is sampled up to beta = rho2, where f2 has its pole
+            ("1/(0.7363107781851077 - u2)",
+             "domain error in '/' at argument 0.0")]:
+        text = SYSTEM_CFG.replace('f2 = "max(u1,u2)^2"', f'f2 = "{f2}"')
+        cfg = write(tmp_path, "zero.cfg", text)
+        for command in ("solve", "lambda-range"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 1
+            last = capsys.readouterr().out.splitlines()[-1]
+            assert last.startswith(f"hypothesis (c) fails: {reason}")
+            assert (out / "checks.csv").exists() == (command == "solve")
 
 
 def test_unvalidated_growth_is_a_warning_in_lambda_range(tmp_path, capsys):
@@ -724,8 +739,16 @@ def test_a_non_m_matrix_is_one_stdout_warning(tmp_path, command,
     # elliptic: the stencil weight, not the eigenvalue, overflows
     (ROBIN_CFG.replace('a11 = "1 + 0.5*x1"', 'a11 = "1e308"'),
      ["--h", "0.0625"], 65, "a stencil weight overflows"),
+    # expressions that parse but cannot be evaluated: a coefficient, and
+    # an f_i that the subsolution sweep evaluates at u2 = 0
+    (SYSTEM_CFG + 'a11 = "sqrt(x1)"\n', [], 65, "domain error in 'sqrt'"),
+    (SYSTEM_CFG.replace('f2 = "max(u1,u2)^2"',
+                        'f2 = "sqrt(u2 - 1e-9) + max(u1,u2)^2"')
+     .replace("lambda2 = 5.0", "lambda2 = 1.0"), [], 65,
+     "domain error in 'sqrt' at argument -1e-09"),
 ], ids=["rho1 inf", "lambda1 inf", "delta inf", "rectangle to inf",
-        "rectangle of 1e308", "h 1e-300", "b1 1e308", "a11 1e308"])
+        "rectangle of 1e308", "h 1e-300", "b1 1e308", "a11 1e308",
+        "a11 sqrt(x1)", "f2 sqrt at u2 = 0"])
 def test_bad_input_exits_with_one_error_line(tmp_path, text, extra, code,
                                              fragment):
     cfg = write(tmp_path, "bad.cfg", text)

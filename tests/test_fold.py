@@ -204,14 +204,25 @@ def test_fold_tests_only_the_maps_not_yet_generated(case):
     assert np.array_equal(folded.grid.interior_ids, orbit_ids)
     assert_same_csr(folded.matrix, a_f)
     assert len(tested) == tests
+    # the folded table keeps the assembled layout: slot s of row k holds
+    # the orbit of the node at SLOT_OFFSETS[s] from k's representative
+    values, columns = folded.stencil
+    i, j = folded.grid.nodes.T
+    for s, (di, dj) in enumerate(operator.SLOT_OFFSETS):
+        stored = values[:, s] != 0
+        assert np.array_equal(columns[stored, s],
+                              orbit_ids[j + dj, i + di][stored])
 
 
 def assert_same_csr(a, b):
-    """a and b hold the same CSR arrays, entry order and bits included."""
+    """a and b hold the same entries, bits included, and the same CSC
+    arrays, which are what the LU factors."""
     assert a.shape == b.shape
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+    for x, y in ((a.sorted_indices(), b.sorted_indices()),
+                 (a.tocsc(), b.tocsc())):
+        assert np.array_equal(x.indptr, y.indptr)
+        assert np.array_equal(x.indices, y.indices)
+        assert np.array_equal(x.data.view(np.int64), y.data.view(np.int64))
 
 
 def _coefficient(kind):

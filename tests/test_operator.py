@@ -174,12 +174,10 @@ def test_overflowing_stencil_weight_rejected_without_warnings(key):
 def test_singular_factor_raises_solver_failure():
     grid = build_grid(Rectangle(0, 1, 0, 1), 1 / 3)     # 4 unknowns
     values = np.zeros((4, 9))
-    values[:, CENTRE] = [1.0, 2.0, 0.0, 3.0]
-    present = np.zeros((4, 9), dtype=bool)
-    present[:, CENTRE] = True
+    values[:, CENTRE] = [1.0, 2.0, 0.0, 3.0]     # row 2 stores nothing
     columns = np.full((4, 9), -1)
     columns[:, CENTRE] = np.arange(4)
-    op = DiscreteOperator(Stencil(values, present, columns), grid,
+    op = DiscreteOperator(Stencil(values, columns), grid,
                           OperatorDiagnostics(False, 1.0))
     with pytest.raises(SolverFailure, match="singular"):
         op.factorization()
@@ -432,19 +430,20 @@ def test_reference_assembly_matches_its_digest(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSR))
 def test_slot_table_holds_the_matrix(name):
     op = assemble(*_golden_case(name))
-    values, present, columns = op.stencil
+    values, columns = op.stencil
     grid = op.grid
     i, j = grid.nodes.T
     for s, (di, dj) in enumerate(SLOT_OFFSETS):
         assert np.array_equal(columns[:, s], grid.interior_ids[j + dj, i + di])
+    # A stores an entry exactly where its value is not 0
+    stored = values != 0
     rows = np.broadcast_to(np.arange(grid.interior_count)[:, None],
-                           present.shape)
-    stored = sp.csr_matrix((values[present], (rows[present],
-                                              columns[present])),
-                           shape=op.matrix.shape)
-    assert stored.nnz == op.matrix.nnz == present.sum()
-    assert (stored != op.matrix).nnz == 0
-    assert not values[~present].any()
+                           values.shape)
+    table = sp.csr_matrix((values[stored], (rows[stored], columns[stored])),
+                          shape=op.matrix.shape)
+    assert table.nnz == op.matrix.nnz == np.count_nonzero(values)
+    assert (table != op.matrix).nnz == 0
+    assert np.all(columns[stored] >= 0)
 
 
 def test_disk_lu_fill_uses_a_fill_reducing_ordering():
