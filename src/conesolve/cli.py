@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: solve, lambda-range, spectrum, verify.  The pipeline is
-grid -> operator (folded by its lattice symmetry when every f_i is free
-of x) -> K / spectrum -> hypothesis checks -> lambda ranges ->
-monotone solve -> certificate.  Exit codes are a stable contract:
+Subcommands: solve, lambda-range, spectrum, verify.  `prepare` runs grid
+-> operator (folded by its lattice symmetry) -> K(1) / spectrum ->
+hypotheses -> lambda ranges; `solve_at` runs supersolution -> subsolution
+-> monotone iteration -> certificate at one lambda.  Each returns a frozen
+result of what its stages found, the stage that stopped the run and its
+exit code; a command prints its to_text() and writes the artifacts.  Exit
+codes are a stable contract:
 
     0   success (certified nonzero positive solution / nonempty ranges)
     1   a hypothesis check failed (condition (a), (b), (c), supersolution,
@@ -14,6 +17,7 @@ monotone solve -> certificate.  Exit codes are a stable contract:
     65  semantically invalid data (bad coefficients, degenerate grid, ...)
     66  missing input file
     70  internal numerical failure (no convergence, solver failure)
+    73  --out or an artifact in it cannot be created
 """
 
 from __future__ import annotations
@@ -21,14 +25,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .config import SETTINGS, Config, _validate, load_config
-from .errors import (ConesolveError, ConfigError, EvalDomainError, ExprError,
-                     MonotonicityViolation, NoConvergence, SolverFailure)
+from .errors import ConesolveError, MonotonicityViolation, NoConvergence
 from .fixedpoint import (ProblemInstance, certify, check_supersolution,
                          construct_subsolution, monotone_iterate)
 from .geometry import build_grid
@@ -43,16 +46,15 @@ EXIT_HYPOTHESIS = 1
 EXIT_TRIVIAL = 2
 EXIT_EMPTY_RANGE = 3
 EXIT_USAGE = 64
-EXIT_DATA = 65
 EXIT_NOINPUT = 66
 EXIT_SOFTWARE = 70
+EXIT_CANTCREAT = 73
 
 DELTA_SWEEP = tuple(10.0 ** k for k in range(4, -3, -1))
 CSV_CHUNK_ROWS = 2048
 
-# The config keys each command's flags override, in flag order: a command
-# takes --tol and --max-iter where it iterates and --seed where it samples
-# the nonlinearity.
+# The config keys each command's flags override, in flag order: --tol and
+# --max-iter where it iterates, --seed where it samples the nonlinearity.
 OVERRIDES = {"solve": ("h", "tol", "max_iter", "seed"),
              "lambda-range": ("h", "seed"), "spectrum": ("h",)}
 OVERRIDE_HELP = {"h": "override the mesh step",
@@ -61,17 +63,12 @@ OVERRIDE_HELP = {"h": "override the mesh step",
                  "seed": "override the sampling seed"}
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path, header, columns):
     """Write a table given by columns.  A column is a sequence of cells, or
     a pair (values, index) of a float array and an index array whose row k
     is values[index[k]], each value formatted once.  Float cells are written
-    as their _text (%.17g, which round-trips every double), others as str().
-    Rows are made and written CSV_CHUNK_ROWS at a time, so no column's text
-    is held at table length."""
+    as their _text (%.17g, which round-trips every double), others as str();
+    rows go out CSV_CHUNK_ROWS at a time: no text is held at table length."""
     table = [(_text(col[0]), col[1]) if isinstance(col, tuple)
              and len(col) == 2 and isinstance(col[1], np.ndarray)
              else (np.asarray(col), None) for col in columns]
@@ -102,8 +99,7 @@ def _text(values) -> np.ndarray:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,17 +145,78 @@ def _apply_overrides(cfg: Config, args) -> Config:
     return cfg
 
 
-@dataclass
-class Pipeline:
-    """The stages every command shares.  `grid` is the full grid; `op`,
-    K(1) and the spectrum live on `op.grid`, which holds one node per
-    orbit when the operator is folded."""
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """What a command's lambda-free stages found.  `grid` is the full grid;
+    `op`, K(1) and the spectrum live on `op.grid`, one node per orbit."""
 
     cfg: Config
     grid: object
     op: object
     k1_norm: float
     spectrum: object
+    command: str = "solve"
+    checks: tuple = ()          # reports of (a), per component, and (b)
+    delta: float | None = None  # the validated growth pair, or None
+    rho0: float | None = None
+    ranges: tuple = ()
+    curve: tuple | None = None  # for one equation, its range's ratio curve
+    stopped_at: str | None = None   # the hypothesis that failed
+    error: ConesolveError | None = None     # why (c) failed
+
+    @property
+    def exit_code(self) -> int:
+        if self.stopped_at is not None:
+            return EXIT_HYPOTHESIS
+        empty = self.command != "solve" and any(r.empty for r in self.ranges)
+        return EXIT_EMPTY_RANGE if empty else EXIT_OK
+
+    def to_text(self, lambdas=None) -> str:
+        """The stdout of these stages; with `lambdas`, a range whose lambda
+        lies outside it is followed by a warning."""
+        cfg, solve, est = self.cfg, self.command == "solve", self.spectrum
+        lines = [f"grid: {cfg.domain} h={cfg.h} ({self.grid.interior_count} "
+                 "interior nodes)"] if solve else []
+        lines.append(self.symmetry_text())
+        if self.command != "spectrum":
+            lines.append(f"|K(1)| = {self.k1_norm:.6g}, mu1 = {est.mu1:.6g}")
+        if not self.op.diagnostics.is_m_matrix:
+            lines.append("warning: operator matrix is not an M-matrix; " + (
+                "positivity of the iteration is not guaranteed" if solve
+                else "the power iteration may not converge to a positive "
+                "eigenpair"))
+        if self.command == "spectrum":
+            return "\n".join(lines + [
+                f"r(K)       = {est.r:.17g}", f"mu1        = {est.mu1:.17g}",
+                f"iterations = {est.iterations}",
+                f"residual   = {est.residual:.3e}"])
+        lines += [rep.to_text() for rep in self.checks] if solve else []
+        if self.stopped_at == "hypothesis (a)":
+            lines.append(f"hypothesis (a) fails for f{len(self.checks)}; "
+                         "aborting")
+        elif self.stopped_at == "hypothesis (b)":
+            lines.append("hypothesis (b) fails: no validated (delta, rho0); "
+                         "aborting")
+        elif self.delta is None:
+            lines += [self.checks[-1].to_text(), "warning: no validated "
+                      "growth constant; using delta = 1 without certification"]
+        else:
+            lines.append(f"growth parameters: delta = {self.delta:g}, rho0 = "
+                         f"{self.rho0:g}" + ("" if solve
+                                             else " (validated by sampling)"))
+        if self.stopped_at == "hypothesis (c)":
+            lines.append(f"hypothesis (c) fails: {self.error}")
+        for rng in self.ranges:
+            lines.append(rng.describe())
+            lam = None if lambdas is None else lambdas[rng.component]
+            if lam is not None and not rng.contains(lam):
+                lines.append(f"warning: lambda{rng.component + 1} = {lam:g} "
+                             "outside the admissible interval; existence is "
+                             "not guaranteed (the bound is sufficient, not "
+                             "necessary)")
+        if self.exit_code == EXIT_EMPTY_RANGE:
+            lines.append("at least one admissible interval is empty")
+        return "\n".join(lines)
 
     def unfold(self, u) -> np.ndarray:
         """Values on op.grid, an (..., M) array, at every node of grid."""
@@ -188,108 +245,181 @@ class Pipeline:
         group = {8: "D4", 4: "C4" if "quarter turn" in self.op.symmetry
                  else "D2", 2: "C2" if "half turn" in self.op.symmetry
                  else "D1"}[maps]
-        which = ("all 8 maps" if maps == 8
-                 else ", ".join(self.op.symmetry))
+        which = "all 8 maps" if maps == 8 else ", ".join(self.op.symmetry)
         return (f"lattice symmetry: {group} ({which}): solving on "
                 f"{self.op.grid.interior_count} orbits of {nodes} nodes")
 
 
-def build_pipeline(cfg: Config) -> Pipeline:
+def prepare(cfg: Config, command: str = "solve") -> Prepared:
+    """Run the lambda-free stages of `command`: grid to spectrum, then,
+    except for spectrum, hypotheses (a) and (b) and the ranges.  solve
+    stops at the first failed hypothesis; lambda-range checks no (a), and
+    takes delta = 1 when no growth pair validates."""
     grid = build_grid(cfg.domain, cfg.h)
     op = assemble(grid, cfg.coefficients, cfg.bc)
     # T commutes with every lattice map that keeps A when no f_i reads x;
     # sampling cannot prove an f_i that reads x invariant
     if not any(cfg.nl.uses_x(i) for i in range(cfg.n)):
         op = fold(op)
-    _, k1_norm = k_one_norm(op)
-    spectrum = spectral_radius(op)
-    return Pipeline(cfg, grid, op, k1_norm, spectrum)
+    _, k1 = k_one_norm(op)
+    prep = Prepared(cfg, grid, op, k1, spectral_radius(op), command)
+    if command == "spectrum":
+        return prep
+    checks = []
+    for i in range(cfg.n if command == "solve" else 0):
+        checks.append(check_monotone(cfg.nl, i, cfg.samples, cfg.seed + i,
+                                     cfg.domain))
+        if not checks[-1].passed:
+            return replace(prep, checks=tuple(checks),
+                           stopped_at="hypothesis (a)")
+    delta, rho0, growth = _growth_parameters(cfg)
+    prep = replace(prep, checks=(*checks, growth), delta=delta, rho0=rho0)
+    if delta is None and command == "solve":
+        return replace(prep, stopped_at="hypothesis (b)")
+    delta, mu1 = 1.0 if delta is None else delta, prep.spectrum.mu1
+    try:
+        if cfg.n > 1:
+            return replace(prep, ranges=tuple(system_ranges(
+                cfg.nl, cfg.rho, cfg.i0, delta, k1, mu1, grid)))
+        # built once per op, for the range, beta and ratio_curve.csv
+        curve = ratio_curve(cfg.nl, k1, grid)
+        return replace(prep, curve=curve, ranges=(single_range(
+            cfg.nl, delta, k1, mu1, grid, curve),))
+    except ConesolveError as err:
+        return replace(prep, stopped_at="hypothesis (c)", error=err)
 
 
-POWER_ITERATION_RISK = ("the power iteration may not converge to a positive "
-                        "eigenpair")
-
-
-def _warn_unless_m_matrix(pipe: Pipeline, consequence: str):
-    """Print the one warning line of a command whose operator is not an
-    M-matrix."""
-    if not pipe.op.diagnostics.is_m_matrix:
-        print(f"warning: operator matrix is not an M-matrix; {consequence}")
-
-
-def _growth_parameters(pipe: Pipeline):
+def _growth_parameters(cfg: Config):
     """Resolve (delta, rho0, report): use the configured values when given,
     otherwise sweep delta over decades (largest validated first) and rho0
     geometrically downward.  Every candidate is judged on one random draw:
     one blocked screen of the whole ladder, then a full check of each pair
-    it leaves, in sweep order.  When none passes, the report is the full
-    check of the last pair, so the result is that of checking every pair
-    in turn."""
-    cfg = pipe.cfg
+    it leaves, in sweep order.  When none passes, the report is the last
+    pair's full check, as if every pair were checked in turn."""
     nl = cfg.nl
     sample = growth_sample(nl, cfg.samples, cfg.seed, cfg.domain)
     deltas = [cfg.delta] if cfg.delta is not None else list(DELTA_SWEEP)
     rho0s = ([cfg.rho0] if cfg.rho0 is not None
              else [min(nl.box) * 0.5 ** k for k in range(1, 21)])
     failed = screen_growth(nl, cfg.i0, deltas, rho0s, sample)
+    pairs = [tuple(pair) for pair in np.argwhere(~failed)]  # in sweep order
     last = (len(deltas) - 1, len(rho0s) - 1)
-    for d, delta in enumerate(deltas):
-        for r, rho0 in enumerate(rho0s):
-            if failed[d, r] and (d, r) != last:
-                continue
-            report = check_growth(nl, cfg.i0, delta, rho0, cfg.samples,
-                                  cfg.seed, cfg.domain, sample)
-            if report.passed:
-                return delta, rho0, report
+    for d, r in pairs if last in pairs else pairs + [last]:
+        report = check_growth(nl, cfg.i0, deltas[d], rho0s[r], cfg.samples,
+                              cfg.seed, cfg.domain, sample)
+        if report.passed:
+            return deltas[d], rho0s[r], report
     return None, None, report
 
 
-def _ranges(pipe: Pipeline, delta: float):
-    """(ranges, curve): the admissible lambda intervals and, for a single
-    equation, the sampled curve s -> s / (M(s) |K1|) its range is read
-    from, built once per op and shared by the supersolution level and
-    ratio_curve.csv; the curve is None for systems."""
-    cfg = pipe.cfg
-    if cfg.n > 1:
-        return system_ranges(cfg.nl, cfg.rho, cfg.i0, delta, pipe.k1_norm,
-                             pipe.spectrum.mu1, pipe.grid), None
-    curve = ratio_curve(cfg.nl, pipe.k1_norm, pipe.grid)
-    return [single_range(cfg.nl, delta, pipe.k1_norm, pipe.spectrum.mu1,
-                         pipe.grid, curve)], curve
+@dataclass(frozen=True, eq=False)
+class SolveResult:
+    """What the stages of `solve` at one lambda found."""
+
+    beta_levels: tuple          # the supersolution, constant per component
+    margin: float
+    subsolution: np.ndarray | None = None   # None when the sweep finds none
+    report: object = None       # the iteration's limits
+    lower_error: ConesolveError | None = None   # why the lower half failed
+    certificate: object = None  # of the upper limit
+    stopped_at: str | None = None
+    error: ConesolveError | None = None     # what the stopping stage raised
+
+    @property
+    def exit_code(self) -> int:
+        if self.stopped_at is not None:     # by a failed check or an error
+            return self.error.exit_code if self.error else EXIT_HYPOTHESIS
+        if not self.certificate.nonzero:
+            return EXIT_TRIVIAL
+        return EXIT_OK if self.certificate.certified else EXIT_SOFTWARE
+
+    def to_text(self) -> str:
+        """The stdout of these stages."""
+        levels = ", ".join(f"{b:.6g}" for b in self.beta_levels)
+        lines = [f"supersolution check at beta = ({levels}): "
+                 f"margin = {self.margin:.6g}"]
+        alpha, report, cert = self.subsolution, self.report, self.certificate
+        if self.stopped_at == "supersolution":
+            lines.append("supersolution condition T beta <= beta fails; "
+                         "aborting")
+        elif self.stopped_at != "subsolution":
+            lines.append(
+                "note: no subsolution found by the eigenfunction sweep; the "
+                "iteration may reach the trivial fixed point" if alpha is None
+                else f"subsolution found with amplitude "
+                     f"{float(np.abs(alpha).max()):.3e}")
+        if isinstance(self.error, MonotonicityViolation):
+            lines.append(f"iteration aborted: {self.error}")
+        if self.lower_error is not None:
+            lines.append(f"warning: lower iteration did not complete: "
+                         f"{self.lower_error}")
+        lines += [report.upper.to_text()] if report is not None else []
+        if report is not None and report.lower is not None:
+            lines.append(f"bracket: lower limit norm {report.lower.norm:.6g} "
+                         f"<= upper limit norm {report.upper.norm:.6g}")
+        lines += [cert.to_text()] if cert is not None else []
+        if self.exit_code == EXIT_TRIVIAL:
+            lines.append("no nonzero solution found in bracket (the "
+                         "iteration from above converged to zero)")
+        elif cert is not None and not cert.certified:
+            lines.append("run completed without a certified nonzero solution")
+        return "\n".join(lines)
 
 
-def _choose_beta(pipe: Pipeline, curve) -> list:
-    """Supersolution level: the box top for systems; for a single equation
-    the sampled maximizer of s / (M(s) |K1|) on `curve`, which leaves the
-    largest margin lambda M(beta) |K1| < beta when lambda is admissible."""
-    cfg = pipe.cfg
-    if curve is None:
-        return list(cfg.rho)
-    lam = cfg.lambdas[0]
-    s, ratios = curve
-    with np.errstate(over="ignore"):    # lam / ratios = inf: no margin
-        margins = s * (1.0 - lam / ratios)
-    k = int(np.argmax(margins))
-    if margins[k] <= 0:
-        return list(cfg.rho)     # no admissible level; checked downstream
-    return [float(s[k])]
+def solve_at(prep: Prepared, lambdas) -> SolveResult:
+    """Run the stages of `solve` at `lambdas` on a problem that passed
+    `prepare`.  An error raised after the supersolution check is recorded,
+    not raised, so that the result still shows the stages before it."""
+    cfg = prep.cfg
+    problem = ProblemInstance(prep.op, cfg.nl, tuple(lambdas))
+    levels = list(cfg.rho)      # the box top, for systems
+    if prep.curve is not None:
+        # the sampled maximizer of s / (M(s) |K1|) leaves the largest
+        # margin lambda M(beta) |K1| < beta; the box top fails when none is
+        s, ratios = prep.curve
+        with np.errstate(over="ignore"):    # lam / ratios = inf: no margin
+            margins = s * (1.0 - lambdas[0] / ratios)
+        if margins[k := int(np.argmax(margins))] > 0:
+            levels = [float(s[k])]
+    beta = np.outer(levels, np.ones(prep.op.grid.interior_count))
+    ok, margin = check_supersolution(problem, beta)
+    result = SolveResult(tuple(levels), margin)
+    if not ok:
+        return replace(result, stopped_at="supersolution")
+    stage = "subsolution"
+    try:
+        # below the supersolution level, so both halves bracket one interval
+        alpha = construct_subsolution(problem, prep.spectrum, cfg.i0,
+                                      min(prep.rho0, 0.5 * min(levels)))
+        result, stage = replace(result, subsolution=alpha), "iteration"
+        report = lower_error = None
+        if alpha is not None:
+            try:
+                report = monotone_iterate(problem, alpha, beta, tol=cfg.tol,
+                                          max_iter=cfg.max_iter)
+            except (MonotonicityViolation, NoConvergence) as err:
+                lower_error = err   # only the lower half's, if beta succeeds
+        if report is None:
+            report = monotone_iterate(problem, beta=beta, tol=cfg.tol,
+                                      max_iter=cfg.max_iter)
+        result = replace(result, report=report, lower_error=lower_error)
+        stage = "certificate"
+        return replace(result, certificate=certify(
+            problem, report.upper.solution, tol=cfg.tol))
+    except ConesolveError as err:
+        return replace(result, stopped_at=stage, error=err)
 
 
-def _iterate(problem, alpha, beta, cfg):
-    """Iterate from both alpha (if any) and beta in one engine run.  When
-    that fails but beta alone succeeds, the failure was confined to the
-    lower half and only warrants a warning."""
-    if alpha is not None:
-        try:
-            return monotone_iterate(problem, alpha, beta, tol=cfg.tol,
-                                    max_iter=cfg.max_iter)
-        except (MonotonicityViolation, NoConvergence) as err:
-            lower_err = err
-    report = monotone_iterate(problem, beta=beta, tol=cfg.tol,
-                              max_iter=cfg.max_iter)
-    if alpha is not None:
-        print(f"warning: lower iteration did not complete: {lower_err}")
-    return report
+def _save(out_dir: str, artifacts):
+    """Create out_dir and write each (name, text or _write_csv args) in it."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in artifacts:
+        path = os.path.join(out_dir, name)
+        if isinstance(content, str):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        else:
+            _write_csv(path, *content)
 
 
 def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
@@ -297,199 +427,73 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
         print("error: 'solve' needs lambda1..lambdan in the config",
               file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(out_dir, exist_ok=True)
-    pipe = build_pipeline(cfg)
-    print(f"grid: {cfg.domain} h={cfg.h} "
-          f"({pipe.grid.interior_count} interior nodes)")
-    print(pipe.symmetry_text())
-    print(f"|K(1)| = {pipe.k1_norm:.6g}, mu1 = {pipe.spectrum.mu1:.6g}")
-    _warn_unless_m_matrix(pipe, "positivity of the iteration is not "
-                                "guaranteed")
-
-    checks = []
-    for i in range(cfg.n):
-        rep = check_monotone(cfg.nl, i, cfg.samples, cfg.seed + i,
-                             cfg.domain)
-        checks.append(rep)
-        print(rep.to_text())
-        if not rep.passed:
-            return _abort(out_dir, checks,
-                          f"hypothesis (a) fails for f{i + 1}; aborting")
-
-    delta, rho0, growth_rep = _growth_parameters(pipe)
-    checks.append(growth_rep)
-    print(growth_rep.to_text())
-    if delta is None:
-        return _abort(out_dir, checks, "hypothesis (b) fails: no validated "
-                                       "(delta, rho0); aborting")
-    print(f"growth parameters: delta = {delta:g}, rho0 = {rho0:g}")
-
-    try:
-        ranges, curve = _ranges(pipe, delta)
-    except ConesolveError as err:
-        return _abort(out_dir, checks, f"hypothesis (c) fails: {err}")
-    for rng in ranges:
-        print(rng.describe())
-        lam = cfg.lambdas[rng.component]
-        if not rng.contains(lam):
-            print(f"warning: lambda{rng.component + 1} = {lam:g} outside "
-                  "the admissible interval; existence is not guaranteed "
-                  "(the bound is sufficient, not necessary)")
-
-    problem = ProblemInstance(pipe.op, cfg.nl, tuple(cfg.lambdas))
-    beta_levels = _choose_beta(pipe, curve)
-    beta = np.outer(beta_levels, np.ones(pipe.op.grid.interior_count))
-    ok, margin = check_supersolution(problem, beta)
-    print(f"supersolution check at beta = "
-          f"({', '.join(f'{b:.6g}' for b in beta_levels)}): "
-          f"margin = {margin:.6g}")
-    if not ok:
-        return _abort(out_dir, checks, "supersolution condition T beta <= "
-                                       "beta fails; aborting")
-
-    # keep the subsolution below the supersolution level so the two
-    # iterations bracket the same interval
-    alpha = construct_subsolution(problem, pipe.spectrum, cfg.i0,
-                                  min(rho0, 0.5 * min(beta_levels)))
-    if alpha is None:
-        print("note: no subsolution found by the eigenfunction sweep; the "
-              "iteration may reach the trivial fixed point")
-    else:
-        print(f"subsolution found with amplitude "
-              f"{float(np.abs(alpha).max()):.3e}")
-
-    try:
-        report = _iterate(problem, alpha, beta, cfg)
-    except MonotonicityViolation as err:
-        return _abort(out_dir, checks, f"iteration aborted: {err}")
-    upper, low = report.upper, report.lower
-    print(upper.to_text())
+    prep = prepare(cfg)
+    print(prep.to_text(cfg.lambdas))
+    # conditions such as "on [0,rho0]^n" and JSON witnesses hold commas:
+    # quote a cell as csv.QUOTE_MINIMAL does
+    rows = [['"' + cell.replace('"', '""') + '"'
+             if any(ch in cell for ch in ',"\r\n') else cell
+             for cell in rep.csv_row()] for rep in prep.checks]
+    checks = ("checks.csv", (["condition", "result", "witness"],
+                             list(zip(*rows))))
+    if prep.stopped_at is None:
+        result = solve_at(prep, cfg.lambdas)
+        print(result.to_text())
+    if prep.stopped_at is not None or result.exit_code == EXIT_HYPOTHESIS:
+        _save(out_dir, [checks])
+        return EXIT_HYPOTHESIS
+    if result.error is not None:
+        raise result.error
+    upper, low = result.report.upper, result.report.lower
     header = ["x1", "x2"] + [f"u{i + 1}" for i in range(cfg.n)]
-    if low is not None:
-        print(f"bracket: lower limit norm {low.norm:.6g} <= "
-              f"upper limit norm {upper.norm:.6g}")
-        if want_csv:
-            _write_csv(os.path.join(out_dir, "solution_lower.csv"), header,
-                       pipe.nodal_columns(low.solution))
-
-    cert = certify(problem, upper.solution, tol=cfg.tol)
-    print(cert.to_text())
-
-    _write_checks(out_dir, checks)
-    _write_csv(os.path.join(out_dir, "solution.csv"), header,
-               pipe.nodal_columns(upper.solution))
-    for name, record in (("certificate.txt", cert),
-                         ("iteration_report.txt", upper)):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(record.to_text() + "\n")
-    _write_csv(os.path.join(out_dir, "iterations.csv"),
-               ["iteration", "norm"],
-               [np.arange(len(upper.history)),
-                np.asarray(upper.history, dtype=float)])
-
-    if not cert.nonzero:
-        print("no nonzero solution found in bracket (the iteration from "
-              "above converged to zero)")
-        return EXIT_TRIVIAL
-    if not cert.certified:
-        print("run completed without a certified nonzero solution")
-        return EXIT_SOFTWARE
-    return EXIT_OK
-
-
-def _csv_field(text: str) -> str:
-    """A text cell as csv.QUOTE_MINIMAL writes it: quoted, with inner
-    quotes doubled, when it holds a comma, a quote or a line break."""
-    if any(ch in text for ch in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _write_checks(out_dir, checks):
-    # conditions such as "on [0,rho0]^n" and JSON witnesses hold commas
-    rows = [[_csv_field(cell) for cell in rep.csv_row()] for rep in checks]
-    _write_csv(os.path.join(out_dir, "checks.csv"),
-               ["condition", "result", "witness"], list(zip(*rows)))
-
-
-def _abort(out_dir, checks, message) -> int:
-    """End a solve whose hypothesis check failed: write the checks made so
-    far, print why, and return its exit code."""
-    _write_checks(out_dir, checks)
-    print(message)
-    return EXIT_HYPOTHESIS
+    lower = [] if low is None or not want_csv else [
+        ("solution_lower.csv", (header, prep.nodal_columns(low.solution)))]
+    _save(out_dir, lower + [
+        checks, ("solution.csv", (header, prep.nodal_columns(upper.solution))),
+        ("certificate.txt", result.certificate.to_text() + "\n"),
+        ("iteration_report.txt", upper.to_text() + "\n"),
+        ("iterations.csv", (["iteration", "norm"], [
+            np.arange(len(upper.history)),
+            np.asarray(upper.history, dtype=float)]))])
+    return result.exit_code
 
 
 def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    pipe = build_pipeline(cfg)
-    print(pipe.symmetry_text())
-    print(f"|K(1)| = {pipe.k1_norm:.6g}, mu1 = {pipe.spectrum.mu1:.6g}")
-    _warn_unless_m_matrix(pipe, POWER_ITERATION_RISK)
-    delta, rho0, growth_rep = _growth_parameters(pipe)
-    if delta is None:
-        print(growth_rep.to_text())
-        print("warning: no validated growth constant; using delta = 1 "
-              "without certification")
-        delta = 1.0
-    else:
-        print(f"growth parameters: delta = {delta:g}, rho0 = {rho0:g} "
-              "(validated by sampling)")
-    try:
-        ranges, curve = _ranges(pipe, delta)
-    except ConesolveError as err:
-        print(f"hypothesis (c) fails: {err}")
-        return EXIT_HYPOTHESIS
-    for rng in ranges:
-        print(rng.describe())
-    if want_csv:
-        rows = [[rng.component + 1, float(rng.lower), float(rng.upper),
-                 int(rng.empty), float(rng.provenance.m_value),
-                 float(rng.provenance.k1_norm),
-                 "" if rng.provenance.mu1 is None
-                 else _fmt(float(rng.provenance.mu1)),
-                 "" if rng.provenance.delta is None
-                 else _fmt(float(rng.provenance.delta))]
-                for rng in ranges]
-        _write_csv(os.path.join(out_dir, "ranges.csv"),
-                   ["component", "lower", "upper", "empty", "m_value",
-                    "k1_norm", "mu1", "delta"], list(zip(*rows)))
-        if curve is not None:
-            _write_csv(os.path.join(out_dir, "ratio_curve.csv"),
-                       ["s", "ratio"], list(curve))
-    if any(rng.empty for rng in ranges):
-        print("at least one admissible interval is empty")
-        return EXIT_EMPTY_RANGE
-    return EXIT_OK
+    prep = prepare(cfg, "lambda-range")
+    print(prep.to_text())
+    if want_csv and prep.stopped_at is None:
+        rows = [[r.component + 1, float(r.lower), float(r.upper),
+                 int(r.empty), float(r.provenance.m_value),
+                 float(r.provenance.k1_norm),
+                 *("" if v is None else f"{float(v):.17g}"
+                   for v in (r.provenance.mu1, r.provenance.delta))]
+                for r in prep.ranges]
+        curve = [] if prep.curve is None else [
+            ("ratio_curve.csv", (["s", "ratio"], list(prep.curve)))]
+        _save(out_dir, [("ranges.csv", (
+            ["component", "lower", "upper", "empty", "m_value", "k1_norm",
+             "mu1", "delta"], list(zip(*rows))))] + curve)
+    return prep.exit_code
 
 
 def cmd_spectrum(cfg: Config, out_dir: str, want_csv: bool) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    pipe = build_pipeline(cfg)
-    est = pipe.spectrum
-    print(pipe.symmetry_text())
-    _warn_unless_m_matrix(pipe, POWER_ITERATION_RISK)
-    print(f"r(K)       = {_fmt(est.r)}")
-    print(f"mu1        = {_fmt(est.mu1)}")
-    print(f"iterations = {est.iterations}")
-    print(f"residual   = {est.residual:.3e}")
+    prep = prepare(cfg, "spectrum")
+    print(prep.to_text())
     if want_csv:
-        _write_csv(os.path.join(out_dir, "eigenfunction.csv"),
-                   ["x1", "x2", "phi"], pipe.nodal_columns(est.eigenfunction))
+        _save(out_dir, [("eigenfunction.csv", (["x1", "x2", "phi"],
+              prep.nodal_columns(prep.spectrum.eigenfunction)))])
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     from . import verify as verification
     if args.list:
-        for crit in verification.CRITERIA:
-            print(f"{crit.cid:>2}  {crit.title}")
+        print("\n".join(f"{crit.cid:>2}  {crit.title}"
+                        for crit in verification.CRITERIA))
         return EXIT_OK
     results = verification.run_all(h_override=args.h)
-    failed = False
-    for res in results:
-        print(res.line())
-        failed = failed or res.status == "FAIL"
+    print("\n".join(res.line() for res in results))
+    failed = any(res.status == "FAIL" for res in results)
     return EXIT_HYPOTHESIS if failed else EXIT_OK
 
 
@@ -512,24 +516,12 @@ def main(argv=None) -> int:
         except OSError as err:
             print(f"error: cannot read config: {err}", file=sys.stderr)
             return EXIT_NOINPUT
-        cfg = _apply_overrides(cfg, args)
-        if args.command == "solve":
-            return cmd_solve(cfg, args.out, args.csv)
-        if args.command == "lambda-range":
-            return cmd_lambda_range(cfg, args.out, args.csv)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, args.out, args.csv)
-        raise AssertionError(f"unhandled command {args.command}")
+        command = {"solve": cmd_solve, "lambda-range": cmd_lambda_range,
+                   "spectrum": cmd_spectrum}[args.command]
+        return command(_apply_overrides(cfg, args), args.out, args.csv)
     except ConesolveError as err:
         print(f"error: {err}", file=sys.stderr)
-        if isinstance(err, (NoConvergence, SolverFailure)):
-            return EXIT_SOFTWARE
-        # an expression that parses but cannot be evaluated is bad data
-        if (isinstance(err, (ConfigError, ExprError))
-                and not isinstance(err, EvalDomainError)):
-            return EXIT_USAGE
-        return EXIT_DATA
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return err.exit_code
+    except OSError as err:
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return EXIT_CANTCREAT

@@ -1,12 +1,13 @@
 """Exception hierarchy.
 
-Every structured failure raised by the library derives from ConesolveError so
-callers (notably the CLI) can map library errors to exit codes in one place.
+Every structured failure raised by the library derives from ConesolveError;
+`exit_code` is the CLI's exit code for a run it ends (65, bad data, if unset).
 """
 
 
 class ConesolveError(Exception):
     """Base class for all library errors."""
+    exit_code = 65
 
 
 # geometry
@@ -41,6 +42,7 @@ class NeumannRequiresZerothOrder(ConesolveError):
 
 class SolverFailure(ConesolveError):
     """Linear solve did not reach the required residual."""
+    exit_code = 70
 
 
 class GridMismatch(ConesolveError):
@@ -49,12 +51,14 @@ class GridMismatch(ConesolveError):
 
 class NoConvergence(ConesolveError):
     """Iteration exhausted its budget without meeting the tolerance."""
+    exit_code = 70
 
 
 # expression language
 
 class ExprError(ConesolveError):
     """Base class for expression language errors."""
+    exit_code = 64
 
 
 class ExprSyntaxError(ExprError):
@@ -83,6 +87,7 @@ class MissingBinding(ExprError):
 
 class EvalDomainError(ExprError):
     """Evaluation left the mathematical domain (sqrt of a negative, ...)."""
+    exit_code = 65                  # it parses, but is bad data
 
     def __init__(self, function, value):
         super().__init__(f"domain error in '{function}' at argument {value!r}")
@@ -100,6 +105,7 @@ class BoxViolation(ConesolveError):
 
 class MonotonicityViolation(ConesolveError):
     """An iterate broke the expected ordering; a hypothesis is not holding."""
+    exit_code = 1
 
 
 # lambda ranges
@@ -116,3 +122,4 @@ class NonpositiveM(ConesolveError):
 
 class ConfigError(ConesolveError):
     """Config file cannot be parsed or is internally inconsistent."""
+    exit_code = 64

@@ -316,7 +316,9 @@ def test_csv_help_names_the_files_the_flag_adds(tmp_path, command):
         out = tmp_path / f"out{len(flags)}"
         with contextlib.redirect_stdout(io.StringIO()):
             main([command, "--config", cfg, "--out", str(out), *flags])
-        written.append({path.name for path in out.iterdir()})
+        # a run that writes nothing does not create --out
+        written.append({path.name for path in out.iterdir()}
+                       if out.exists() else set())
     added = written[1] - written[0]
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -590,8 +592,7 @@ def test_growth_sweep_draws_once_and_matches_the_nested_loop(monkeypatch,
                         lambda *a: draws.append(1) or sample_domain(*a))
     monkeypatch.setattr(cli, "check_growth",
                         lambda *a: checks.append(1) or check_growth(*a))
-    pipe = cli.Pipeline(cfg, None, None, 0.0, None)
-    delta, rho0, rep = cli._growth_parameters(pipe)
+    delta, rho0, rep = cli._growth_parameters(cfg)
     assert (delta, rho0) == (delta_ref, rho0_ref)
     assert rep.to_text() == rep_ref.to_text()
     assert rep.csv_row() == rep_ref.csv_row()
@@ -810,7 +811,7 @@ def test_nonlinearity_is_parsed_once_per_command(tmp_path, monkeypatch,
     parsed = parse_config(SYSTEM_CFG)
     assert not hasattr(parsed, "f_sources")
     assert not hasattr(parsed, "nonlinearity")
-    assert "nl" not in cli.Pipeline.__dataclass_fields__
+    assert "nl" not in cli.Prepared.__dataclass_fields__
 
 
 def test_x_dependent_system_ranges_match_the_library(tmp_path):
@@ -893,3 +894,45 @@ def test_readme_config_block_parses_and_names_every_optional_key():
     assert cfg.n == 2 and cfg.lambdas is not None
     for key in [*SETTINGS, *COEFFICIENTS]:
         assert re.search(rf"\b{key} = ", block), key
+
+
+@pytest.mark.parametrize("command,extra,layout", [
+    ("solve", [], "file"),
+    ("solve", [], "checks.csv is a directory"),
+    ("lambda-range", ["--csv"], "file"),
+    ("spectrum", ["--csv"], "file"),
+])
+def test_an_out_that_cannot_be_written_exits_73(tmp_path, command, extra,
+                                                layout):
+    cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
+    out = tmp_path / "out"
+    if layout == "file":
+        out.write_text("kept\n")
+    else:
+        (out / "checks.csv").mkdir(parents=True)
+    code, stdout, err, _ = _run_quietly(
+        [command, "--config", cfg, "--h", "0.125", "--out", str(out),
+         *extra])
+    assert code == 73
+    assert err.startswith("error: cannot write output: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in stdout + err
+    # the run itself completed: its report is on stdout
+    assert stdout.startswith(("grid: ", "lattice symmetry: "))
+    assert out.is_dir() or out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["lambda-range", "spectrum"])
+def test_a_run_that_writes_nothing_ignores_out(tmp_path, command):
+    # without --csv these commands write no artifact, so --out is neither
+    # created nor checked
+    cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    code, _, err, _ = _run_quietly(
+        [command, "--config", cfg, "--h", "0.125", "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert out.read_text() == "kept\n"
+    missing = tmp_path / "missing"
+    assert _run_quietly([command, "--config", cfg, "--h", "0.125",
+                         "--out", str(missing)])[0] == 0
+    assert not missing.exists()

@@ -33,7 +33,7 @@ CENTRED_SQUARE = SCALAR_DISK.replace("domain = unitdisk",
 
 def _solve(tmp_path, name, text, h, fold=True):
     """Run `solve --csv` on a config text at mesh step h, with the fold as
-    shipped or switched off; return the exit code, the pipeline, the
+    shipped or switched off; return the exit code, the Prepared, the
     assembled (unfolded) operator, the iteration report and stdout."""
     seen = {}
 
@@ -47,7 +47,7 @@ def _solve(tmp_path, name, text, h, fold=True):
     path.write_text(text)
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
-        for key in ("build_pipeline", "assemble", "monotone_iterate"):
+        for key in ("prepare", "assemble", "monotone_iterate"):
             patch.setattr(cli, key, keep(key, getattr(cli, key)))
         if not fold:
             patch.setattr(cli, "fold", lambda op: op)
@@ -55,7 +55,7 @@ def _solve(tmp_path, name, text, h, fold=True):
             code = cli.main(["solve", "--config", str(path), "--h", str(h),
                              "--out", str(tmp_path / f"{name}-out"),
                              "--csv"])
-    return (code, seen["build_pipeline"], seen["assemble"],
+    return (code, seen["prepare"], seen["assemble"],
             seen["monotone_iterate"], out.getvalue())
 
 
@@ -294,8 +294,8 @@ def test_slot_table_fold_matches_the_sparse_reference(case):
 
 def test_x_dependent_f_is_not_folded_even_on_a_symmetric_operator():
     text = SYSTEM_DISK.replace(SYSTEM_F1, 'f1 = "x1^2 + u1"')
-    pipe = cli.build_pipeline(parse_config(text.replace(
-        "h = 0.015625", "h = 0.0625")))
+    pipe = cli.prepare(parse_config(text.replace(
+        "h = 0.015625", "h = 0.0625")), "spectrum")
     assert pipe.op.symmetry == () and pipe.op.grid is pipe.grid
 
 
@@ -305,7 +305,7 @@ def test_shipped_disk_configs_fold_to_1661_orbits(text):
     # a change to the assembly that breaks bitwise invariance under the
     # lattice maps (or A E == E A_f) fails here instead of silently
     # solving on all nodes again
-    pipe = cli.build_pipeline(parse_config(text))
+    pipe = cli.prepare(parse_config(text), "spectrum")
     assert pipe.cfg.h == 1 / 64
     assert pipe.grid.interior_count == 12_849
     assert pipe.op.grid.interior_count == 1_661
@@ -343,7 +343,7 @@ GROUPS = [
 def test_the_symmetry_line_names_the_group(maps, group):
     op = SimpleNamespace(symmetry=maps,
                          grid=SimpleNamespace(interior_count=7))
-    pipe = cli.Pipeline(None, SimpleNamespace(interior_count=50), op, 0.0,
+    pipe = cli.Prepared(None, SimpleNamespace(interior_count=50), op, 0.0,
                         None)
     which = "all 8 maps" if group == "D4" else ", ".join(maps)
     assert pipe.symmetry_text() == (f"lattice symmetry: {group} ({which}): "

@@ -83,7 +83,7 @@ def runs(tmp_path_factory):
         code = cli.main(["solve", "--config", str(tmp / "problem.cfg"),
                          "--seed", "7", "--out", str(tmp / "out"), "--csv"])
         assert code == 0
-        pipe = cli.build_pipeline(parse_config(text))
+        pipe = cli.prepare(parse_config(text), "spectrum")
         report = reports[-1]
         limits = {"solution_lower.csv": pipe.unfold(report.lower.solution),
                   "solution.csv": pipe.unfold(report.upper.solution)}
@@ -152,7 +152,7 @@ def test_text_columns_match_a_per_row_writer(tmp_path):
     # the coordinate columns alone: u with no rows
     cfg = parse_config(CONFIGS["system_disk"])
     cfg.h = 1 / 8
-    pipe = cli.build_pipeline(cfg)
+    pipe = cli.prepare(cfg, "spectrum")
     cli._write_csv(path, ["x1", "x2"], pipe.nodal_columns(
         np.empty((0, pipe.op.grid.interior_count))))
     assert path.read_text() == per_row_csv(["x1", "x2"],
@@ -163,14 +163,14 @@ def test_text_columns_match_a_per_row_writer(tmp_path):
                                      ("rect_robin", None)])
 def test_eigenfunction_table_matches_a_per_row_writer(tmp_path, name, h):
     pipes = []
-    build = cli.build_pipeline
+    build = cli.prepare
     path = tmp_path / "problem.cfg"
     path.write_text(CONFIGS[name])
     argv = ["spectrum", "--config", str(path), "--out", str(tmp_path),
             "--csv"] + (["--h", h] if h else [])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "build_pipeline",
-                      lambda cfg: pipes.append(build(cfg)) or pipes[-1])
+        patch.setattr(cli, "prepare", lambda cfg, command: pipes.append(
+            build(cfg, command)) or pipes[-1])
         assert cli.main(argv) == 0
     pipe = pipes[-1]
     assert (pipe.op.grid is pipe.grid) == (name == "rect_robin")
@@ -193,7 +193,7 @@ def test_text_matches_per_entry_formatting():
 def test_unfold_text_formats_each_orbit_once(tmp_path, monkeypatch, name):
     cfg = parse_config(CONFIGS[name])
     cfg.h = 1 / 16
-    pipe = cli.build_pipeline(cfg)
+    pipe = cli.prepare(cfg, "spectrum")
     grid, orbits = pipe.grid, pipe.op.grid.interior_count
     assert (orbits < grid.interior_count) == (name == "system_disk")
     u = np.random.default_rng(5).standard_normal((cfg.n, orbits))
@@ -217,7 +217,7 @@ def test_nodal_table_holds_no_text_at_table_length(tmp_path):
     expands each column's text to table length peaks at 5.5 MB."""
     cfg = parse_config(CONFIGS["system_disk"])
     cfg.h = 1 / 128
-    pipe = cli.build_pipeline(cfg)
+    pipe = cli.prepare(cfg, "spectrum")
     orbits = pipe.op.grid.interior_count
     assert (pipe.grid.interior_count, orbits) == (51429, 6538)
     u = np.random.default_rng(5).random((2, orbits))

@@ -172,3 +172,39 @@ def test_the_package_builds_a_csr_matrix_only_from_the_slot_table():
              for _, where in csr_builds(ast.parse(path.read_text(
                  encoding="utf-8")))]
     assert found == [("operator.py", "DiscreteOperator.matrix")]
+
+
+def prints(tree, may_print=lambda name: False):
+    """Line of each use of the name print in tree, outside the top-level
+    functions whose name may_print accepts."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and may_print(node.name)):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id == "print":
+                yield sub.lineno
+
+
+def test_the_check_finds_a_print():
+    tree = ast.parse("print(1)\n"
+                     "def cmd_a():\n    print(2)\n"
+                     "def f():\n    def cmd_b():\n        print(3)\n"
+                     "class C:\n    def main(self):\n        print(4)\n"
+                     "def main():\n    g = print\n"
+                     "h = lambda: map(print, [])\n")
+    assert list(prints(tree)) == [1, 3, 6, 9, 11, 12]
+    assert list(prints(tree, lambda name: name == "main"
+                       or name.startswith("cmd_"))) == [1, 6, 9, 12]
+
+
+def test_only_the_commands_print():
+    """Stages return results and never print: stdout is written in one
+    place, cli's main and cmd_* functions, from the results' to_text()."""
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in prints(
+                 ast.parse(path.read_text(encoding="utf-8")),
+                 lambda name, cli=path.name == "cli.py":
+                 cli and (name == "main" or name.startswith("cmd_")))]
+    assert SOURCES
+    assert found == []
