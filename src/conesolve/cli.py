@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import SETTINGS, Config, _validate, load_config
+from .config import SETTINGS, Config, _validate, format_domain, load_config
 from .errors import ConesolveError, MonotonicityViolation, NoConvergence
 from .fixedpoint import (ProblemInstance, certify, check_supersolution,
                          construct_subsolution, monotone_iterate)
@@ -175,8 +175,9 @@ class Prepared:
         """The stdout of these stages; with `lambdas`, a range whose lambda
         lies outside it is followed by a warning."""
         cfg, solve, est = self.cfg, self.command == "solve", self.spectrum
-        lines = [f"grid: {cfg.domain} h={cfg.h} ({self.grid.interior_count} "
-                 "interior nodes)"] if solve else []
+        lines = ([f"grid: {format_domain(cfg.domain)} h={cfg.h} "
+                  f"({self.grid.interior_count} interior nodes)"]
+                 if solve else [])
         lines.append(self.symmetry_text())
         if self.command != "spectrum":
             lines.append(f"|K(1)| = {self.k1_norm:.6g}, mu1 = {est.mu1:.6g}")

@@ -225,6 +225,15 @@ def _parse_domain(value, key, lineno) -> DomainSpec:
     raise ConfigError(f"line {lineno}: unknown domain '{parts[0]}'")
 
 
+def format_domain(spec: DomainSpec) -> str:
+    """The config text of a domain, which _parse_domain reads back as an
+    equal spec: each rectangle bound is written as repr(float)."""
+    if isinstance(spec, UnitDisk):
+        return "unitdisk"
+    bounds = (spec.x_min, spec.x_max, spec.y_min, spec.y_max)
+    return " ".join(["rectangle", *(repr(float(b)) for b in bounds)])
+
+
 def _parse_bc(item) -> BoundarySpec:
     if item is None:
         return Dirichlet()

@@ -26,7 +26,7 @@ from scipy.linalg import lapack
 
 from .errors import MonotonicityViolation, NoConvergence
 from .greens import SpectralEstimate, apply_K
-from .nonlinearity import BOX_SLACK, Nonlinearity, nemytskii_apply
+from .nonlinearity import Nonlinearity, box_violation, nemytskii_apply
 from .operator import DiscreteOperator
 
 ORDER_SLACK = 1e-12      # tolerated roundoff in nodewise comparisons
@@ -373,13 +373,11 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
 def certify(p: ProblemInstance, u, tol: float = DEFAULT_TOL) -> Certificate:
     """Recompute T u for a state u of shape (n, N) and certify u as a
     nonzero positive fixed point: residual at most tol, norm not
-    negligible, and every component in [0, rho_j] up to BOX_SLACK, the
-    band apply_T accepts (it raises BoxViolation outside it)."""
+    negligible, and inside the box by box_violation, as apply_T needs."""
     residual = float(np.abs(u - apply_T(p, u)).max())
     min_value = float(u.min())
     norm = float(np.abs(u).max())
-    in_box = min_value >= -BOX_SLACK and all(
-        float(c.max()) <= rho + BOX_SLACK for c, rho in zip(u, p.nl.box))
+    in_box = box_violation(p.nl, u) is None
     nonzero = not negligible(norm, tol)
     return Certificate(
         residual=residual, min_value=min_value, norm=norm, in_box=in_box,

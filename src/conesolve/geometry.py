@@ -107,11 +107,13 @@ def build_grid(spec: DomainSpec, h: float) -> Grid:
     """Build the uniform grid for `spec` with mesh step `h`.
 
     Node enumeration is deterministic (row-major by (j, i)).  Raises
-    InvalidSpec for non-finite or inconsistent rectangle bounds, a
-    non-dividing h, or a lattice with more than MAX_LATTICE_NODES nodes
-    (refused before anything is allocated), and DegenerateGrid when no
-    interior node results.
+    InvalidSpec for a spec that is not a DomainSpec, non-finite or
+    inconsistent rectangle bounds, a non-dividing h, or a lattice with more
+    than MAX_LATTICE_NODES nodes (refused before anything is allocated),
+    and DegenerateGrid when no interior node results.
     """
+    if not isinstance(spec, DomainSpec):
+        raise InvalidSpec(f"unknown domain spec: {spec!r}")
     if not (h > 0):
         raise InvalidSpec(f"mesh step must be positive, got {h}")
     if isinstance(spec, Rectangle):
@@ -136,10 +138,8 @@ def build_grid(spec: DomainSpec, h: float) -> Grid:
 
     if isinstance(spec, Rectangle):
         grid = _build_rectangle(spec, h)
-    elif isinstance(spec, UnitDisk):
-        grid = _build_disk(spec, h)
     else:
-        raise InvalidSpec(f"unknown domain spec: {spec!r}")
+        grid = _build_disk(spec, h)
 
     if grid.interior_count == 0:
         raise DegenerateGrid(f"no interior nodes for {spec} at h={h}")

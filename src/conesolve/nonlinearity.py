@@ -132,26 +132,32 @@ def _deterministic_points(domain: DomainSpec):
     return x, y
 
 
+def box_violation(nl: Nonlinearity, u: np.ndarray) -> BoxViolation | None:
+    """The box rule: None if each row j of the (..., n, N) states u lies in
+    [0, rho_j] up to BOX_SLACK (an empty stack does), else the BoxViolation
+    naming the first component that leaves it; a NaN lies outside."""
+    others = tuple(range(u.ndim - 2)) + (u.ndim - 1,)
+    worst = np.maximum(-u.min(axis=others, initial=np.inf),
+                       u.max(axis=others, initial=-np.inf) - nl.box)
+    for j, rho in enumerate(nl.box):
+        if not worst[j] <= BOX_SLACK:       # a NaN fails this
+            return BoxViolation(f"component u{j + 1} leaves the box "
+                                f"[0, {rho}] by {float(worst[j]):.3e}")
+    return None
+
+
 def nemytskii_apply(nl: Nonlinearity, u, grid: Grid) -> np.ndarray:
     """Nodewise evaluation of every f_i(x, u(x)) for a state u of shape
     (n, N), or a stack of states of shape (..., n, N), on the N interior
-    nodes of grid; the result has the shape of u, f_i in row i.
-
-    u must stay inside the box up to BOX_SLACK; values inside the tolerance
-    band are clamped onto the box before evaluation.
-    """
+    nodes of grid; the result has the shape of u, f_i in row i.  u must
+    pass box_violation, and is clamped onto the box before evaluation."""
     u = np.asarray(u, dtype=float)
     if u.shape[-2:] != (nl.n, grid.interior_count):
         raise GridMismatch(f"state of shape {u.shape} does not hold {nl.n} "
                            f"components on {grid.interior_count} nodes")
-    box = np.asarray(nl.box)
-    others = tuple(range(u.ndim - 2)) + (u.ndim - 1,)
-    worst = np.maximum(-u.min(axis=others), u.max(axis=others) - box)
-    for j, rho in enumerate(nl.box):
-        if worst[j] > BOX_SLACK:
-            raise BoxViolation(f"component u{j + 1} leaves the box "
-                               f"[0, {rho}] by {float(worst[j]):.3e}")
-    clamped = np.clip(u, 0.0, box[:, None])
+    if violation := box_violation(nl, u):
+        raise violation
+    clamped = np.clip(u, 0.0, np.asarray(nl.box)[:, None])
     bindings = nl.bindings(grid.xs, grid.ys,
                            [clamped[..., j, :] for j in range(nl.n)])
     out = np.empty_like(clamped)
@@ -307,7 +313,7 @@ def max_over_domain(nl: Nonlinearity, i: int, states,
     """max over the grid nodes of f_i(x, u) at each constant state u, a row
     of the (k, n) array states; returns the (k,) maxima.
 
-    Every entry must lie in the box up to BOX_SLACK and is clamped onto it.
+    The states must pass box_violation and are clamped onto the box.
     An f_i without x is evaluated on the states alone.  Otherwise all k
     states are evaluated on each chunk of max(1, BLOCK_ELEMENTS // k)
     nodes.  Node maxima are exact, so each maximum is bitwise that of
@@ -316,13 +322,9 @@ def max_over_domain(nl: Nonlinearity, i: int, states,
     u = np.asarray(states, dtype=float)
     if u.ndim != 2 or u.shape[1] != nl.n:
         raise ValueError("states must be a (k, n) array")
-    box = np.asarray(nl.box)
-    outside = ~((u >= -BOX_SLACK) & (u <= box + BOX_SLACK))
-    if outside.any():
-        r, j = np.argwhere(outside)[0]
-        raise BoxViolation(f"beta entry {float(u[r, j])} outside the box "
-                           f"[0, {nl.box[j]}]")
-    u = np.clip(u, 0.0, box)
+    if violation := box_violation(nl, u.T):
+        raise violation
+    u = np.clip(u, 0.0, np.asarray(nl.box))
     m = np.full(len(u), -np.inf)
     if not nl.uses_x(i):
         m[:] = ex.eval_on_arrays(nl.exprs[i], nl.bindings(0.0, 0.0, u.T))

@@ -21,7 +21,7 @@ import numpy as np
 from . import expr as ex
 from .config import parse_config
 from .errors import EvalDomainError
-from .fixedpoint import (ORDER_SLACK, ProblemInstance, certify,
+from .fixedpoint import (ProblemInstance, _below, certify,
                          check_supersolution, construct_subsolution,
                          monotone_iterate)
 from .geometry import Rectangle, UnitDisk, build_grid
@@ -214,7 +214,7 @@ def _crit_end_to_end(ctx: VerifyContext):
                               max_iter=cfg.max_iter, record_iterates=True)
     iterates = report.upper.iterates
     # independent nodewise re-check of the recorded sequence
-    decreasing = all(np.all(later <= earlier + ORDER_SLACK)
+    decreasing = all(_below(later, earlier)
                      for earlier, later in zip(iterates, iterates[1:]))
     cert = certify(problem, report.upper.solution, tol=cfg.tol)
     return cert.certified and decreasing, (

@@ -13,7 +13,8 @@ import pytest
 
 from conesolve import cli
 from conesolve.cli import _write_csv, build_parser, main
-from conesolve.config import COEFFICIENTS, SETTINGS, parse_config
+from conesolve.config import (COEFFICIENTS, SETTINGS, format_domain,
+                              parse_config)
 from conesolve.errors import (ConfigError, MonotonicityViolation,
                               NoConvergence)
 from conesolve.geometry import Rectangle, UnitDisk
@@ -104,6 +105,32 @@ c = "1"
     cfg2 = parse_config("domain = rectangle 0 1 0 1\nh = 0.25\nn = 1\n"
                         'f1 = "u1"\nrho1 = 1\nbc = neumann\nc = "1"\n')
     assert isinstance(cfg2.bc, Neumann)
+
+
+@pytest.mark.parametrize("spec,text", [
+    (UnitDisk(), "unitdisk"),
+    (Rectangle(0, 1, 0, 1), "rectangle 0.0 1.0 0.0 1.0"),
+    (Rectangle(0.1, 0.7, -0.3, 1 / 3),
+     "rectangle 0.1 0.7 -0.3 0.3333333333333333"),
+])
+def test_a_domain_is_formatted_in_config_syntax(spec, text):
+    assert format_domain(spec) == text
+
+
+@pytest.mark.parametrize("domain", [
+    "unitdisk", "rectangle 0 1 0 1", "Rectangle 0.1 0.7 -0.3 0.3",
+    "rectangle -0.7 0.2999999999999999 1e-1 1.3"])
+def test_the_grid_line_parses_back_to_the_domain(tmp_path, capsys, domain):
+    text = (f"domain = {domain}\nh = 0.1\nn = 1\nf1 = \"1 + s\"\n"
+            "rho1 = 1\nlambda1 = 1\n")
+    spec = parse_config(text).domain
+    main(["solve", "--config", write(tmp_path, "p.cfg", text),
+          "--out", str(tmp_path / "out")])
+    first = capsys.readouterr().out.splitlines()[0]
+    printed = re.fullmatch(r"grid: (.+) h=0\.1 \(\d+ interior nodes\)",
+                           first)[1]
+    assert printed == format_domain(spec)
+    assert parse_config(text.replace(domain, printed)).domain == spec
 
 
 @pytest.mark.parametrize("mutation,fragment", [

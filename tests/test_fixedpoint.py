@@ -9,7 +9,9 @@ from conesolve import (Dirichlet, EllipticCoefficients, Nonlinearity,
                        construct_subsolution, k_one_norm, monotone_iterate,
                        spectral_radius)
 from conesolve import fixedpoint
-from conesolve.errors import MonotonicityViolation, NoConvergence
+from conesolve.errors import BoxViolation, MonotonicityViolation, NoConvergence
+from conesolve.nonlinearity import (BOX_SLACK, box_violation, max_over_domain,
+                                    nemytskii_apply)
 from conesolve.verify import CRITERIA, VerifyContext, run_criterion
 
 RHO = 15 * math.pi / 64
@@ -233,6 +235,46 @@ def test_certify_rejects_perturbed_solution(disk_op):
     cert = certify(p, shifted, tol=1e-9)
     assert not cert.certified
     assert cert.residual > 1e-9
+
+
+def test_a_nan_that_no_f_reads_leaves_the_box(disk_op):
+    nl = Nonlinearity.from_strings(["1 + u2", "u2^2"], (1.0, 1.0))
+    p = ProblemInstance(disk_op, nl, (1.0, 1.0))
+    u = constant_state(disk_op.grid, (0.5, 0.5))
+    u[0, 7] = np.nan
+    with pytest.raises(BoxViolation,
+                       match=r"component u1 leaves the box \[0, 1.0\] by nan"):
+        apply_T(p, u)
+
+
+def _inside(judge):
+    """judge(), or False where it raises BoxViolation."""
+    try:
+        return judge()
+    except BoxViolation:
+        return False
+
+
+# rho + BOX_SLACK rounds to a double more than BOX_SLACK above each rho
+@pytest.mark.parametrize("rho", [0.7363107781851077, 0.3, 1.0, 2.5, 1e4])
+@pytest.mark.parametrize("offset, inside", [
+    (BOX_SLACK, False), (BOX_SLACK / 2, True), (2 * BOX_SLACK, False),
+    (np.nan, False)])
+def test_one_box_rule_judges_every_caller(disk_op, rho, offset, inside):
+    """nemytskii_apply, max_over_domain and certify agree on a state whose
+    second component sits at rho + offset; the first stays at -BOX_SLACK,
+    which is inside."""
+    nl = Nonlinearity.from_strings(["u1 + u2", "u1 * u2"], (rho, rho))
+    p = ProblemInstance(disk_op, nl, (1.0, 1.0))
+    levels = (-BOX_SLACK, rho + offset)
+    state = constant_state(disk_op.grid, levels)
+    verdicts = [
+        _inside(lambda: nemytskii_apply(nl, state, disk_op.grid) is not None),
+        _inside(lambda: max_over_domain(nl, 0, [levels], disk_op.grid)
+                is not None),
+        _inside(lambda: certify(p, state).in_box),
+        box_violation(nl, state) is None]
+    assert verdicts == [inside] * 4
 
 
 def test_from_below_limit_below_from_above_limit(disk_op):

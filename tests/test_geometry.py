@@ -110,6 +110,13 @@ def test_inverted_rectangle_rejected():
         build_grid(Rectangle(1, 0, 0, 1), 0.1)
 
 
+@pytest.mark.parametrize("spec", ["square", None, (0, 1, 0, 1)])
+def test_an_unknown_domain_spec_is_invalid(spec):
+    with pytest.raises(InvalidSpec, match="unknown domain spec") as err:
+        build_grid(spec, 0.1)
+    assert err.value.exit_code == 65
+
+
 def test_non_dividing_h_rejected():
     with pytest.raises(InvalidSpec):
         build_grid(Rectangle(0, 1, 0, 1), 0.3)

@@ -200,12 +200,14 @@ def test_max_over_domain_grid_independent_for_x_free(disk_grid, square_grid):
 
 def test_max_over_domain_validates_beta(disk_grid):
     nl = reference_system()
-    # the first state outside the box is named
-    with pytest.raises(BoxViolation, match=rf"beta entry {2 * RHO!r} "):
+    # the first component outside the box is named, with its excess
+    with pytest.raises(BoxViolation, match=rf"component u1 leaves the box "
+                       rf"\[0, {RHO!r}\] by {RHO:.3e}"):
         max_over_domain(nl, 0, [(RHO, RHO), (2 * RHO, RHO),
                                 (RHO, -1.0)], disk_grid)
     with pytest.raises(BoxViolation):
         max_over_domain(nl, 0, [(RHO, np.nan)], disk_grid)
+    assert max_over_domain(nl, 0, np.empty((0, 2)), disk_grid).shape == (0,)
     with pytest.raises(ValueError):
         max_over_domain(nl, 0, [RHO, RHO], disk_grid)
 

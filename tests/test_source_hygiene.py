@@ -6,6 +6,24 @@ from pathlib import Path
 import conesolve
 
 SOURCES = sorted(Path(conesolve.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def scoped_nodes(tree):
+    """(node, where) for every node below tree, where naming the classes
+    and functions that enclose it by their dotted path ("" at module
+    level).  A function's decorators and defaults count as its own."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            yield child, where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                yield from visit(
+                    child, f"{where}.{child.name}" if where else child.name)
+            else:
+                yield from visit(child, where)
+
+    return visit(tree, "")
 
 
 def unread_parameters(tree):
@@ -131,24 +149,14 @@ def csr_builds(tree):
     named by its dotted path through classes and functions ("" at module
     level)."""
     builders = {"csr_matrix", "csr_array", "tocsr"}
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                fn = child.func
-                name = getattr(fn, "id", getattr(fn, "attr", None))
-                if name in builders:
-                    yield child.lineno, where
-            elif isinstance(child, ast.ImportFrom):
-                if {alias.name for alias in child.names} & builders:
-                    yield child.lineno, where
-            inner = where
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                inner = f"{where}.{child.name}" if where else child.name
-            yield from visit(child, inner)
-
-    return list(visit(tree, ""))
+    for node, where in scoped_nodes(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            if getattr(fn, "id", getattr(fn, "attr", None)) in builders:
+                yield node.lineno, where
+        elif isinstance(node, ast.ImportFrom):
+            if {alias.name for alias in node.names} & builders:
+                yield node.lineno, where
 
 
 def test_the_check_finds_a_csr_build():
@@ -208,3 +216,61 @@ def test_only_the_commands_print():
                  cli and (name == "main" or name.startswith("cmd_")))]
     assert SOURCES
     assert found == []
+
+
+def readers(tree, name):
+    """The functions in tree that read `name`, as a name or an attribute,
+    by dotted path ("" for a read at module level)."""
+    return {where for node, where in scoped_nodes(tree)
+            if isinstance(getattr(node, "ctx", None), ast.Load)
+            and name in (getattr(node, "id", None),
+                         getattr(node, "attr", None))}
+
+
+def test_the_check_finds_each_reader():
+    tree = ast.parse("S = 1\nT = S\n"
+                     "def f(x=S):\n    return x\n"
+                     "class C:\n    def m(self):\n        return mod.S\n"
+                     "def g():\n    def h():\n        return S\n"
+                     "    S = 2\n"
+                     "from mod import S\n")
+    assert readers(tree, "S") == {"", "f", "C.m", "g.h"}
+
+
+def test_each_slack_is_read_by_one_function():
+    """The box rule and the nodewise order rule each live in one function,
+    so rescaling or replacing a slack changes one function."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    found = {slack: sorted((name, where) for name, tree in trees.items()
+                           for where in readers(tree, slack))
+             for slack in ("BOX_SLACK", "ORDER_SLACK")}
+    assert found == {"BOX_SLACK": [("nonlinearity.py", "box_violation")],
+                     "ORDER_SLACK": [("fixedpoint.py", "_below")]}
+
+
+def syntax_errors(paths, version=(3, 10)):
+    """(path, line, message) for each file in paths that the grammar of
+    Python `version` does not parse."""
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path),
+                      feature_version=version)
+        except SyntaxError as err:
+            yield path, err.lineno, err.msg
+
+
+def test_the_check_finds_newer_syntax(tmp_path):
+    path = tmp_path / "groups.py"
+    path.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert [line for _, line, _ in syntax_errors([path])] == [4]
+    assert list(syntax_errors([path], (3, 11))) == []
+
+
+def test_every_python_file_parses_as_python_3_10():
+    """CI also runs Python 3.10, the oldest that pyproject accepts; the
+    3.10 grammar keeps newer syntax out on a newer interpreter."""
+    paths = sorted(path for top in ("src", "tests", "perfbench")
+                   for path in (ROOT / top).rglob("*.py"))
+    assert len(paths) > len(SOURCES)
+    assert list(syntax_errors(paths)) == []
