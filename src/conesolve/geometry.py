@@ -82,11 +82,6 @@ class Grid:
     def interior_count(self) -> int:
         return len(self.nodes)
 
-    def classify(self, i, j) -> int:
-        if 0 <= i < self.nx and 0 <= j < self.ny:
-            return int(self.classification[j, i])
-        return EXTERIOR
-
 
 def _freeze(grid: Grid) -> Grid:
     for arr in (grid.classification, grid.interior_ids, grid.nodes,

@@ -106,7 +106,6 @@ BoundarySpec = Dirichlet | Neumann | Robin
 @dataclass(frozen=True)
 class OperatorDiagnostics:
     is_m_matrix: bool
-    ellipticity_mu0: float
 
 
 # The slots of the 3x3 lattice window around a node, as (di, dj) offsets in
@@ -311,8 +310,9 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     given as a single value stays one value until a term spreads it over
     the nodes.
 
-    Returns a DiscreteOperator whose diagnostics report the sampled
-    ellipticity constant and whether the matrix is an M-matrix (positive
+    Raises EllipticityViolation unless the sampled coefficient matrix is
+    positive definite at every node.  Returns a DiscreteOperator whose
+    diagnostics report whether the matrix is an M-matrix (positive
     diagonal, nonpositive off-diagonal entries).  Coefficients so large
     that a matrix entry overflows raise CoefficientViolation, without
     floating-point warnings.
@@ -325,7 +325,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     b2 = _sample(coeffs.b2, xs, ys)
     c = _sample(coeffs.c, xs, ys)
 
-    mu0 = _check_ellipticity(a11, a12, a22)
+    _check_ellipticity(a11, a12, a22)
     if np.any(c < 0):
         k = int(np.argmin(c))
         raise CoefficientViolation(
@@ -412,7 +412,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     tol = 1e-12 * max(high.max(), -low.min())
     is_m = bool(low[CENTRE] > 0 and np.delete(high, CENTRE).max() <= tol)
     return DiscreteOperator(Stencil(values, columns), grid,
-                            OperatorDiagnostics(is_m, mu0))
+                            OperatorDiagnostics(is_m))
 
 
 # The symmetries of a lattice other than the identity, as (name, swap,

@@ -31,8 +31,7 @@ from .operator import EllipticCoefficients, Dirichlet, assemble
 
 REFERENCE_H = 1.0 / 64.0
 
-# reference values; the disk eigenvalue is re-derived at runtime from the
-# power-series bisection oracle below
+# reference values
 SQUARE_MU1 = 2.0 * math.pi ** 2
 SYSTEM_UPPER_1 = 1.669
 SYSTEM_UPPER_2 = 5.432
@@ -40,37 +39,10 @@ SCALAR_SUP = 1.66924
 ANALYTIC_K1_NORM = 0.25
 
 
-# ---------------------------------------------------------------------------
-# independent oracle: first zero of the Bessel function J0 from its power
-# series, located by bisection
-
-def bessel_j0_series(x: float) -> float:
-    total = 1.0
-    term = 1.0
-    q = 0.25 * x * x
-    for k in range(1, 60):
-        term *= -q / (k * k)
-        total += term
-        if abs(term) < 1e-18:
-            break
-    return total
-
-
-def first_j0_zero() -> float:
-    lo, hi = 2.0, 3.0
-    flo = bessel_j0_series(lo)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fmid = bessel_j0_series(mid)
-        if flo * fmid <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 def disk_mu1_reference() -> float:
-    return first_j0_zero() ** 2
+    """mu1 of the Dirichlet Laplacian on the unit disk: j_{0,1}^2, with
+    j_{0,1} the first zero of J0 (Abramowitz & Stegun 1964, Table 9.5)."""
+    return 2.404825557695773 ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_disk_axis_node_east_arm_is_one():
              if grid.xs[k] == 0.5 and grid.ys[k] == 0.0)
     assert grid.arms[k, EAST] == 1.0
     i, j = grid.nodes[k]
-    assert grid.classify(i + 1, j) == BOUNDARY
+    assert grid.classification[j, i + 1] == BOUNDARY
 
 
 def test_disk_diagonal_node_arms():
@@ -82,7 +82,7 @@ def test_arm_is_one_exactly_when_neighbor_interior():
     for k in range(grid.interior_count):
         i, j = grid.nodes[k]
         for d, (di, dj) in offsets.items():
-            if grid.classify(i + di, j + dj) == INTERIOR:
+            if grid.classification[j + dj, i + di] == INTERIOR:
                 assert grid.arms[k, d] == 1.0
             else:
                 assert 0.0 < grid.arms[k, d] <= 1.0

@@ -1,7 +1,9 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from conesolve import (Dirichlet, EllipticCoefficients, Rectangle, UnitDisk,
                        apply_K, assemble, build_grid, k_one_norm,
@@ -9,7 +11,7 @@ from conesolve import (Dirichlet, EllipticCoefficients, Rectangle, UnitDisk,
 from conesolve import greens
 from conesolve.errors import GridMismatch, NoConvergence, SolverFailure
 from conesolve.verify import (CRITERIA, VerifyContext, disk_mu1_reference,
-                              first_j0_zero, run_criterion)
+                              run_criterion)
 
 
 def test_zero_rhs_gives_zero(disk_op):
@@ -186,8 +188,10 @@ def test_failed_refinement_raises_solver_failure(disk_op, monkeypatch):
 
 
 def test_bessel_oracle_value():
-    # cross-check the power-series bisection against the known first zero
-    assert first_j0_zero() == pytest.approx(2.404825557695773, abs=1e-10)
+    # the tabulated j_{0,1} is a zero of scipy's J0, and its square is the
+    # value the power-series bisection oracle used to compute
+    assert abs(j0(math.sqrt(disk_mu1_reference()))) < 1e-15
+    assert disk_mu1_reference() == 5.783185962946785
 
 
 def test_spectral_disk_matches_bessel_oracle(disk_op):

@@ -133,10 +133,9 @@ def test_ellipticity_violation_detected():
         assemble(grid, bad, Dirichlet())
 
 
-def test_ellipticity_mu0_recorded():
-    grid = build_grid(Rectangle(0, 1, 0, 1), 1 / 4)
-    op = assemble(grid, EllipticCoefficients.diagonal(3.0), Dirichlet())
-    assert op.diagnostics.ellipticity_mu0 == pytest.approx(3.0)
+def test_ellipticity_mu0_of_diagonal_coefficients():
+    three = np.full(2, 3.0)
+    assert _check_ellipticity(three, np.zeros(2), three) == pytest.approx(3.0)
 
 
 def test_ellipticity_of_huge_coefficients_does_not_overflow():
@@ -178,7 +177,7 @@ def test_singular_factor_raises_solver_failure():
     columns = np.full((4, 9), -1)
     columns[:, CENTRE] = np.arange(4)
     op = DiscreteOperator(Stencil(values, columns), grid,
-                          OperatorDiagnostics(False, 1.0))
+                          OperatorDiagnostics(False))
     with pytest.raises(SolverFailure, match="singular"):
         op.factorization()
 
