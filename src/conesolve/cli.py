@@ -39,7 +39,7 @@ from .greens import k_one_norm, spectral_radius
 from .nonlinearity import (check_growth, check_monotone, growth_sample,
                            screen_growth)
 from .operator import assemble, fold
-from .ranges import ratio_curve, single_range, system_ranges
+from .ranges import CURVE_FLOOR, ratio_curve, single_range, system_ranges
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -266,6 +266,13 @@ def prepare(cfg: Config, command: str = "solve") -> Prepared:
     prep = Prepared(cfg, grid, op, k1, spectral_radius(op), command)
     if command == "spectrum":
         return prep
+    # the checks and ranges sample the box down to min(rho) * 2^-20 and
+    # rho1 * CURVE_FLOOR: refuse a bound whose samples would be subnormal
+    for j, rho in enumerate(cfg.rho):
+        if rho * CURVE_FLOOR < np.finfo(float).tiny:
+            raise ConesolveError(
+                f"rho{j + 1} = {rho!r} is too small: the checks and ranges "
+                f"need rho{j + 1} * {CURVE_FLOOR:g} to be a normal double")
     checks = []
     for i in range(cfg.n if command == "solve" else 0):
         checks.append(check_monotone(cfg.nl, i, cfg.samples, cfg.seed + i,

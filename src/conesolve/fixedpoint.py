@@ -372,12 +372,14 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
 
 def certify(p: ProblemInstance, u, tol: float = DEFAULT_TOL) -> Certificate:
     """Recompute T u for a state u of shape (n, N) and certify u as a
-    nonzero positive fixed point: residual at most tol, norm not
-    negligible, and inside the box by box_violation, as apply_T needs."""
-    residual = float(np.abs(u - apply_T(p, u)).max())
+    nonzero positive fixed point: inside the box by box_violation, as
+    apply_T needs, residual at most tol, and norm not negligible.  Outside
+    the box T u is not computed, and the residual is NaN."""
+    in_box = box_violation(p.nl, u) is None
+    residual = (float(np.abs(u - apply_T(p, u)).max()) if in_box
+                else np.nan)
     min_value = float(u.min())
     norm = float(np.abs(u).max())
-    in_box = box_violation(p.nl, u) is None
     nonzero = not negligible(norm, tol)
     return Certificate(
         residual=residual, min_value=min_value, norm=norm, in_box=in_box,

@@ -27,7 +27,9 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # these M-matrices measures about 0.3 u on the disk Laplacian at h = 1/64
 # and h = 1/128.  c = 100 clears both by an order of magnitude, at any h.
 BACKWARD_ERROR_C = 100.0
-SPECTRUM_TOL = 1e-10         # power iteration: relative change and residual
+# power iteration: relative change of r, and the residual relative to
+# max(1, r), as K's values scale with r
+SPECTRUM_TOL = 1e-10
 SPECTRUM_MAX_ITER = 10_000
 
 
@@ -64,8 +66,9 @@ def apply_K(op: DiscreteOperator, g) -> np.ndarray:
     array or an (m, N) block, with one call to the cached LU.
 
     A solve is accepted when its backward error is at most
-    BACKWARD_ERROR_C unit roundoffs; otherwise one refinement step is made,
-    and SolverFailure is raised if that does not reach it either.
+    BACKWARD_ERROR_C unit roundoffs; otherwise (a NaN or infinite solve
+    included) one refinement step is made, and SolverFailure is raised if
+    that does not reach it either.
     """
     g = np.asarray(g, dtype=float)
     nodes = op.grid.interior_count
@@ -77,10 +80,11 @@ def apply_K(op: DiscreteOperator, g) -> np.ndarray:
     rhs = g.T
     lu = op.factorization()
     z = lu.solve(rhs)
-    if np.any(_backward_errors(op, rhs, z) > BACKWARD_ERROR_C):
+    # written so that a NaN backward error (a solve that overflowed) fails
+    if not np.all(_backward_errors(op, rhs, z) <= BACKWARD_ERROR_C):
         z = z + lu.solve(rhs - op.matrix @ z)
         worst = float(_backward_errors(op, rhs, z).max())
-        if worst > BACKWARD_ERROR_C:
+        if not worst <= BACKWARD_ERROR_C:
             raise SolverFailure(
                 f"backward error {worst:.3g} u exceeds {BACKWARD_ERROR_C:g} u "
                 "after one refinement step")
@@ -106,11 +110,11 @@ def spectral_radius(op: DiscreteOperator) -> SpectralEstimate:
 
     Starts from the constant-1 function (which has a component along the
     positive principal eigenfunction).  Terminates when successive estimates
-    agree to a relative SPECTRUM_TOL and the sup-norm eigen-residual is
-    below SPECTRUM_TOL, or raises NoConvergence after SPECTRUM_MAX_ITER
-    applications of K.  On an operator that is not an M-matrix
-    (op.diagnostics.is_m_matrix) the iteration may not converge to a
-    positive eigenpair.
+    agree to a relative SPECTRUM_TOL and the sup-norm eigen-residual is at
+    most SPECTRUM_TOL * max(1, r), or raises NoConvergence after
+    SPECTRUM_MAX_ITER applications of K.  On an operator that is not an
+    M-matrix (op.diagnostics.is_m_matrix) the iteration may not converge
+    to a positive eigenpair.
     """
     phi = np.ones(op.grid.interior_count)
     r_prev = None
@@ -121,7 +125,7 @@ def spectral_radius(op: DiscreteOperator) -> SpectralEstimate:
             raise NoConvergence("power iteration collapsed to zero")
         residual = float(np.abs(w - r * phi).max())
         if (r_prev is not None and abs(r - r_prev) <= SPECTRUM_TOL * r
-                and residual <= SPECTRUM_TOL):
+                and residual <= SPECTRUM_TOL * max(1.0, r)):
             return SpectralEstimate(r=r, mu1=1.0 / r, eigenfunction=phi,
                                     iterations=it, residual=residual)
         phi = w / r

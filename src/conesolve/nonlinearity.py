@@ -23,7 +23,9 @@ from .errors import BoxViolation, EvalDomainError, GridMismatch
 from .geometry import DomainSpec, Grid, Rectangle, UnitDisk
 
 BOX_SLACK = 1e-10      # tolerated overshoot before clamping
-CHECK_SLACK = 1e-12    # slack for the sampled inequalities
+# slack for the sampled inequalities, scaled down with the compared values
+# (never looser than this): see _slack
+CHECK_SLACK = 1e-12
 # Largest (state, node) array max_over_domain evaluates at once: 2**16
 # doubles (512 kB) per temporary, whatever the mesh.
 BLOCK_ELEMENTS = 2 ** 16
@@ -132,6 +134,13 @@ def _deterministic_points(domain: DomainSpec):
     return x, y
 
 
+def _slack(a, b):
+    """The slack of a sampled inequality between values a and b:
+    CHECK_SLACK * min(1, max(|a|, |b|)), so that values far below 1 are
+    compared to the same relative precision as values near 1."""
+    return CHECK_SLACK * np.minimum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
 def box_violation(nl: Nonlinearity, u: np.ndarray) -> BoxViolation | None:
     """The box rule: None if each row j of the (..., n, N) states u lies in
     [0, rho_j] up to BOX_SLACK (an empty stack does), else the BoxViolation
@@ -187,7 +196,7 @@ def check_monotone(nl: Nonlinearity, i: int, samples: int, seed: int,
                            witness={"error": str(err)},
                            note="evaluation failed inside the box")
     f_lo, f_hi = np.broadcast_arrays(f_lo, f_hi)
-    bad = f_lo > f_hi + CHECK_SLACK
+    bad = f_lo > f_hi + _slack(f_lo, f_hi)
     if np.any(bad):
         k = int(np.argmax(bad))
         witness = {
@@ -251,7 +260,7 @@ def check_growth(nl: Nonlinearity, i0: int, delta: float, rho0: float,
     f = np.broadcast_to(f, uu.shape[1:])
     with np.errstate(over="ignore"):    # delta * u = inf fails the bound
         delta_u = delta * uu[i0]
-    bad = f < delta_u - CHECK_SLACK
+    bad = f < delta_u - _slack(f, delta_u)
     if np.any(bad):
         k = int(np.argmax(bad))
         witness = {
@@ -303,7 +312,8 @@ def screen_growth(nl: Nonlinearity, i0: int, deltas, rho0s,
                 pass
     for d, delta in enumerate(deltas):
         with np.errstate(over="ignore"):    # delta * u = inf fails too
-            bad = f < delta * u[i0] - CHECK_SLACK
+            delta_u = delta * u[i0]
+        bad = f < delta_u - _slack(f, delta_u)
         failed[d] = bad.reshape(count, per_rho0).any(axis=1)
     return failed
 

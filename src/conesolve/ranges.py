@@ -22,8 +22,9 @@ from .errors import ConditionCViolation, ConesolveError, NonpositiveM
 from .geometry import Grid
 from .nonlinearity import Nonlinearity, max_over_domain
 
-# Log-uniform samples of (0, rho] in the ratio curve.
+# Log-uniform samples of [rho * CURVE_FLOOR, rho] in the ratio curve.
 CURVE_POINTS = 1000
+CURVE_FLOOR = 1e-8
 # Interior points per round of the zoom that refines the sampled sup.
 ZOOM_POINTS = 16
 # Inflation of a grid-sampled m_j of an x-dependent f_j, which falls short
@@ -110,11 +111,12 @@ def system_ranges(nl: Nonlinearity, beta, i0: int, delta: float,
 
 def ratio_curve(nl: Nonlinearity, k1_norm: float, grid: Grid | None = None):
     """Sampled curve s -> s / (M(s) k1_norm) on CURVE_POINTS log-uniform
-    points of (0, rho], rho = nl.box[0]; returns (s values, ratios).  M is
-    one max_over_domain call over every s, bitwise that of evaluating each
-    s on its own, and a failure names the first failing s as that would."""
+    points of [rho * CURVE_FLOOR, rho], rho = nl.box[0]; returns (s values,
+    ratios).  M is one max_over_domain call over every s, bitwise that of
+    evaluating each s on its own, and a failure names the first failing s
+    as that would."""
     rho = nl.box[0]
-    s = np.geomspace(rho * 1e-8, rho, CURVE_POINTS)
+    s = np.geomspace(rho * CURVE_FLOOR, rho, CURVE_POINTS)
     return s, s / (_checked_max_f(nl, s, grid) * k1_norm)
 
 

@@ -718,6 +718,18 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
     assert capsys.readouterr().out == f"conesolve {__version__}\n"
 
 
+# A linear single equation whose box bound the test chooses.
+BOX_CFG = """
+domain = unitdisk
+h = 0.125
+n = 1
+f1 = "s"
+rho1 = {rho}
+lambda1 = 3
+i0 = 1
+"""
+
+
 def _run_quietly(argv):
     """main(argv) with its stdout, stderr and warnings captured."""
     out, err = io.StringIO(), io.StringIO()
@@ -774,9 +786,12 @@ def test_a_non_m_matrix_is_one_stdout_warning(tmp_path, command,
                         'f2 = "sqrt(u2 - 1e-9) + max(u1,u2)^2"')
      .replace("lambda2 = 5.0", "lambda2 = 1.0"), [], 65,
      "domain error in 'sqrt' at argument -1e-09"),
+    # K(1e308) overflows inside the LU solve: a NaN solve is not accepted
+    (BOX_CFG.format(rho="1e308"), [], 70,
+     "backward error nan u exceeds 100 u"),
 ], ids=["rho1 inf", "lambda1 inf", "delta inf", "rectangle to inf",
         "rectangle of 1e308", "h 1e-300", "b1 1e308", "a11 1e308",
-        "a11 sqrt(x1)", "f2 sqrt at u2 = 0"])
+        "a11 sqrt(x1)", "f2 sqrt at u2 = 0", "rho1 1e308"])
 def test_bad_input_exits_with_one_error_line(tmp_path, text, extra, code,
                                              fragment):
     cfg = write(tmp_path, "bad.cfg", text)
@@ -788,6 +803,18 @@ def test_bad_input_exits_with_one_error_line(tmp_path, text, extra, code,
     assert len(errors) == 1 and fragment in errors[0], errors
     assert "Traceback" not in out + err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["solve", "lambda-range"])
+def test_a_subnormal_box_bound_exits_65(tmp_path, command):
+    # rho1 * 1e-8, the foot of the ratio curve, underflows to 0
+    cfg = write(tmp_path, "tiny.cfg", BOX_CFG.format(rho="1e-320"))
+    code, out, err, _ = _run_quietly(
+        [command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 65
+    assert err == ("error: rho1 = 1e-320 is too small: the checks and "
+                   "ranges need rho1 * 1e-08 to be a normal double\n")
+    assert "Traceback" not in out + err
 
 
 HUGE_GROWTH_CFG = (SYSTEM_CFG.replace("rho0 = 0.01\n", "")

@@ -272,9 +272,21 @@ def test_one_box_rule_judges_every_caller(disk_op, rho, offset, inside):
         _inside(lambda: nemytskii_apply(nl, state, disk_op.grid) is not None),
         _inside(lambda: max_over_domain(nl, 0, [levels], disk_op.grid)
                 is not None),
-        _inside(lambda: certify(p, state).in_box),
+        certify(p, state).in_box,
         box_violation(nl, state) is None]
     assert verdicts == [inside] * 4
+
+
+def test_certify_judges_a_state_outside_the_box(disk_op):
+    # certify returns a "not certified" verdict where apply_T would raise
+    nl = Nonlinearity.from_strings(["u1 + u2", "u1 * u2"], (1.0, 1.0))
+    p = ProblemInstance(disk_op, nl, (1.0, 1.0))
+    state = constant_state(disk_op.grid, (0.5, 1.0 + 2 * BOX_SLACK))
+    cert = certify(p, state)
+    assert not cert.in_box and not cert.certified
+    assert math.isnan(cert.residual)
+    assert "inside box:         no" in cert.to_text().splitlines()
+    assert cert.verdict() == "not certified"
 
 
 def test_from_below_limit_below_from_above_limit(disk_op):

@@ -217,6 +217,16 @@ def test_spectral_scaling(disk_grid, disk_op):
     assert est2.mu1 == pytest.approx(2.0 * est1.mu1, rel=1e-8)
 
 
+@pytest.mark.parametrize("a", [1e-7, 1e-30, 1e-100])
+def test_spectral_converges_at_small_diffusion(disk_grid, disk_op, a):
+    # K's values, and so the eigen-residual, scale with r = 1/mu1 = 1/a
+    op = assemble(disk_grid, EllipticCoefficients.diagonal(a), Dirichlet())
+    est = spectral_radius(op)
+    assert est.mu1 == pytest.approx(a * spectral_radius(disk_op).mu1,
+                                    rel=1e-8)
+    assert est.iterations < 100
+
+
 def test_eigen_residual_and_lower_bound(disk_op):
     tol = greens.SPECTRUM_TOL
     est = spectral_radius(disk_op)
@@ -254,6 +264,13 @@ def test_spectral_budget_exhaustion(disk_op, monkeypatch):
     monkeypatch.setattr(greens, "SPECTRUM_MAX_ITER", 1)
     with pytest.raises(NoConvergence):
         spectral_radius(disk_op)
+
+
+@pytest.mark.parametrize("level", [1e306, 1e308])
+def test_apply_K_rejects_an_overflowing_solve(disk_op, level):
+    # the LU solve overflows to NaN, whose backward error is NaN
+    with pytest.raises(SolverFailure, match="backward error nan"):
+        apply_K(disk_op, np.full(disk_op.grid.interior_count, level))
 
 
 def test_grid_function_rejects_nan(disk_op):

@@ -142,12 +142,30 @@ def test_growth_sample_scaled_by_rho0_is_a_fresh_draw(domain):
 
 
 def test_check_growth_vacuous_when_pivot_vanishes():
-    # with rho0 tiny, delta * u1 sits inside the comparison slack, so even
-    # f = 0 passes: the bound is vacuous where u_{i0} = 0
+    # with rho0 tiny, delta * u1 is far below an absolute slack of 1e-12;
+    # the slack shrinks with the compared values, so f = 0 still fails
     nl = Nonlinearity.from_strings(["0", "u1"], (1.0, 1.0))
     rep = check_growth(nl, 0, delta=1.0, rho0=1e-13, samples=500,
                        seed=3, domain=UnitDisk())
-    assert rep.passed
+    assert not rep.passed and rep.witness["f"] == 0.0
+
+
+def test_check_monotone_rejects_a_decrease_below_the_slack():
+    # f moves by at most rho = 1e-13 across the box, which is less than
+    # CHECK_SLACK, but at values near 1e-3
+    nl = Nonlinearity.from_strings(["1e-3 - s"], (1e-13,))
+    rep = check_monotone(nl, 0, 10_000, 1234, UnitDisk())
+    assert not rep.passed
+    assert rep.witness["f_u"] > rep.witness["f_v"]
+
+
+def test_check_growth_rejects_a_tiny_box():
+    # f = s^2 and 1e4 * s both lie far below CHECK_SLACK on [0, 5e-18]
+    nl = Nonlinearity.from_strings(["s^2"], (1e-17,))
+    rep = check_growth(nl, 0, delta=1e4, rho0=5e-18, samples=10_000,
+                       seed=1234, domain=UnitDisk())
+    assert not rep.passed
+    assert rep.witness["f"] < rep.witness["delta_u"]
 
 
 def test_check_growth_monotone_in_delta():
