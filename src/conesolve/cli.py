@@ -171,9 +171,9 @@ class Prepared:
         empty = self.command != "solve" and any(r.empty for r in self.ranges)
         return EXIT_EMPTY_RANGE if empty else EXIT_OK
 
-    def to_text(self, lambdas=None) -> str:
-        """The stdout of these stages; with `lambdas`, a range whose lambda
-        lies outside it is followed by a warning."""
+    def to_text(self) -> str:
+        """The stdout of these stages; for solve, a range whose lambda lies
+        outside it is followed by a warning."""
         cfg, solve, est = self.cfg, self.command == "solve", self.spectrum
         lines = ([f"grid: {format_domain(cfg.domain)} h={cfg.h} "
                   f"({self.grid.interior_count} interior nodes)"]
@@ -181,7 +181,7 @@ class Prepared:
         lines.append(self.symmetry_text())
         if self.command != "spectrum":
             lines.append(f"|K(1)| = {self.k1_norm:.6g}, mu1 = {est.mu1:.6g}")
-        if not self.op.diagnostics.is_m_matrix:
+        if not self.op.is_m_matrix:
             lines.append("warning: operator matrix is not an M-matrix; " + (
                 "positivity of the iteration is not guaranteed" if solve
                 else "the power iteration may not converge to a positive "
@@ -209,8 +209,8 @@ class Prepared:
             lines.append(f"hypothesis (c) fails: {self.error}")
         for rng in self.ranges:
             lines.append(rng.describe())
-            lam = None if lambdas is None else lambdas[rng.component]
-            if lam is not None and not rng.contains(lam):
+            lam = cfg.lambdas[rng.component] if solve else None
+            if solve and not rng.contains(lam):
                 lines.append(f"warning: lambda{rng.component + 1} = {lam:g} "
                              "outside the admissible interval; existence is "
                              "not guaranteed (the bound is sufficient, not "
@@ -403,12 +403,12 @@ def solve_at(prep: Prepared, lambdas) -> SolveResult:
         report = lower_error = None
         if alpha is not None:
             try:
-                report = monotone_iterate(problem, alpha, beta, tol=cfg.tol,
-                                          max_iter=cfg.max_iter)
+                report = monotone_iterate(problem, beta, alpha=alpha,
+                                          tol=cfg.tol, max_iter=cfg.max_iter)
             except (MonotonicityViolation, NoConvergence) as err:
                 lower_error = err   # only the lower half's, if beta succeeds
         if report is None:
-            report = monotone_iterate(problem, beta=beta, tol=cfg.tol,
+            report = monotone_iterate(problem, beta, tol=cfg.tol,
                                       max_iter=cfg.max_iter)
         result = replace(result, report=report, lower_error=lower_error)
         stage = "certificate"
@@ -436,7 +436,7 @@ def cmd_solve(cfg: Config, out_dir: str, want_csv: bool) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     prep = prepare(cfg)
-    print(prep.to_text(cfg.lambdas))
+    print(prep.to_text())
     # conditions such as "on [0,rho0]^n" and JSON witnesses hold commas:
     # quote a cell as csv.QUOTE_MINIMAL does
     rows = [['"' + cell.replace('"', '""') + '"'
@@ -471,10 +471,9 @@ def cmd_lambda_range(cfg: Config, out_dir: str, want_csv: bool) -> int:
     print(prep.to_text())
     if want_csv and prep.stopped_at is None:
         rows = [[r.component + 1, float(r.lower), float(r.upper),
-                 int(r.empty), float(r.provenance.m_value),
-                 float(r.provenance.k1_norm),
+                 int(r.empty), float(r.m_value), float(r.k1_norm),
                  *("" if v is None else f"{float(v):.17g}"
-                   for v in (r.provenance.mu1, r.provenance.delta))]
+                   for v in (r.mu1, r.delta))]
                 for r in prep.ranges]
         curve = [] if prep.curve is None else [
             ("ratio_curve.csv", (["s", "ratio"], list(prep.curve)))]

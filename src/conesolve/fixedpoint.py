@@ -96,12 +96,13 @@ class Limit:
 
 @dataclass
 class IterationReport:
-    """Result of monotone_iterate: the limit of each half that was iterated
-    (None for an absent half); both halves took `iterations` steps."""
+    """Result of monotone_iterate: the limit from above, and the limit from
+    below when a subsolution was given (else None); both halves took
+    `iterations` steps."""
 
     iterations: int
     lower: Limit | None
-    upper: Limit | None
+    upper: Limit
 
 
 @dataclass
@@ -186,10 +187,10 @@ def _bounds(v, tv, lower, what: str, proposed=()) -> list:
     return bound
 
 
-def _crossed(tv, lower, upper) -> bool:
-    """Whether T v_lower <= T v_upper fails (with both halves given)."""
-    return (lower is not None and upper is not None
-            and not _below(tv[lower], tv[upper]))
+def _crossed(tv, lower) -> bool:
+    """Whether T v_lower <= T v_upper fails, the upper half being the last;
+    False without a lower half."""
+    return lower is not None and not _below(tv[lower], tv[-1])
 
 
 class _Anderson:
@@ -272,22 +273,21 @@ def _advance(u, tu, slots, ts, moved):
     return np.where(moved, slots, u), np.where(moved, ts, tu)
 
 
-def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
+def monotone_iterate(p: ProblemInstance, beta, *, alpha=None,
                      tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER,
                      record_iterates: bool = False) -> IterationReport:
-    """Iterate from a subsolution alpha (upward) and a supersolution beta
-    (downward); either may be None.
+    """Iterate from a supersolution beta (downward) and, when given, a
+    subsolution alpha (upward).
 
     Each half holds an admissible state x with its image T x: the lower
     half a subsolution, the upper a supersolution, and T x_lower <=
     T x_upper.  A step fills one slot per half with either the plain step
     T x or, once the half has a history, its Anderson candidate projected
-    onto [T x_lower, T x_upper] (the box bounds stand in for an absent
-    half), and applies T once to the stacked slots.  A candidate is kept
-    only if it is again a sub- or supersolution and T w_lower <= T w_upper
-    still holds; a rejected half keeps its state and takes plain steps for
-    a while.  A plain slot must pass the same test or the step raises
+    onto [T x_lower, T x_upper] (0 stands in for an absent lower half), and
+    applies T once to the stacked slots.  A candidate is kept only if it is
+    again a sub- or supersolution and T w_lower <= T w_upper still holds; a
+    rejected half keeps its state and takes plain steps for a while.  A plain slot must pass the same test or the step raises
     MonotonicityViolation, so every accepted state satisfies alpha_k <=
     alpha_{k+1} <= beta_{k+1} <= beta_k nodewise and brackets a fixed
     point.  The halves stop together at the first step where each state x
@@ -297,46 +297,40 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    halves = [(direction, start) for direction, start
-              in (("from_below", alpha), ("from_above", beta))
-              if start is not None]
-    if not halves:
-        raise ValueError("need a subsolution, a supersolution or both")
-    lower = 0 if alpha is not None else None
-    upper = len(halves) - 1 if beta is not None else None
-    u = np.stack([np.asarray(start, dtype=float) for _, start in halves])
+    # the lower half, when given, is row 0; the upper half is the last row
+    starts = [beta] if alpha is None else [alpha, beta]
+    lower = None if alpha is None else 0
+    u = np.stack([np.asarray(start, dtype=float) for start in starts])
     tu = apply_T(p, u)
     _bounds(u, tu, lower, "start is not admissible")
-    if _crossed(tu, lower, upper):
+    if _crossed(tu, lower):
         raise MonotonicityViolation(
             "start is not admissible: lower iterate exceeded upper iterate")
-    box = np.asarray(p.nl.box, dtype=float)[:, None]
     work = np.empty((ANDERSON_M + 1, u[0].size))
     proposers = [_Anderson((tu[k] - u[k]).ravel(), tu[k].ravel(), work)
-                 for k in range(len(halves))]
+                 for k in range(len(starts))]
     history = [np.abs(u).max(axis=(1, 2))]
     iterates = [u] if record_iterates else None
     for it in range(1, max_iter + 1):
         what = f"iteration {it}"
         floor = tu[lower] if lower is not None else 0.0
-        ceiling = tu[upper] if upper is not None else box
         slots = tu.copy()
         proposed = []
         for k, proposer in enumerate(proposers):
             w = proposer.candidate()
             if w is not None:
-                np.clip(w.reshape(u.shape[1:]), floor, ceiling, out=slots[k])
+                np.clip(w.reshape(u.shape[1:]), floor, tu[-1], out=slots[k])
                 proposed.append(k)
         ts = apply_T(p, slots)
         # a candidate moves only if it is admissible; a plain slot must be
         moved = _bounds(slots, ts, lower, what, proposed)
         v, tv = _advance(u, tu, slots, ts, moved)
         # judged once, and again only after the moved candidates revert
-        crossed = _crossed(tv, lower, upper)
+        crossed = _crossed(tv, lower)
         if crossed and any(moved[k] for k in proposed):
-            moved = [k not in proposed for k in range(len(halves))]
+            moved = [k not in proposed for k in range(len(starts))]
             v, tv = _advance(u, tu, slots, ts, moved)
-            crossed = _crossed(tv, lower, upper)
+            crossed = _crossed(tv, lower)
         if crossed:
             raise MonotonicityViolation(
                 f"{what}: lower iterate exceeded upper iterate")
@@ -357,17 +351,17 @@ def monotone_iterate(p: ProblemInstance, alpha=None, beta=None,
         raise NoConvergence(
             f"monotone iteration did not converge in {max_iter} iterations")
     norms = np.array(history)
-    limits = [Limit(direction=direction, solution=v[k],
-                    residual=float(residual[k]),
+    limits = [Limit(direction="from_below" if k == lower else "from_above",
+                    solution=v[k], residual=float(residual[k]),
                     history=norms[:, k].tolist(),
                     converged_to_zero=negligible(norms[-1, k], tol),
                     iterates=None if iterates is None
                     else [x[k] for x in iterates],
                     proposed=proposers[k].proposed,
                     accepted=proposers[k].accepted)
-              for k, (direction, _) in enumerate(halves)]
-    return IterationReport(it, limits[0] if alpha is not None else None,
-                           limits[-1] if beta is not None else None)
+              for k in range(len(starts))]
+    return IterationReport(it, None if lower is None else limits[lower],
+                           limits[-1])
 
 
 def certify(p: ProblemInstance, u, tol: float = DEFAULT_TOL) -> Certificate:

@@ -113,8 +113,8 @@ def spectral_radius(op: DiscreteOperator) -> SpectralEstimate:
     agree to a relative SPECTRUM_TOL and the sup-norm eigen-residual is at
     most SPECTRUM_TOL * max(1, r), or raises NoConvergence after
     SPECTRUM_MAX_ITER applications of K.  On an operator that is not an
-    M-matrix (op.diagnostics.is_m_matrix) the iteration may not converge
-    to a positive eigenpair.
+    M-matrix (op.is_m_matrix) the iteration may not converge to a
+    positive eigenpair.
     """
     phi = np.ones(op.grid.interior_count)
     r_prev = None

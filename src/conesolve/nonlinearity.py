@@ -319,7 +319,7 @@ def screen_growth(nl: Nonlinearity, i0: int, deltas, rho0s,
 
 
 def max_over_domain(nl: Nonlinearity, i: int, states,
-                    grid: Grid | None) -> np.ndarray:
+                    grid: Grid) -> np.ndarray:
     """max over the grid nodes of f_i(x, u) at each constant state u, a row
     of the (k, n) array states; returns the (k,) maxima.
 
@@ -339,8 +339,6 @@ def max_over_domain(nl: Nonlinearity, i: int, states,
     if not nl.uses_x(i):
         m[:] = ex.eval_on_arrays(nl.exprs[i], nl.bindings(0.0, 0.0, u.T))
         return m
-    if grid is None:
-        raise ValueError("x-dependent nonlinearity needs a grid")
     width = max(1, BLOCK_ELEMENTS // max(len(u), 1))
     for start in range(0, grid.interior_count, width):
         xs = grid.xs[start:start + width]

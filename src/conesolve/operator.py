@@ -103,11 +103,6 @@ class Robin:
 BoundarySpec = Dirichlet | Neumann | Robin
 
 
-@dataclass(frozen=True)
-class OperatorDiagnostics:
-    is_m_matrix: bool
-
-
 # The slots of the 3x3 lattice window around a node, as (di, dj) offsets in
 # the order SW S SE W C E NW N NE.  Interior ids are row-major, so within a
 # row of A slot order is column order.
@@ -149,7 +144,7 @@ class DiscreteOperator:
 
     stencil: Stencil
     grid: Grid
-    diagnostics: OperatorDiagnostics
+    is_m_matrix: bool       # positive diagonal, nonpositive off-diagonal
     symmetry: tuple = ()
 
     def __post_init__(self):
@@ -312,7 +307,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
 
     Raises EllipticityViolation unless the sampled coefficient matrix is
     positive definite at every node.  Returns a DiscreteOperator whose
-    diagnostics report whether the matrix is an M-matrix (positive
+    is_m_matrix tells whether the matrix is an M-matrix (positive
     diagonal, nonpositive off-diagonal entries).  Coefficients so large
     that a matrix entry overflows raise CoefficientViolation, without
     floating-point warnings.
@@ -411,8 +406,7 @@ def assemble(grid: Grid, coeffs: EllipticCoefficients,
     # absent entries are 0, so the off-diagonal maximum covers them
     tol = 1e-12 * max(high.max(), -low.min())
     is_m = bool(low[CENTRE] > 0 and np.delete(high, CENTRE).max() <= tol)
-    return DiscreteOperator(Stencil(values, columns), grid,
-                            OperatorDiagnostics(is_m))
+    return DiscreteOperator(Stencil(values, columns), grid, is_m)
 
 
 # The symmetries of a lattice other than the identity, as (name, swap,
@@ -544,7 +538,7 @@ def fold(op: DiscreteOperator) -> DiscreteOperator:
     Returns op itself when no map other than the identity keeps A or when
     A E == E A_f fails; otherwise an operator over a grid of the orbit
     representatives whose `interior_ids` maps every lattice node to its
-    orbit, carrying op's diagnostics.
+    orbit, carrying op's is_m_matrix.
     """
     grid = op.grid
     identity = np.arange(grid.interior_count,
@@ -580,4 +574,4 @@ def fold(op: DiscreteOperator) -> DiscreteOperator:
         grid, interior_ids=np.where(ids >= 0, orbit[ids], -1).astype(np.int32),
         nodes=grid.nodes[reps], xs=grid.xs[reps], ys=grid.ys[reps],
         arms=grid.arms[reps]))
-    return DiscreteOperator(folded, reps_grid, op.diagnostics, tuple(names))
+    return DiscreteOperator(folded, reps_grid, op.is_m_matrix, tuple(names))

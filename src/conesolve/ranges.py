@@ -33,28 +33,28 @@ M_SAFETY = 1.01
 
 
 @dataclass(frozen=True)
-class RangeProvenance:
-    m_value: float
-    k1_norm: float
-    mu1: float | None = None
-    delta: float | None = None
-
-
-@dataclass(frozen=True)
 class LambdaRange:
-    """Admissible interval for one component.
+    """Admissible interval for one component, with the values its bounds
+    come from: m (m_j(beta), or M(rho) for one equation), |K1|, and for
+    the pivot component mu1 and delta.
 
     lower = 0 means "any positive value".  The strictness flags record which
-    inequality each bound carries; emptiness follows lower >= upper.
+    inequality each bound carries.
     """
 
     lower: float
     upper: float
-    empty: bool
     component: int
-    provenance: RangeProvenance
+    m_value: float
+    k1_norm: float
+    mu1: float | None = None
+    delta: float | None = None
     lower_strict: bool = True
     upper_strict: bool = False
+
+    @property
+    def empty(self) -> bool:
+        return self.lower >= self.upper
 
     def describe(self) -> str:
         lo = "(" if self.lower_strict else "["
@@ -62,12 +62,11 @@ class LambdaRange:
         body = f"{lo}{self.lower:.6g}, {self.upper:.6g}{hi}"
         if self.empty:
             body += "  EMPTY"
-        p = self.provenance
-        extras = [f"m={p.m_value:.6g}", f"|K1|={p.k1_norm:.6g}"]
-        if p.mu1 is not None:
-            extras.append(f"mu1={p.mu1:.6g}")
-        if p.delta is not None:
-            extras.append(f"delta={p.delta:.6g}")
+        extras = [f"m={self.m_value:.6g}", f"|K1|={self.k1_norm:.6g}"]
+        if self.mu1 is not None:
+            extras.append(f"mu1={self.mu1:.6g}")
+        if self.delta is not None:
+            extras.append(f"delta={self.delta:.6g}")
         return f"lambda{self.component + 1} in {body}  ({', '.join(extras)})"
 
     def contains(self, lam: float) -> bool:
@@ -101,15 +100,13 @@ def system_ranges(nl: Nonlinearity, beta, i0: int, delta: float,
         upper = float(beta[j]) / (m * k1_norm) if m > 0 else math.inf
         lower = mu1 / delta if j == i0 else 0.0
         out.append(LambdaRange(
-            lower=lower, upper=upper, empty=lower >= upper, component=j,
-            provenance=RangeProvenance(m, k1_norm,
-                                       mu1 if j == i0 else None,
-                                       delta if j == i0 else None),
-            lower_strict=True, upper_strict=False))
+            lower=lower, upper=upper, component=j, m_value=m,
+            k1_norm=k1_norm, mu1=mu1 if j == i0 else None,
+            delta=delta if j == i0 else None))
     return out
 
 
-def ratio_curve(nl: Nonlinearity, k1_norm: float, grid: Grid | None = None):
+def ratio_curve(nl: Nonlinearity, k1_norm: float, grid: Grid):
     """Sampled curve s -> s / (M(s) k1_norm) on CURVE_POINTS log-uniform
     points of [rho * CURVE_FLOOR, rho], rho = nl.box[0]; returns (s values,
     ratios).  M is one max_over_domain call over every s, bitwise that of
@@ -120,7 +117,7 @@ def ratio_curve(nl: Nonlinearity, k1_norm: float, grid: Grid | None = None):
     return s, s / (_checked_max_f(nl, s, grid) * k1_norm)
 
 
-def _checked_max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
+def _checked_max_f(nl: Nonlinearity, s, grid: Grid) -> np.ndarray:
     """M on the ascending 1-D array s, failing as evaluating each s on its
     own in turn would: at the first s whose evaluation raises or whose
     M(s) <= 0, with that evaluation's error."""
@@ -139,17 +136,14 @@ def _checked_max_f(nl: Nonlinearity, s, grid: Grid | None) -> np.ndarray:
 
 
 def single_range(nl: Nonlinearity, delta: float, k1_norm: float, mu1: float,
-                 grid: Grid | None = None, curve=None) -> LambdaRange:
+                 grid: Grid, curve) -> LambdaRange:
     """Admissible interval [mu1/delta, sup_s s/(M(s) |K1|)) for a single
     equation (n = 1), s in (0, nl.box[0]].  `curve` is the (s, ratios)
-    pair ratio_curve returns for these arguments, when the caller has
-    already built it."""
+    pair ratio_curve(nl, k1_norm, grid) returns."""
     if nl.n != 1:
         raise ValueError("single_range needs a one-component nonlinearity")
     if not (delta > 0):
         raise ValueError("delta must be positive")
-    if curve is None:
-        curve = ratio_curve(nl, k1_norm, grid)
     s, ratios = curve
     k = int(np.argmax(ratios))
     sup = float(ratios[k])
@@ -168,6 +162,5 @@ def single_range(nl: Nonlinearity, delta: float, k1_norm: float, mu1: float,
     lower = mu1 / delta
     m_rho = float(max_over_domain(nl, 0, [[nl.box[0]]], grid)[0])
     return LambdaRange(
-        lower=lower, upper=sup, empty=lower >= sup, component=0,
-        provenance=RangeProvenance(m_rho, k1_norm, mu1, delta),
-        lower_strict=False, upper_strict=True)
+        lower=lower, upper=sup, component=0, m_value=m_rho, k1_norm=k1_norm,
+        mu1=mu1, delta=delta, lower_strict=False, upper_strict=True)

@@ -164,10 +164,11 @@ def _crit_system_uppers(ctx: VerifyContext):
 
 
 def _crit_scalar_sup(ctx: VerifyContext):
-    from .ranges import single_range
+    from .ranges import ratio_curve, single_range
     cfg = ctx.builtin_config("scalar_disk.cfg")
-    rng = single_range(cfg.nl, delta=1.0, k1_norm=ANALYTIC_K1_NORM,
-                       mu1=disk_mu1_reference())
+    grid = ctx.op("disk").grid
+    rng = single_range(cfg.nl, 1.0, ANALYTIC_K1_NORM, disk_mu1_reference(),
+                       grid, ratio_curve(cfg.nl, ANALYTIC_K1_NORM, grid))
     err = abs(rng.upper - SCALAR_SUP)
     return err <= 1e-3, (f"sup = {rng.upper:.6f} vs {SCALAR_SUP} "
                          f"(|diff| = {err:.2e}, target <= 1e-3)")
@@ -182,7 +183,7 @@ def _crit_end_to_end(ctx: VerifyContext):
     ok_super, _ = check_supersolution(problem, beta)
     if not ok_super:
         return False, "supersolution check failed at beta = rho"
-    report = monotone_iterate(problem, beta=beta, tol=cfg.tol,
+    report = monotone_iterate(problem, beta, tol=cfg.tol,
                               max_iter=cfg.max_iter, record_iterates=True)
     iterates = report.upper.iterates
     # independent nodewise re-check of the recorded sequence
@@ -245,7 +246,7 @@ def _crit_bracketing(ctx: VerifyContext):
         if alpha is None:
             continue
         succeeded += 1
-        bracket = monotone_iterate(problem, alpha, beta, tol=1e-10,
+        bracket = monotone_iterate(problem, beta, alpha=alpha, tol=1e-10,
                                    max_iter=5000, record_iterates=True)
         pairs = zip(bracket.lower.iterates, bracket.upper.iterates)
         if not all(np.all(a <= b + 1e-9) for a, b in pairs):

@@ -284,10 +284,10 @@ def test_a_two_half_violation_falls_back_to_beta(tmp_path, monkeypatch,
                  "--csv"]) == 0
     monkeypatch.undo()
     for error in (MonotonicityViolation, NoConvergence):
-        def failing_lower_half(problem, alpha=None, beta=None, **kwargs):
+        def failing_lower_half(problem, beta, alpha=None, **kwargs):
             if alpha is not None:
                 raise error("planted")
-            return iterate(problem, beta=beta, **kwargs)
+            return iterate(problem, beta, **kwargs)
 
         out = tmp_path / error.__name__
         capsys.readouterr()
@@ -886,7 +886,7 @@ def test_x_dependent_system_ranges_match_the_library(tmp_path):
     ranges = system_ranges(cfg.nl, cfg.rho, cfg.i0, cfg.delta,
                            k_one_norm(op)[1], spectral_radius(op).mu1, grid)
     assert [(row["upper"], row["m_value"]) for row in rows] == [
-        (f"{rng.upper:.17g}", f"{rng.provenance.m_value:.17g}")
+        (f"{rng.upper:.17g}", f"{rng.m_value:.17g}")
         for rng in ranges]
 
 

@@ -122,7 +122,7 @@ def test_monotone_iterate_constant_two_steps(disk_op):
     p = constant_problem(disk_op)
     k1, _ = k_one_norm(disk_op)
     beta = constant_state(disk_op.grid, (1.0,))
-    rep = monotone_iterate(p, beta=beta, tol=1e-12)
+    rep = monotone_iterate(p, beta, tol=1e-12)
     assert rep.iterations <= 2
     assert rep.lower is None
     assert rep.upper.residual == 0.0
@@ -130,20 +130,20 @@ def test_monotone_iterate_constant_two_steps(disk_op):
 
 
 def test_monotone_iterate_zero_start(disk_op):
+    # 0 is a supersolution and the trivial fixed point: one step reaches it
     p = reference_problem(disk_op)
     zero = np.zeros((2, disk_op.grid.interior_count))
-    rep = monotone_iterate(p, alpha=zero, tol=1e-10)
+    rep = monotone_iterate(p, zero, tol=1e-10)
     assert rep.iterations == 1
-    assert rep.upper is None
-    assert rep.lower.converged_to_zero
-    assert rep.lower.norm == 0.0
+    assert rep.lower is None
+    assert rep.upper.converged_to_zero
+    assert rep.upper.norm == 0.0
 
 
 def test_monotone_iterate_reference_system(disk_op):
     p = reference_problem(disk_op)
     beta = constant_state(disk_op.grid, (RHO, RHO))
-    rep = monotone_iterate(p, beta=beta, tol=1e-9,
-                           record_iterates=True).upper
+    rep = monotone_iterate(p, beta, tol=1e-9, record_iterates=True).upper
     assert rep.residual <= 1e-9
     assert not rep.converged_to_zero
     assert 0 < rep.norm <= RHO
@@ -159,7 +159,7 @@ def test_monotone_iterate_rejects_bad_start(disk_op):
     tiny = constant_state(disk_op.grid, (1e-3, 1e-3))
     with pytest.raises(MonotonicityViolation):
         # T(tiny) is far above tiny, so tiny is not a supersolution
-        monotone_iterate(p, beta=tiny)
+        monotone_iterate(p, tiny)
 
 
 def test_monotone_iterate_detects_nonmonotone_f(disk_op):
@@ -168,12 +168,21 @@ def test_monotone_iterate_detects_nonmonotone_f(disk_op):
     p = ProblemInstance(disk_op, nl, (1.0,))
     beta = constant_state(disk_op.grid, (1.0,))
     with pytest.raises(MonotonicityViolation):
-        monotone_iterate(p, beta=beta, tol=1e-10)
+        monotone_iterate(p, beta, tol=1e-10)
 
 
-def test_monotone_iterate_needs_a_start(disk_op):
-    with pytest.raises(ValueError):
-        monotone_iterate(reference_problem(disk_op))
+def test_monotone_iterate_needs_a_start(disk_op, monkeypatch):
+    # the supersolution is required, and a subsolution alone is refused
+    # before T is applied
+    applied = []
+    monkeypatch.setattr(fixedpoint, "apply_T", lambda *args: applied.append(1))
+    p = reference_problem(disk_op)
+    zero = np.zeros((2, disk_op.grid.interior_count))
+    with pytest.raises(TypeError, match="beta"):
+        monotone_iterate(p)
+    with pytest.raises(TypeError, match="beta"):
+        monotone_iterate(p, alpha=zero)
+    assert applied == []
 
 
 def test_T_monotone_on_ordered_pairs(disk_op):
@@ -191,7 +200,7 @@ def test_two_sided_iterate_sandwich(disk_op):
     p = reference_problem(disk_op)
     alpha = construct_subsolution(p, est, 0, 0.01)
     beta = constant_state(disk_op.grid, (RHO, RHO))
-    report = monotone_iterate(p, alpha, beta, tol=1e-10,
+    report = monotone_iterate(p, beta, alpha=alpha, tol=1e-10,
                               record_iterates=True)
     for a, b in zip(report.lower.iterates, report.upper.iterates):
         assert np.all(a <= b + 1e-9)
@@ -209,7 +218,7 @@ def test_two_sided_iterate_checks_the_sandwich(disk_op):
     zero = constant_state(disk_op.grid, (0.0,))
     one = constant_state(disk_op.grid, (1.0,))
     with pytest.raises(MonotonicityViolation, match="exceeded"):
-        monotone_iterate(p, zero, one)
+        monotone_iterate(p, one, alpha=zero)
 
 
 def test_certify_constant_solution(disk_op):
@@ -294,8 +303,8 @@ def test_from_below_limit_below_from_above_limit(disk_op):
     p = reference_problem(disk_op)
     alpha = construct_subsolution(p, est, 0, 0.01)
     beta = constant_state(disk_op.grid, (RHO, RHO))
-    low = monotone_iterate(p, alpha=alpha, tol=1e-10).lower
-    high = monotone_iterate(p, beta=beta, tol=1e-10).upper
+    low = monotone_iterate(p, beta, alpha=alpha, tol=1e-10).lower
+    high = monotone_iterate(p, beta, tol=1e-10).upper
     assert np.all(low.solution <= high.solution + 1e-9)
 
 
@@ -311,7 +320,7 @@ def test_monotone_iterate_budget_exhaustion(disk_op):
     p = reference_problem(disk_op)
     beta = constant_state(disk_op.grid, (RHO, RHO))
     with pytest.raises(NoConvergence):
-        monotone_iterate(p, beta=beta, tol=1e-12, max_iter=2)
+        monotone_iterate(p, beta, tol=1e-12, max_iter=2)
 
 
 def _bracket(op):
@@ -337,7 +346,7 @@ def test_rejected_candidates_keep_the_order_and_the_limit(disk_op,
     # T w <= w fails
     p = reference_problem(disk_op)
     beta = constant_state(disk_op.grid, (RHO, RHO))
-    honest = monotone_iterate(p, beta=beta, tol=1e-10).upper
+    honest = monotone_iterate(p, beta, tol=1e-10).upper
     propose = fixedpoint._Anderson.candidate
 
     def spoiled(self):
@@ -345,7 +354,7 @@ def test_rejected_candidates_keep_the_order_and_the_limit(disk_op,
         return None if w is None else 0.5 * w
 
     monkeypatch.setattr(fixedpoint._Anderson, "candidate", spoiled)
-    report = monotone_iterate(p, beta=beta, tol=1e-10, record_iterates=True)
+    report = monotone_iterate(p, beta, tol=1e-10, record_iterates=True)
     upper = report.upper
     assert upper.proposed > 0 and upper.accepted == 0
     assert len(upper.iterates) == report.iterations + 1
@@ -380,7 +389,7 @@ def _crossing_bracket(disk_op, monkeypatch):
 def test_crossing_candidates_are_rejected_together(disk_op, monkeypatch):
     # the pair of candidates would cross, so both must be rejected
     p, zero, one = _crossing_bracket(disk_op, monkeypatch)
-    report = monotone_iterate(p, zero, one, tol=1e-12)
+    report = monotone_iterate(p, one, alpha=zero, tol=1e-12)
     for half in (report.lower, report.upper):
         assert half.proposed > 0 and half.accepted == 0
     assert report.lower.norm == pytest.approx(0.1070, abs=1e-3)
@@ -406,7 +415,7 @@ def test_the_crossing_is_judged_once_per_step(disk_op, monkeypatch,
         return verdicts[-1]
 
     monkeypatch.setattr(fixedpoint, "_crossed", counting)
-    report = monotone_iterate(p, alpha, beta, tol=1e-12 if crossing
+    report = monotone_iterate(p, beta, alpha=alpha, tol=1e-12 if crossing
                               else 1e-9)
     reverted = sum(verdicts)
     assert report.iterations > 1 and (reverted > 0) == crossing
@@ -418,7 +427,7 @@ def test_anderson_steps_cut_the_plain_iteration():
     op = assemble(grid, EllipticCoefficients.laplacian(), Dirichlet())
     p, alpha, beta = _bracket(op)
     tol = 1e-9
-    report = monotone_iterate(p, alpha, beta, tol=tol)
+    report = monotone_iterate(p, beta, alpha=alpha, tol=tol)
     plain_steps = max(_plain_limit(p, alpha, tol)[0],
                       _plain_limit(p, beta, tol)[0])
     assert report.iterations <= 0.7 * plain_steps
@@ -431,7 +440,7 @@ def test_anderson_steps_cut_the_plain_iteration():
 
 def test_recorded_iterates_are_the_accepted_states(disk_op):
     p, alpha, beta = _bracket(disk_op)
-    report = monotone_iterate(p, alpha, beta, tol=1e-10,
+    report = monotone_iterate(p, beta, alpha=alpha, tol=1e-10,
                               record_iterates=True)
     assert report.upper.accepted > 0
     # every recorded state is a sub- (lower) or supersolution (upper), the
@@ -471,7 +480,7 @@ def test_negligible_norm_is_one_rule(disk_op):
     k1, _ = k_one_norm(disk_op)
     tol = float(np.abs(k1).max()) / fixedpoint.NONZERO_FACTOR
     beta = constant_state(disk_op.grid, (1.0,))
-    limit = monotone_iterate(p, beta=beta, tol=tol).upper
+    limit = monotone_iterate(p, beta, tol=tol).upper
     cert = certify(p, limit.solution, tol=tol)
     assert limit.norm == fixedpoint.NONZERO_FACTOR * tol
     assert limit.converged_to_zero and not cert.nonzero

@@ -213,7 +213,6 @@ def test_max_over_domain_grid_independent_for_x_free(disk_grid, square_grid):
     a = max_over_domain(nl, 0, [(RHO / 2, RHO / 3)], disk_grid)
     b = max_over_domain(nl, 0, [(RHO / 2, RHO / 3)], square_grid)
     assert a == b
-    assert max_over_domain(nl, 0, [(RHO / 2, RHO / 3)], None) == a
 
 
 def test_max_over_domain_validates_beta(disk_grid):

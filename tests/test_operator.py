@@ -16,15 +16,15 @@ from conesolve.errors import (CoefficientViolation, EllipticityViolation,
                               UnsupportedBC)
 from conesolve.geometry import BOUNDARY
 from conesolve.operator import (CENTRE, SLOT_OFFSETS, DiscreteOperator,
-                                OperatorDiagnostics, Stencil,
-                                _check_ellipticity, _sample, constant)
+                                Stencil, _check_ellipticity, _sample,
+                                constant)
 
 
 def test_laplacian_single_node_matrix():
     grid = build_grid(Rectangle(0, 1, 0, 1), 0.5)
     op = assemble(grid, EllipticCoefficients.laplacian(), Dirichlet())
     assert op.matrix.toarray() == pytest.approx(np.array([[16.0]]))
-    assert op.diagnostics.is_m_matrix
+    assert op.is_m_matrix
 
 
 def test_zero_order_shifts_diagonal():
@@ -72,7 +72,7 @@ def test_disk_shortley_weller_matrix_matches_hand_assembly():
     op = assemble(grid, EllipticCoefficients.laplacian(), Dirichlet())
     dense = op.matrix.toarray()
     assert dense.shape == (9, 9)
-    assert op.diagnostics.is_m_matrix
+    assert op.is_m_matrix
     ref = sw_reference_disk_matrix(grid)
     assert dense == pytest.approx(ref, rel=1e-13)
     # spot check the corner node (0.5, 0.5): both shortened legs have
@@ -91,7 +91,7 @@ def test_m_matrix_for_diagonal_operators():
         a22=lambda x, y: 2.0 + y * y, b1=constant(0.0), b2=constant(0.0),
         c=lambda x, y: 0.5 + 0.0 * x)
     op = assemble(grid, coeffs, Dirichlet())
-    assert op.diagnostics.is_m_matrix
+    assert op.is_m_matrix
     dense = op.matrix.toarray()
     off = dense - np.diag(np.diag(dense))
     # weak diagonal dominance row by row
@@ -105,7 +105,7 @@ def test_upwinding_keeps_m_matrix():
         b1=lambda x, y: 10.0 * (x - 0.5), b2=lambda x, y: -8.0 + 0.0 * x,
         c=constant(0.0))
     op = assemble(grid, coeffs, Dirichlet())
-    assert op.diagnostics.is_m_matrix
+    assert op.is_m_matrix
 
 
 def test_mixed_term_clears_m_matrix_flag():
@@ -114,7 +114,7 @@ def test_mixed_term_clears_m_matrix_flag():
         a11=constant(1.0), a12=constant(0.4), a22=constant(1.0),
         b1=constant(0.0), b2=constant(0.0), c=constant(0.0))
     op = assemble(grid, coeffs, Dirichlet())
-    assert not op.diagnostics.is_m_matrix
+    assert not op.is_m_matrix
 
 
 def test_constant_coefficient_symmetry():
@@ -176,8 +176,7 @@ def test_singular_factor_raises_solver_failure():
     values[:, CENTRE] = [1.0, 2.0, 0.0, 3.0]     # row 2 stores nothing
     columns = np.full((4, 9), -1)
     columns[:, CENTRE] = np.arange(4)
-    op = DiscreteOperator(Stencil(values, columns), grid,
-                          OperatorDiagnostics(False))
+    op = DiscreteOperator(Stencil(values, columns), grid, False)
     with pytest.raises(SolverFailure, match="singular"):
         op.factorization()
 
@@ -220,7 +219,7 @@ def test_robin_reproduces_quadratics_exactly():
     grid = build_grid(Rectangle(0, 1, 0, 1), 1 / 8)
     op = assemble(grid, EllipticCoefficients.laplacian(),
                   Robin(constant(1.0)))
-    assert op.diagnostics.is_m_matrix
+    assert op.is_m_matrix
 
     def phi(t):
         return 1.0 + t * (1.0 - t)
@@ -247,7 +246,7 @@ def test_mixed_term_robin_corner_elimination_exact():
         constant(1.0), constant(a12), constant(1.0),
         constant(0.0), constant(0.0), constant(0.0))
     op = assemble(grid, coeffs, Robin(constant(1.0)))
-    assert not op.diagnostics.is_m_matrix
+    assert not op.is_m_matrix
     exact = phi(grid.xs) * phi(grid.ys)
     rhs = (2.0 * (phi(grid.xs) + phi(grid.ys))
            - 2.0 * a12 * dphi(grid.xs) * dphi(grid.ys))
@@ -397,7 +396,7 @@ def test_constant_coefficients_assemble_as_x_dependent_ones(domain, bc,
         ops.append(assemble(build_grid(cfg.domain, cfg.h), cfg.coefficients,
                             cfg.bc))
     number, expression = ops
-    assert number.diagnostics == expression.diagnostics
+    assert number.is_m_matrix == expression.is_m_matrix
     for a, b in zip(number.stencil, expression.stencil):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()

@@ -79,8 +79,8 @@ def test_x_dependent_m_gets_safety_factor():
                for j in range(2)]
     # only the x-dependent component is inflated, by the fixed M_SAFETY
     assert M_SAFETY == 1.01
-    assert ranges[0].provenance.m_value == sampled[0]
-    assert ranges[1].provenance.m_value == sampled[1] * M_SAFETY
+    assert ranges[0].m_value == sampled[0]
+    assert ranges[1].m_value == sampled[1] * M_SAFETY
     assert ranges[1].upper == 1.0 / (sampled[1] * M_SAFETY * 0.25)
 
 
@@ -98,44 +98,50 @@ def test_m_homogeneity_keeps_upper_invariant(disk_grid):
     assert c2[0].upper == pytest.approx(2.0 * c1[0].upper, rel=1e-12)
 
 
-def test_single_range_reference_sup():
+def sup_range(nl, delta, grid):
+    """single_range at |K1| = 0.25 on the curve ratio_curve builds."""
+    return single_range(nl, delta, 0.25, MU1_DISK, grid,
+                        ratio_curve(nl, 0.25, grid))
+
+
+def test_single_range_reference_sup(disk_grid):
     assert ranges.CURVE_POINTS == 1000
-    rng = single_range(scalar_sqrt_tan(), 1.0, 0.25, MU1_DISK)
+    rng = sup_range(scalar_sqrt_tan(), 1.0, disk_grid)
     assert rng.upper == pytest.approx(1.66924, abs=1e-3)
     assert rng.upper == pytest.approx(1.6692395899937982, abs=1e-6)
     assert rng.lower == pytest.approx(MU1_DISK)
     assert not rng.lower_strict and rng.upper_strict
 
 
-def test_single_range_linear_ratio_constant():
+def test_single_range_linear_ratio_constant(disk_grid):
     nl = Nonlinearity.from_strings(["s"], (1.0,))
-    rng = single_range(nl, 1.0, 0.25, MU1_DISK)
+    rng = sup_range(nl, 1.0, disk_grid)
     assert rng.upper == pytest.approx(4.0, rel=1e-9)
     assert rng.empty     # mu1 > 4
 
 
-def test_single_range_constant_f_sup_at_rho():
+def test_single_range_constant_f_sup_at_rho(disk_grid):
     nl = Nonlinearity.from_strings(["1"], (0.8,))
-    rng = single_range(nl, 8.0, 0.25, MU1_DISK)
+    rng = sup_range(nl, 8.0, disk_grid)
     assert rng.upper == pytest.approx(4 * 0.8, rel=1e-9)
 
 
-def test_single_range_refinement_stable(monkeypatch):
-    base = single_range(scalar_sqrt_tan(), 1.0, 0.25, MU1_DISK)
+def test_single_range_refinement_stable(monkeypatch, disk_grid):
+    base = sup_range(scalar_sqrt_tan(), 1.0, disk_grid)
     monkeypatch.setattr(ranges, "CURVE_POINTS", 2000)
-    fine = single_range(scalar_sqrt_tan(), 1.0, 0.25, MU1_DISK)
+    fine = sup_range(scalar_sqrt_tan(), 1.0, disk_grid)
     assert abs(base.upper - fine.upper) < 1e-6
 
 
-def test_nonpositive_m_detected():
+def test_nonpositive_m_detected(disk_grid):
     nl = Nonlinearity.from_strings(["0"], (1.0,))
     with pytest.raises(NonpositiveM):
-        single_range(nl, 1.0, 0.25, MU1_DISK)
+        sup_range(nl, 1.0, disk_grid)
 
 
-def test_ratio_curve_shape(monkeypatch):
+def test_ratio_curve_shape(monkeypatch, disk_grid):
     monkeypatch.setattr(ranges, "CURVE_POINTS", 500)
-    s, ratios = ratio_curve(scalar_sqrt_tan(), 0.25)
+    s, ratios = ratio_curve(scalar_sqrt_tan(), 0.25, disk_grid)
     assert len(s) == len(ratios) == 500
     assert s[0] == pytest.approx((math.pi / 2 - 1e-6) * 1e-8)
     assert ratios.max() <= 1.6692395899937982 + 1e-9
@@ -256,12 +262,18 @@ def test_ratio_curve_blocks_stay_within_the_element_budget(monkeypatch):
     assert [(len(v), cols) for v, cols in blocks] == [(1000, 1)]
 
 
-def test_single_range_uses_a_given_curve():
+def test_single_range_uses_a_given_curve(monkeypatch, disk_grid):
+    # the range reads the curve it is given and builds none: a planted
+    # sampled best is its upper bound
     nl = scalar_sqrt_tan()
-    curve = ratio_curve(nl, 0.25)
-    given = single_range(nl, 1.0, 0.25, MU1_DISK, curve=curve)
-    built = single_range(nl, 1.0, 0.25, MU1_DISK)
-    assert given == built
+    s, ratios = ratio_curve(nl, 0.25, disk_grid)
+    monkeypatch.setattr(ranges, "ratio_curve", None)
+    given = single_range(nl, 1.0, 0.25, MU1_DISK, disk_grid, (s, ratios))
+    assert given.upper == pytest.approx(1.6692395899937982, abs=1e-6)
+    planted = ratios.copy()
+    planted[500] = 1e3
+    rng = single_range(nl, 1.0, 0.25, MU1_DISK, disk_grid, (s, planted))
+    assert rng.upper == 1e3
 
 
 def golden_section_sup(nl, lo, hi, k1_norm, grid):
@@ -307,14 +319,14 @@ def zoom_case(case, monkeypatch):
             (files("conesolve") / "configs" / "scalar_disk.cfg").read_text())
         return cfg.nl, build_grid(cfg.domain, cfg.h)
     monkeypatch.setattr(ranges, "CURVE_POINTS", 2000)
-    return scalar_sqrt_tan(), None
+    return scalar_sqrt_tan(), build_grid(UnitDisk(), 1 / 8)
 
 
 @pytest.mark.parametrize("case", ZOOM_CASES)
 def test_zoom_sup_matches_a_golden_section_reference(monkeypatch, case):
     nl, grid = zoom_case(case, monkeypatch)
-    s, ratios = ratio_curve(nl, 0.25, grid)
-    rng = single_range(nl, 1.0, 0.25, MU1_DISK, grid=grid)
+    s, ratios = curve = ratio_curve(nl, 0.25, grid)
+    rng = single_range(nl, 1.0, 0.25, MU1_DISK, grid, curve)
     k = int(np.argmax(ratios))
     reference = max(float(ratios[k]), golden_section_sup(
         nl, float(s[k - 1]), float(s[min(k + 1, len(s) - 1)]), 0.25, grid))
@@ -345,7 +357,7 @@ def test_zoom_rounds_are_blocks_within_the_element_budget(monkeypatch,
 
     monkeypatch.setattr(ranges, "_checked_max_f", zoom_round)
     recording_blocks(monkeypatch, blocks)
-    single_range(nl, 1.0, 0.25, MU1_DISK, grid=grid, curve=curve)
+    single_range(nl, 1.0, 0.25, MU1_DISK, grid, curve)
     nodes = grid.interior_count if nl.uses_x(0) else 1
     *zoom, m_rho = blocks
     assert list(m_rho[0]) == [nl.box[0]] and m_rho[1] == nodes
@@ -386,7 +398,7 @@ def test_zoom_failure_names_the_smallest_failing_s(monkeypatch, source,
 
     monkeypatch.setattr(expr_module, "eval_on_arrays", recording)
     with pytest.raises(error) as zoomed:
-        single_range(nl, 1.0, 0.25, MU1_DISK, grid=grid, curve=curve)
+        single_range(nl, 1.0, 0.25, MU1_DISK, grid, curve)
     monkeypatch.undo()
     block = [b for b in blocks if b.size > 1][-1]
     assert np.all((block > s[-2]) & (block < s[-1]))
