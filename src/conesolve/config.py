@@ -38,6 +38,10 @@ SETTINGS = {
     "seed": (int, 1234), "samples": (int, 10_000),
 }
 
+# Largest `samples`: the hypothesis checks hold a few arrays of `samples`
+# doubles per component, 8 MiB each at this bound.
+MAX_SAMPLES = 2 ** 20
+
 # The coefficients of L: key -> default expression in x1, x2.
 COEFFICIENTS = {"a11": "1", "a12": "0", "a22": "1",
                 "b1": "0", "b2": "0", "c": "0"}
@@ -205,8 +209,16 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Read and parse a UTF-8 config file, skipping a leading byte order
+    mark as the utf-8-sig codec does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config is not UTF-8: byte 0x{data[err.start]:02x} "
+                          f"at offset {err.start}") from None
+    return parse_config(text.removeprefix("\ufeff"))
 
 
 def _parse_domain(value, key, lineno) -> DomainSpec:
@@ -277,3 +289,5 @@ def _validate(settings, rho):
         raise ConfigError("seed must be non-negative")
     if settings["max_iter"] < 1 or settings["samples"] < 1:
         raise ConfigError("max_iter and samples must be at least 1")
+    if settings["samples"] > MAX_SAMPLES:
+        raise ConfigError(f"samples must be at most {MAX_SAMPLES}")

@@ -13,6 +13,10 @@ exponent itself may be signed ("2^-3").  Variable and function names form
 closed sets: variables are supplied by the caller, functions are the ones in
 FUNCTION_ARITY.  Evaluation is IEEE double precision and raises
 EvalDomainError instead of producing NaN or infinity.
+
+The parser and the evaluator recurse once per level of nesting, so an
+expression may nest at most MAX_DEPTH levels: each operator, function call
+and parenthesised group adds one level to the values inside it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ FUNCTION_ARITY = {
     "exp": (1, 1), "log": (1, 1), "abs": (1, 1),
     "min": (2, None), "max": (2, None), "pow": (2, 2),
 }
+
+# Deepest nesting parse accepts.  A level of function calls costs the
+# parser 7 stack frames, so parsing at this depth takes about 720 frames of
+# Python's default recursion limit of 1000, and evaluating about 210.
+MAX_DEPTH = 100
 
 TAN_GUARD = 1e-8   # exclusion window around the poles of tan
 # arguments inside (-TAN_CLEAR, TAN_CLEAR) are clear of every exclusion
@@ -135,9 +144,15 @@ def _tokenize(source):
 # parser
 
 class _Parser:
+    """Recursive descent; each rule returns (tree, nesting depth), where a
+    number or variable has depth 0.  `level` counts the groups, calls,
+    minus signs and exponents open around the token being read, so a
+    nesting too deep is refused before the recursion goes deeper."""
+
     def __init__(self, tokens, allowed_vars):
         self.tokens = tokens
         self.k = 0
+        self.level = 0
         self.allowed = frozenset(allowed_vars)
 
     def peek(self):
@@ -156,57 +171,80 @@ class _Parser:
                 tok.pos)
         return tok
 
+    def nest(self, tok, depth):
+        """depth + 1, the depth of a construct opened at tok around a
+        value of the given depth, if it is at most MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", tok.pos)
+        return depth + 1
+
+    def inner(self, tok, rule):
+        """(tree, depth) of rule(), read one level further in, inside a
+        construct opened at tok, with that construct's level counted."""
+        self.level = self.nest(tok, self.level)
+        node, depth = rule()
+        self.level -= 1
+        return node, self.nest(tok, depth)
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok.kind != "eof":
             raise ExprSyntaxError(f"unexpected '{tok.text}'", tok.pos)
         return node
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Binary(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, right_depth = self.term()
+            node = Binary(tok.text, node, right)
+            depth = self.nest(tok, max(depth, right_depth))
+        return node, depth
 
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.unary())
-        return node
+            tok = self.advance()
+            right, right_depth = self.unary()
+            node = Binary(tok.text, node, right)
+            depth = self.nest(tok, max(depth, right_depth))
+        return node, depth
 
     def unary(self):
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Unary("neg", self.unary())
+            operand, depth = self.inner(tok, self.unary)
+            return Unary("neg", operand), depth
         return self.power()
 
     def power(self):
-        base = self.atom()
+        base, depth = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            return Binary("^", base, self.unary())
-        return base
+            expo, expo_depth = self.inner(tok, self.unary)
+            return (Binary("^", base, expo),
+                    max(self.nest(tok, depth), expo_depth))
+        return base, depth
 
     def atom(self):
         tok = self.advance()
         if tok.kind == "num":
-            return Constant(float(tok.text))
+            return Constant(float(tok.text)), 0
         if tok.kind == "ident":
             if self.peek().kind == "op" and self.peek().text == "(":
                 return self.call(tok)
             if tok.text not in self.allowed:
                 raise UnknownVariable(f"unknown variable '{tok.text}'",
                                       tok.pos)
-            return Var(tok.text)
+            return Var(tok.text), 0
         if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
+            node, depth = self.inner(tok, self.expr)
             self.expect_op(")")
-            return node
+            return node, depth
         raise ExprSyntaxError(
             f"expected a value, found '{tok.text or 'end of input'}'",
             tok.pos)
@@ -216,24 +254,26 @@ class _Parser:
         if name not in FUNCTION_ARITY:
             raise UnknownFunction(f"unknown function '{name}'", name_tok.pos)
         self.expect_op("(")
-        args = [self.expr()]
+        args = [self.inner(name_tok, self.expr)]
         while self.peek().kind == "op" and self.peek().text == ",":
             self.advance()
-            args.append(self.expr())
+            args.append(self.inner(name_tok, self.expr))
         self.expect_op(")")
         lo, hi = FUNCTION_ARITY[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
             raise ArityError(
                 f"'{name}' takes {lo}{'' if hi == lo else ' or more'} "
                 f"argument(s), got {len(args)}", name_tok.pos)
-        return Call(name, tuple(args))
+        return (Call(name, tuple(node for node, _ in args)),
+                max(depth for _, depth in args))
 
 
 def parse(source: str, allowed_vars) -> Expr:
     """Parse `source` into an expression tree.
 
-    Variable names outside `allowed_vars` and function names outside the
-    closed builtin set are rejected at parse time.
+    Variable names outside `allowed_vars`, function names outside the
+    closed builtin set and nesting deeper than MAX_DEPTH are rejected at
+    parse time.
     """
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 1)

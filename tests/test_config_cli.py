@@ -13,8 +13,8 @@ import pytest
 
 from conesolve import cli
 from conesolve.cli import _write_csv, build_parser, main
-from conesolve.config import (COEFFICIENTS, SETTINGS, format_domain,
-                              parse_config)
+from conesolve.config import (COEFFICIENTS, MAX_SAMPLES, SETTINGS,
+                              format_domain, load_config, parse_config)
 from conesolve.errors import (ConfigError, MonotonicityViolation,
                               NoConvergence)
 from conesolve.geometry import Rectangle, UnitDisk
@@ -450,6 +450,53 @@ def test_overflowing_literal_in_config_exit_64(tmp_path, capsys):
     cfg = write(tmp_path, "overflow.cfg", text)
     assert main(["solve", "--config", cfg]) == 64
     assert "overflows" in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_utf8_exits_64(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# caf\xe9 \xff\n" + SYSTEM_CFG.encode())
+    code, out, err, _ = _run_quietly(["solve", "--config", str(path),
+                                      "--out", str(tmp_path / "o")])
+    assert code == 64 and out == ""
+    assert err == "error: config is not UTF-8: byte 0xe9 at offset 5\n"
+
+
+def test_a_config_with_a_byte_order_mark_parses(tmp_path):
+    # the mark is skipped, so the first line is still `domain = ...`
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + SYSTEM_CFG.lstrip().encode())
+    cfg, ref = load_config(path), parse_config(SYSTEM_CFG)
+    assert (cfg.domain, cfg.h, cfg.nl, cfg.lambdas, cfg.samples) == (
+        ref.domain, ref.h, ref.nl, ref.lambdas, ref.samples)
+    assert main(["spectrum", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "lambda-range", "spectrum"])
+def test_an_absurd_samples_value_exits_64(tmp_path, command):
+    # refused while the config is read, before any array is made
+    text = SYSTEM_CFG.replace("samples = 2000", f"samples = {10 ** 15}")
+    assert parse_config(SYSTEM_CFG.replace(
+        "samples = 2000", f"samples = {MAX_SAMPLES}")).samples == MAX_SAMPLES
+    cfg = write(tmp_path, "samples.cfg", text)
+    code, out, err, _ = _run_quietly([command, "--config", cfg,
+                                      "--out", str(tmp_path / "o")])
+    assert code == 64 and out == ""
+    assert err == f"error: samples must be at most {MAX_SAMPLES}\n"
+
+
+@pytest.mark.parametrize("deep", ["(" * 200 + "u2" + ")" * 200,
+                                  "sqrt(" * 170 + "u2" + ")" * 170,
+                                  "-" * 1000 + "u2",
+                                  "+".join(["u2"] * 2001)],
+                         ids=["parentheses", "sqrt", "minus", "sum"])
+def test_a_deeply_nested_expression_exits_64(tmp_path, deep):
+    text = SYSTEM_CFG.replace('f2 = "max(u1,u2)^2"', f'f2 = "{deep}"')
+    cfg = write(tmp_path, "deep.cfg", text)
+    code, out, err, _ = _run_quietly(["solve", "--config", cfg,
+                                      "--out", str(tmp_path / "o")])
+    assert code == 64 and out == ""
+    assert re.fullmatch(r"error: bad nonlinearity: expression nested deeper "
+                        r"than 100 levels \(column \d+\)\n", err)
 
 
 def test_usage_error_exit_64():
@@ -938,6 +985,15 @@ def test_omitted_settings_take_their_declared_defaults():
     assert {key: getattr(cfg, key) for key in omitted} == {
         key: SETTINGS[key][1] for key in omitted}
     assert (cfg.tol, cfg.max_iter) == (DEFAULT_TOL, DEFAULT_MAX_ITER)
+
+
+def test_readme_library_example_certifies(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert ("verdict:            certified nonzero positive solution"
+            in capsys.readouterr().out.splitlines())
 
 
 def test_readme_config_block_parses_and_names_every_optional_key():

@@ -8,7 +8,8 @@ from conesolve import eval_expr, eval_on_arrays, parse
 from conesolve.errors import (ArityError, EvalDomainError, ExprSyntaxError,
                               MissingBinding, UnknownFunction,
                               UnknownVariable)
-from conesolve.expr import Binary, Call, Constant, Unary, Var, free_vars
+from conesolve.expr import (MAX_DEPTH, Binary, Call, Constant, Unary, Var,
+                            free_vars)
 from conesolve.verify import GUARD_CASES, PRECEDENCE_CASES
 
 UV = {"u1", "u2"}
@@ -65,6 +66,40 @@ def test_overflowing_literals_rejected(src, col):
 def test_largest_double_literal_parses():
     assert eval_expr(parse("1.7976931348623157e308", UV), {}) \
         == 1.7976931348623157e308
+
+
+# Shapes that nest k levels deep, with the column of the token that opens
+# level k: parentheses, calls, minus signs and a sum (its last '+').
+NESTINGS = {
+    "parentheses": (lambda k: "(" * k + "u1" + ")" * k, lambda k: k),
+    "sqrt calls": (lambda k: "sqrt(" * k + "u1" + ")" * k,
+                   lambda k: 5 * k - 4),
+    "minus signs": (lambda k: "-" * k + "u1", lambda k: k),
+    "sum": (lambda k: "+".join(["u1"] * (k + 1)), lambda k: 3 * k),
+}
+
+
+@pytest.mark.parametrize("shape,deep", [("parentheses", 200),
+                                        ("sqrt calls", 170),
+                                        ("minus signs", 1000),
+                                        ("sum", 2000)])
+def test_nesting_past_the_bound_is_a_syntax_error(shape, deep):
+    # each of these used to end in a RecursionError
+    source, column = NESTINGS[shape]
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than "
+                       f"{MAX_DEPTH} levels") as err:
+        parse(source(deep), UV)
+    assert err.value.position == column(MAX_DEPTH + 1)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(source(MAX_DEPTH + 1), UV)
+    assert err.value.position == column(MAX_DEPTH + 1)
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_nesting_at_the_bound_parses_and_evaluates(shape):
+    tree = parse(NESTINGS[shape][0](MAX_DEPTH), UV)
+    assert free_vars(tree) == {"u1"}
+    assert math.isfinite(eval_expr(tree, {"u1": 0.25}))
 
 
 @pytest.mark.parametrize("src,expected", PRECEDENCE_CASES)
