@@ -207,10 +207,11 @@ class Prepared:
                                              else " (validated by sampling)"))
         if self.stopped_at == "hypothesis (c)":
             lines.append(f"hypothesis (c) fails: {self.error}")
+        # solve warns about each lambda its config gives outside its range
+        lambdas = cfg.lambdas if solve else None
         for rng in self.ranges:
             lines.append(rng.describe())
-            lam = cfg.lambdas[rng.component] if solve else None
-            if solve and not rng.contains(lam):
+            if lambdas and not rng.contains(lam := lambdas[rng.component]):
                 lines.append(f"warning: lambda{rng.component + 1} = {lam:g} "
                              "outside the admissible interval; existence is "
                              "not guaranteed (the bound is sufficient, not "

@@ -484,19 +484,10 @@ def test_an_absurd_samples_value_exits_64(tmp_path, command):
     assert err == f"error: samples must be at most {MAX_SAMPLES}\n"
 
 
-@pytest.mark.parametrize("deep", ["(" * 200 + "u2" + ")" * 200,
-                                  "sqrt(" * 170 + "u2" + ")" * 170,
-                                  "-" * 1000 + "u2",
-                                  "+".join(["u2"] * 2001)],
-                         ids=["parentheses", "sqrt", "minus", "sum"])
-def test_a_deeply_nested_expression_exits_64(tmp_path, deep):
-    text = SYSTEM_CFG.replace('f2 = "max(u1,u2)^2"', f'f2 = "{deep}"')
-    cfg = write(tmp_path, "deep.cfg", text)
-    code, out, err, _ = _run_quietly(["solve", "--config", cfg,
-                                      "--out", str(tmp_path / "o")])
-    assert code == 64 and out == ""
-    assert re.fullmatch(r"error: bad nonlinearity: expression nested deeper "
-                        r"than 100 levels \(column \d+\)\n", err)
+def test_a_solve_prepared_without_lambdas_prints_no_lambda_warning():
+    # a library caller may prepare a solve before it picks the lambdas
+    text = cli.prepare(parse_config(SCALAR_LINEAR_CFG)).to_text()
+    assert "lambda1 in [" in text and "warning: lambda" not in text
 
 
 def test_usage_error_exit_64():
@@ -836,9 +827,16 @@ def test_a_non_m_matrix_is_one_stdout_warning(tmp_path, command,
     # K(1e308) overflows inside the LU solve: a NaN solve is not accepted
     (BOX_CFG.format(rho="1e308"), [], 70,
      "backward error nan u exceeds 100 u"),
+    # nesting that used to end in a RecursionError
+    *((SYSTEM_CFG.replace('f2 = "max(u1,u2)^2"', f'f2 = "{deep}"'), [], 64,
+       "bad nonlinearity: expression nested deeper than 100 levels")
+      for deep in ("(" * 200 + "u2" + ")" * 200,
+                   "sqrt(" * 170 + "u2" + ")" * 170, "-" * 1000 + "u2",
+                   "+".join(["u2"] * 2001))),
 ], ids=["rho1 inf", "lambda1 inf", "delta inf", "rectangle to inf",
         "rectangle of 1e308", "h 1e-300", "b1 1e308", "a11 1e308",
-        "a11 sqrt(x1)", "f2 sqrt at u2 = 0", "rho1 1e308"])
+        "a11 sqrt(x1)", "f2 sqrt at u2 = 0", "rho1 1e308",
+        "200 parentheses", "170 sqrt", "1000 minus signs", "2001 terms"])
 def test_bad_input_exits_with_one_error_line(tmp_path, text, extra, code,
                                              fragment):
     cfg = write(tmp_path, "bad.cfg", text)

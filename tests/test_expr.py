@@ -90,9 +90,6 @@ def test_nesting_past_the_bound_is_a_syntax_error(shape, deep):
                        f"{MAX_DEPTH} levels") as err:
         parse(source(deep), UV)
     assert err.value.position == column(MAX_DEPTH + 1)
-    with pytest.raises(ExprSyntaxError) as err:
-        parse(source(MAX_DEPTH + 1), UV)
-    assert err.value.position == column(MAX_DEPTH + 1)
 
 
 @pytest.mark.parametrize("shape", NESTINGS)
