@@ -272,7 +272,14 @@ def _coefficient(src, key, lineno):
     except ex.ExprSyntaxError as err:
         raise ConfigError(
             f"line {lineno}: bad expression for '{key}': {err}") from None
-    return lambda x1, x2: ex.eval_on_arrays(tree, {"x1": x1, "x2": x2})
+
+    def coefficient(x1, x2):
+        try:
+            return ex.eval_on_arrays(tree, {"x1": x1, "x2": x2})
+        except ex.EvalDomainError as err:
+            err.args = (f"line {lineno}: cannot evaluate '{key}': {err}",)
+            raise
+    return coefficient
 
 
 def _validate(settings, rho):

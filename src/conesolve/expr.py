@@ -11,8 +11,9 @@ Grammar (whitespace insensitive)::
 '^' binds tighter than unary minus, so "-2^2" is -(2^2) = -4, while the
 exponent itself may be signed ("2^-3").  Variable and function names form
 closed sets: variables are supplied by the caller, functions are the ones in
-FUNCTION_ARITY.  Evaluation is IEEE double precision and raises
-EvalDomainError instead of producing NaN or infinity.
+FUNCTIONS.  A tree is made of Constant, Var and Call nodes, and OPERATIONS
+gives each operation's arity and kernel, the operators' too.  Evaluation is
+IEEE double precision and raises EvalDomainError instead of NaN or infinity.
 
 The parser and the evaluator recurse once per level of nesting, so an
 expression may nest at most MAX_DEPTH levels: each operator, function call
@@ -21,6 +22,7 @@ and parenthesised group adds one level to the values inside it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,21 +31,16 @@ import numpy as np
 from .errors import (ArityError, EvalDomainError, ExprSyntaxError,
                      MissingBinding, UnknownFunction, UnknownVariable)
 
-# function name -> (min args, max args or None for unbounded)
-FUNCTION_ARITY = {
-    "sqrt": (1, 1), "tan": (1, 1), "sin": (1, 1), "cos": (1, 1),
-    "exp": (1, 1), "log": (1, 1), "abs": (1, 1),
-    "min": (2, None), "max": (2, None), "pow": (2, 2),
-}
-
 # Deepest nesting parse accepts.  A level of function calls costs the
-# parser 7 stack frames, so parsing at this depth takes about 720 frames of
-# Python's default recursion limit of 1000, and evaluating about 210.
+# parser 7 stack frames and the evaluator 2 (1 from Python 3.12 on, which
+# inlines comprehensions), so at this depth parsing takes about 710 frames
+# of Python's default recursion limit of 1000 and evaluating about 210.
 MAX_DEPTH = 100
 
 TAN_GUARD = 1e-8   # exclusion window around the poles of tan
 # arguments inside (-TAN_CLEAR, TAN_CLEAR) are clear of every exclusion
-# window, with a margin far above the rounding of _tan_pole_mask
+# window: |cos| is about 2 * TAN_GUARD or more there, far above both the
+# TAN_GUARD that _tan_pole_mask tests and the rounding of cos
 TAN_CLEAR = math.pi / 2 - 2 * TAN_GUARD
 
 
@@ -58,25 +55,12 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Unary:
-    op: str                    # only 'neg'
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str                    # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
 class Call:
-    func: str
+    func: str                  # a key of OPERATIONS
     args: tuple
 
 
-Expr = Constant | Var | Unary | Binary | Call
+Expr = Constant | Var | Call
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +183,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "+-":
             tok = self.advance()
             right, right_depth = self.term()
-            node = Binary(tok.text, node, right)
+            node = Call(tok.text, (node, right))
             depth = self.nest(tok, max(depth, right_depth))
         return node, depth
 
@@ -208,7 +192,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             tok = self.advance()
             right, right_depth = self.unary()
-            node = Binary(tok.text, node, right)
+            node = Call(tok.text, (node, right))
             depth = self.nest(tok, max(depth, right_depth))
         return node, depth
 
@@ -217,7 +201,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "-":
             self.advance()
             operand, depth = self.inner(tok, self.unary)
-            return Unary("neg", operand), depth
+            return Call("neg", (operand,)), depth
         return self.power()
 
     def power(self):
@@ -226,7 +210,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             expo, expo_depth = self.inner(tok, self.unary)
-            return (Binary("^", base, expo),
+            return (Call("^", (base, expo)),
                     max(self.nest(tok, depth), expo_depth))
         return base, depth
 
@@ -251,7 +235,7 @@ class _Parser:
 
     def call(self, name_tok):
         name = name_tok.text
-        if name not in FUNCTION_ARITY:
+        if name not in FUNCTIONS:
             raise UnknownFunction(f"unknown function '{name}'", name_tok.pos)
         self.expect_op("(")
         args = [self.inner(name_tok, self.expr)]
@@ -259,7 +243,7 @@ class _Parser:
             self.advance()
             args.append(self.inner(name_tok, self.expr))
         self.expect_op(")")
-        lo, hi = FUNCTION_ARITY[name]
+        lo, hi, _ = OPERATIONS[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
             raise ArityError(
                 f"'{name}' takes {lo}{'' if hi == lo else ' or more'} "
@@ -271,8 +255,8 @@ class _Parser:
 def parse(source: str, allowed_vars) -> Expr:
     """Parse `source` into an expression tree.
 
-    Variable names outside `allowed_vars`, function names outside the
-    closed builtin set and nesting deeper than MAX_DEPTH are rejected at
+    Variable names outside `allowed_vars`, function names outside
+    FUNCTIONS and nesting deeper than MAX_DEPTH are rejected at
     parse time.
     """
     if not source or not source.strip():
@@ -283,15 +267,8 @@ def parse(source: str, allowed_vars) -> Expr:
 def free_vars(expr: Expr) -> set:
     if isinstance(expr, Var):
         return {expr.name}
-    if isinstance(expr, Unary):
-        return free_vars(expr.operand)
-    if isinstance(expr, Binary):
-        return free_vars(expr.left) | free_vars(expr.right)
     if isinstance(expr, Call):
-        out = set()
-        for a in expr.args:
-            out |= free_vars(a)
-        return out
+        return set().union(*map(free_vars, expr.args))
     return set()
 
 
@@ -299,9 +276,9 @@ def free_vars(expr: Expr) -> set:
 # evaluator (scalar and elementwise-on-arrays through the same walker)
 
 def _first_bad(name, arg, mask):
-    value = float(np.asarray(arg, dtype=float).reshape(-1)[
-        int(np.argmax(np.asarray(mask).reshape(-1)))])
-    raise EvalDomainError(name, value)
+    # arg is broadcast: a constant base may be flagged by an array exponent
+    arg = np.broadcast_to(np.asarray(arg, dtype=float), np.shape(mask))
+    raise EvalDomainError(name, float(arg.flat[np.argmax(mask)]))
 
 
 def _check_domain(name, arg, mask):
@@ -325,16 +302,14 @@ def _high(x):
 def _check_finite(name, arg, result):
     bad = ~np.isfinite(result)
     if np.any(bad):
-        arg_arr = np.broadcast_to(np.asarray(arg, dtype=float),
-                                  np.shape(result))
-        _first_bad(name, arg_arr, bad)
+        _first_bad(name, arg, bad)
     return result
 
 
 def _tan_pole_mask(x):
-    x = np.asarray(x, dtype=float)
-    k = np.round((x - np.pi / 2) / np.pi)
-    return np.abs(x - (np.pi / 2 + k * np.pi)) <= TAN_GUARD
+    # |cos x| = |sin d| for the distance d from x to the nearest pole; cos
+    # is accurate at any double, where pi/2 + k*pi rounds by about |k| ulps
+    return np.abs(np.cos(x)) <= TAN_GUARD
 
 
 def _pow(name, base, expo):
@@ -350,74 +325,74 @@ def _pow(name, base, expo):
     return _check_finite(name, base, np.power(base, expo))
 
 
-def _call(name, args):
-    a = args[0]
-    if name == "sqrt":
-        if not (_low(a) >= 0):
-            _check_domain(name, a, np.asarray(a) < 0)
-        return np.sqrt(a)
-    if name == "tan":
-        if not (-TAN_CLEAR < _low(a) and _high(a) < TAN_CLEAR):
-            _check_domain(name, a, _tan_pole_mask(a))
-        return _check_finite(name, a, np.tan(a))
-    if name == "sin":
-        return np.sin(a)
-    if name == "cos":
-        return np.cos(a)
-    if name == "exp":
-        return _check_finite(name, a, np.exp(a))
-    if name == "log":
-        if not (_low(a) > 0):
-            _check_domain(name, a, np.asarray(a) <= 0)
-        return np.log(a)
-    if name == "abs":
-        return np.abs(a)
-    if name == "min":
-        out = args[0]
-        for b in args[1:]:
-            out = np.minimum(out, b)
-        return out
-    if name == "max":
-        out = args[0]
-        for b in args[1:]:
-            out = np.maximum(out, b)
-        return out
-    if name == "pow":
-        return _pow(name, args[0], args[1])
-    raise UnknownFunction(f"unknown function '{name}'", 1)
+def _divide(left, right):
+    if not (_low(right) > 0 or _high(right) < 0):
+        _check_domain("/", right, np.asarray(right) == 0)
+    return _check_finite("/", right, np.divide(left, right))
 
 
-_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply}
+def _sqrt(a):
+    if not (_low(a) >= 0):
+        _check_domain("sqrt", a, np.asarray(a) < 0)
+    return np.sqrt(a)
+
+
+def _tan(a):
+    if not (-TAN_CLEAR < _low(a) and _high(a) < TAN_CLEAR):
+        _check_domain("tan", a, _tan_pole_mask(a))
+    return _check_finite("tan", a, np.tan(a))
+
+
+def _log(a):
+    if not (_low(a) > 0):
+        _check_domain("log", a, np.asarray(a) <= 0)
+    return np.log(a)
+
+
+# name -> (min args, max args or None for unbounded, kernel).  A kernel
+# takes the argument values and raises EvalDomainError outside its domain.
+OPERATIONS = {
+    "+": (2, 2, np.add),
+    "-": (2, 2, np.subtract),
+    "*": (2, 2, np.multiply),
+    "/": (2, 2, _divide),
+    "^": (2, 2, functools.partial(_pow, "^")),
+    "neg": (1, 1, np.negative),
+    "sqrt": (1, 1, _sqrt),
+    "tan": (1, 1, _tan),
+    "sin": (1, 1, np.sin),
+    "cos": (1, 1, np.cos),
+    "exp": (1, 1, lambda a: _check_finite("exp", a, np.exp(a))),
+    "log": (1, 1, _log),
+    "abs": (1, 1, np.abs),
+    "min": (2, None, lambda *args: functools.reduce(np.minimum, args)),
+    "max": (2, None, lambda *args: functools.reduce(np.maximum, args)),
+    "pow": (2, 2, functools.partial(_pow, "pow")),
+}
+
+# the operations a source calls by name; the parser writes the others for
+# its operators, unary minus ('neg') among them
+FUNCTIONS = tuple(name for name in OPERATIONS
+                  if name.isidentifier() and name != "neg")
 
 
 def _walk(node, bindings, checked=False):
-    """Evaluate the tree.  Bindings and the results of +, - and * are
-    checked for finiteness only when `checked` is set: _evaluate lets numpy
-    raise on the way and checks the root instead, and walks again with
-    checks only to name the operation when either fails."""
-    if isinstance(node, Constant):
-        return node.value
+    """Evaluate the tree.  Bindings and results are checked for finiteness
+    only when `checked` is set: _evaluate lets numpy raise on the way and
+    checks the root instead, and walks again with checks only to name the
+    operation when either fails; +, - and * are the only kernels that can
+    overflow unchecked, and the check names their left operand."""
+    if isinstance(node, Call):
+        args = [_walk(a, bindings, checked) for a in node.args]
+        out = OPERATIONS[node.func][2](*args)
+        return _check_finite(node.func, args[0], out) if checked else out
     if isinstance(node, Var):
         try:
             value = bindings[node.name]
         except KeyError:
             raise MissingBinding(f"no value bound for '{node.name}'") from None
         return _check_finite(node.name, value, value) if checked else value
-    if isinstance(node, Unary):
-        return np.negative(_walk(node.operand, bindings, checked))
-    if isinstance(node, Binary):
-        left = _walk(node.left, bindings, checked)
-        right = _walk(node.right, bindings, checked)
-        if node.op in _ARITHMETIC:
-            out = _ARITHMETIC[node.op](left, right)
-            return _check_finite(node.op, left, out) if checked else out
-        if node.op == "/":
-            if not (_low(right) > 0 or _high(right) < 0):
-                _check_domain("/", right, np.asarray(right) == 0)
-            out = np.divide(left, right)
-            return _check_finite("/", right, out)
-        return _pow("^", left, right)
-    return _call(node.func, [_walk(a, bindings, checked) for a in node.args])
+    return node.value
 
 
 def _evaluate(expr: Expr, bindings):

@@ -817,9 +817,16 @@ def test_a_non_m_matrix_is_one_stdout_warning(tmp_path, command,
     # elliptic: the stencil weight, not the eigenvalue, overflows
     (ROBIN_CFG.replace('a11 = "1 + 0.5*x1"', 'a11 = "1e308"'),
      ["--h", "0.0625"], 65, "a stencil weight overflows"),
-    # expressions that parse but cannot be evaluated: a coefficient, and
-    # an f_i that the subsolution sweep evaluates at u2 = 0
+    # expressions that parse but cannot be evaluated: coefficients, named
+    # by their line and key, and an f_i that the subsolution sweep
+    # evaluates at u2 = 0
     (SYSTEM_CFG + 'a11 = "sqrt(x1)"\n', [], 65, "domain error in 'sqrt'"),
+    (ROBIN_CFG.replace('a11 = "1 + 0.5*x1"', 'a11 = "sqrt(x1 - 2)"'), [], 65,
+     "error: line 6: cannot evaluate 'a11': domain error in 'sqrt' at "
+     "argument -1.96875"),
+    (ROBIN_CFG.replace('bc = robin "1 + x1"', 'bc = robin "sqrt(x1 - 2)"'),
+     [], 65, "error: line 4: cannot evaluate 'bc': domain error in 'sqrt' "
+     "at argument -2.0"),
     (SYSTEM_CFG.replace('f2 = "max(u1,u2)^2"',
                         'f2 = "sqrt(u2 - 1e-9) + max(u1,u2)^2"')
      .replace("lambda2 = 5.0", "lambda2 = 1.0"), [], 65,
@@ -835,7 +842,8 @@ def test_a_non_m_matrix_is_one_stdout_warning(tmp_path, command,
                    "+".join(["u2"] * 2001))),
 ], ids=["rho1 inf", "lambda1 inf", "delta inf", "rectangle to inf",
         "rectangle of 1e308", "h 1e-300", "b1 1e308", "a11 1e308",
-        "a11 sqrt(x1)", "f2 sqrt at u2 = 0", "rho1 1e308",
+        "a11 sqrt(x1)", "a11 sqrt(x1 - 2)", "bc sqrt(x1 - 2)",
+        "f2 sqrt at u2 = 0", "rho1 1e308",
         "200 parentheses", "170 sqrt", "1000 minus signs", "2001 terms"])
 def test_bad_input_exits_with_one_error_line(tmp_path, text, extra, code,
                                              fragment):

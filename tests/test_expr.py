@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from conesolve import eval_expr, eval_on_arrays, parse
 from conesolve.errors import (ArityError, EvalDomainError, ExprSyntaxError,
                               MissingBinding, UnknownFunction,
                               UnknownVariable)
-from conesolve.expr import (MAX_DEPTH, Binary, Call, Constant, Unary, Var,
-                            free_vars)
+from conesolve.expr import (FUNCTIONS, MAX_DEPTH, OPERATIONS, Call, Constant,
+                            Var, free_vars)
 from conesolve.verify import GUARD_CASES, PRECEDENCE_CASES
 
 UV = {"u1", "u2"}
@@ -17,16 +19,16 @@ UV = {"u1", "u2"}
 
 def test_max_power_tree_shape():
     tree = parse("max(u1,u2)^2", UV)
-    assert isinstance(tree, Binary) and tree.op == "^"
-    assert isinstance(tree.left, Call) and tree.left.func == "max"
-    assert tree.left.args == (Var("u1"), Var("u2"))
-    assert tree.right == Constant(2.0)
+    assert tree.func == "^"
+    base, expo = tree.args
+    assert base == Call("max", (Var("u1"), Var("u2")))
+    assert expo == Constant(2.0)
 
 
 def test_reference_nonlinearity_parses():
     tree = parse("sqrt(max(u1,u2)) + tan(max(u1,u2))", UV)
-    assert isinstance(tree, Binary) and tree.op == "+"
-    assert {tree.left.func, tree.right.func} == {"sqrt", "tan"}
+    assert tree.func == "+"
+    assert {arg.func for arg in tree.args} == {"sqrt", "tan"}
     assert free_vars(tree) == {"u1", "u2"}
 
 
@@ -39,6 +41,9 @@ def test_unknown_variable_with_position():
 def test_unknown_function_and_arity():
     with pytest.raises(UnknownFunction):
         parse("sinh(u1)", UV)
+    # unary minus is an operation, but not one a source calls by name
+    with pytest.raises(UnknownFunction, match="unknown function 'neg'"):
+        parse("neg(u1)", UV)
     with pytest.raises(ArityError):
         parse("sqrt(u1, u2)", UV)
     with pytest.raises(ArityError):
@@ -170,6 +175,16 @@ def test_tan_guard_window():
     assert math.isfinite(eval_expr(tree, {"s": math.pi / 2 + 1e-6}))
     with pytest.raises(EvalDomainError):
         eval_expr(tree, {"s": math.pi / 2 + 3 * math.pi})
+    # far from every pole, where pi/2 + k*pi formed in doubles is off by
+    # more than the window: cos(1e16) = -0.63
+    for s in (1e16, 1e20, 1e300):
+        assert eval_expr(tree, {"s": s}) == np.tan(s)
+
+
+def test_readme_lists_the_table_functions():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"functions `([^`]*)`", readme).group(1)
+    assert re.split(r",\s*", listed) == list(FUNCTIONS)
 
 
 def test_missing_binding():
@@ -213,6 +228,9 @@ def test_array_domain_error_reports_offender():
     ("1/u1", [-1.0, 0.0, 2.0], 0.0, "/", 0.0),
     ("1/u1", [np.nan, 1.0, -0.0], 0.0, "/", -0.0),
     ("u2/u1", [1e-10, 0.0, 1.0], [1e308, 1.0, 1.0], "/", 0.0),
+    # a constant base, flagged by the second exponent
+    ("pow(-2, u1)", [2.0, -0.5], 0.0, "pow", -2.0),
+    ("0^u1", [2.0, -0.5], 0.0, "^", 0.0),
 ])
 def test_domain_error_names_the_first_bad_value(src, u1, u2, op, bad):
     with pytest.raises(EvalDomainError) as err:
@@ -252,17 +270,18 @@ _leaf = st.one_of(
     _names.map(Var))
 
 
+def _calls(names, children):
+    """Calls of the named operations, each with an argument count its
+    OPERATIONS entry allows (one past the minimum where it is unbounded)."""
+    def call(name):
+        lo, hi, _ = OPERATIONS[name]
+        return st.lists(children, min_size=lo, max_size=hi or lo + 1).map(
+            lambda args: Call(name, tuple(args)))
+    return st.sampled_from(names).flatmap(call)
+
+
 def _build(children):
-    unary_ops = children.map(lambda c: Unary("neg", c))
-    binary_ops = st.tuples(st.sampled_from("+-*/^"), children, children).map(
-        lambda t: Binary(t[0], t[1], t[2]))
-    calls = st.one_of(
-        st.tuples(st.sampled_from(["sqrt", "tan", "sin", "cos", "exp",
-                                   "log", "abs"]), children).map(
-            lambda t: Call(t[0], (t[1],))),
-        st.tuples(st.sampled_from(["min", "max", "pow"]), children,
-                  children).map(lambda t: Call(t[0], (t[1], t[2]))))
-    return st.one_of(unary_ops, binary_ops, calls)
+    return _calls(list(OPERATIONS), children)
 
 
 _trees = st.recursive(_leaf, _build, max_leaves=12)
@@ -286,10 +305,8 @@ _huge_leaf = st.one_of(
 
 
 def _arithmetic(children):
-    return st.one_of(
-        children.map(lambda c: Unary("neg", c)),
-        st.tuples(st.sampled_from("+-*"), children, children).map(
-            lambda t: Binary(t[0], t[1], t[2])))
+    # the operations with no domain to leave, which only overflow can fail
+    return _calls(["+", "-", "*", "neg"], children)
 
 
 @settings(max_examples=200, deadline=None)
