@@ -30,11 +30,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import SETTINGS, Config, _validate, format_domain, load_config
+from .config import SETTINGS, Config, _validate, load_config
 from .errors import ConesolveError, MonotonicityViolation, NoConvergence
 from .fixedpoint import (ProblemInstance, certify, check_supersolution,
                          construct_subsolution, monotone_iterate)
-from .geometry import build_grid
+from .geometry import build_grid, format_domain
 from .greens import k_one_norm, spectral_radius
 from .nonlinearity import (check_growth, check_monotone, growth_sample,
                            screen_growth)

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import expr as ex
 from .errors import ConfigError
 from .fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .geometry import DomainSpec, Rectangle, UnitDisk
+from .geometry import DOMAINS, DomainSpec
 from .nonlinearity import Nonlinearity
 from .operator import (BoundarySpec, Dirichlet, EllipticCoefficients,
                        Neumann, Robin)
@@ -222,28 +222,16 @@ def load_config(path) -> Config:
 
 
 def _parse_domain(value, key, lineno) -> DomainSpec:
-    parts = value.split()
-    kind = parts[0].lower()
-    if kind == "unitdisk":
-        if len(parts) != 1:
-            raise ConfigError(f"line {lineno}: 'unitdisk' takes no bounds")
-        return UnitDisk()
-    if kind == "rectangle":
-        if len(parts) != 5:
-            raise ConfigError(
-                f"line {lineno}: rectangle needs 4 bounds "
-                "(x_min x_max y_min y_max)")
-        return Rectangle(*(_parse_scalar(p, key, lineno) for p in parts[1:]))
-    raise ConfigError(f"line {lineno}: unknown domain '{parts[0]}'")
-
-
-def format_domain(spec: DomainSpec) -> str:
-    """The config text of a domain, which _parse_domain reads back as an
-    equal spec: each rectangle bound is written as repr(float)."""
-    if isinstance(spec, UnitDisk):
-        return "unitdisk"
-    bounds = (spec.x_min, spec.x_max, spec.y_min, spec.y_max)
-    return " ".join(["rectangle", *(repr(float(b)) for b in bounds)])
+    word, *bounds = value.split()
+    cls = DOMAINS.get(word.lower())
+    if cls is None:
+        raise ConfigError(f"line {lineno}: unknown domain '{word}'")
+    names = [f.name for f in fields(cls)]
+    if len(bounds) != len(names):
+        raise ConfigError(f"line {lineno}: " + (
+            f"{word.lower()} needs {len(names)} bounds ({' '.join(names)})"
+            if names else f"'{word.lower()}' takes no bounds"))
+    return cls(*(_parse_scalar(b, key, lineno) for b in bounds))
 
 
 def _parse_bc(item) -> BoundarySpec:

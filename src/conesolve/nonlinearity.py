@@ -13,14 +13,13 @@ crash.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
 from .errors import BoxViolation, EvalDomainError, GridMismatch
-from .geometry import DomainSpec, Grid, Rectangle, UnitDisk
+from .geometry import DomainSpec, Grid
 
 BOX_SLACK = 1e-10      # tolerated overshoot before clamping
 # slack for the sampled inequalities, scaled down with the compared values
@@ -109,31 +108,6 @@ class CheckReport:
                 json.dumps(self.witness) if self.witness is not None else ""]
 
 
-def sample_domain(domain: DomainSpec, rng, count: int):
-    """Uniform sample of points from the closed domain."""
-    if isinstance(domain, Rectangle):
-        x = rng.uniform(domain.x_min, domain.x_max, count)
-        y = rng.uniform(domain.y_min, domain.y_max, count)
-        return x, y
-    if isinstance(domain, UnitDisk):
-        r = np.sqrt(rng.uniform(0.0, 1.0, count))
-        t = rng.uniform(0.0, 2.0 * math.pi, count)
-        return r * np.cos(t), r * np.sin(t)
-    raise ValueError(f"unknown domain {domain!r}")
-
-
-def _deterministic_points(domain: DomainSpec):
-    if isinstance(domain, Rectangle):
-        gx = np.linspace(domain.x_min, domain.x_max, 5)
-        gy = np.linspace(domain.y_min, domain.y_max, 5)
-        X, Y = np.meshgrid(gx, gy)
-        return X.ravel(), Y.ravel()
-    t = np.linspace(0.0, 2.0 * math.pi, 9)[:-1]
-    x = np.concatenate([[0.0], 0.5 * np.cos(t), 0.999 * np.cos(t)])
-    y = np.concatenate([[0.0], 0.5 * np.sin(t), 0.999 * np.sin(t)])
-    return x, y
-
-
 def _slack(a, b):
     """The slack of a sampled inequality between values a and b:
     CHECK_SLACK * min(1, max(|a|, |b|)), so that values far below 1 are
@@ -180,7 +154,7 @@ def check_monotone(nl: Nonlinearity, i: int, samples: int, seed: int,
     """Sampled componentwise monotonicity of f_i(x, .) on the box."""
     condition = f"(a) f{i + 1} non-decreasing"
     rng = np.random.default_rng(seed)
-    x1, x2 = sample_domain(domain, rng, samples)
+    x1, x2 = domain.sample(rng, samples)
     lo = np.empty((nl.n, samples))
     hi = np.empty((nl.n, samples))
     for j in range(nl.n):
@@ -217,7 +191,7 @@ def growth_sample(nl: Nonlinearity, samples: int, seed: int,
     (n, samples), which rho0 scales onto the sub-box.  Draw it once to
     check several (delta, rho0) pairs."""
     rng = np.random.default_rng(seed)
-    x1, x2 = sample_domain(domain, rng, samples)
+    x1, x2 = domain.sample(rng, samples)
     return x1, x2, rng.random((nl.n, samples))
 
 
@@ -242,7 +216,7 @@ def check_growth(nl: Nonlinearity, i0: int, delta: float, rho0: float,
     s_lin = np.linspace(rho0 / 64, rho0, 64)
     s_geo = rho0 * 0.5 ** np.arange(1, 31)
     s_all = np.concatenate([s_lin, s_geo])
-    px, py = _deterministic_points(domain)
+    px, py = domain.sweep_points()
     S = np.repeat(s_all, len(px))
     sweep_u = np.tile(S, (nl.n, 1)).reshape(nl.n, -1)
     sweep_x = np.tile(px, len(s_all))

@@ -49,7 +49,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (CoefficientViolation, EllipticityViolation,
                      NeumannRequiresZerothOrder, SolverFailure, UnsupportedBC)
-from .geometry import BOUNDARY, Grid, Rectangle, UnitDisk, _freeze
+from .geometry import BOUNDARY, Grid, _freeze
 
 Coefficient = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -224,7 +224,7 @@ def _check_ellipticity(a11, a12, a22):
 def _validate_bc(grid, bc, c_vals):
     """Check `bc` against the grid; return the Robin coefficient sampled at
     the boundary nodes in row-major order (zero for Neumann)."""
-    if isinstance(bc, (Neumann, Robin)) and isinstance(grid.spec, UnitDisk):
+    if isinstance(bc, (Neumann, Robin)) and not grid.spec.lattice_aligned:
         raise UnsupportedBC("the disk supports Dirichlet conditions only")
     if isinstance(bc, Neumann) and not np.any(c_vals > 0):
         raise NeumannRequiresZerothOrder(
@@ -241,11 +241,9 @@ def _validate_bc(grid, bc, c_vals):
         if not np.any(bvals > 0):
             raise CoefficientViolation(
                 "Robin coefficient must not vanish identically")
-    if isinstance(bc, (Neumann, Robin)) and isinstance(grid.spec, Rectangle):
-        if grid.nx < 4 or grid.ny < 4:
-            raise UnsupportedBC(
-                "Neumann/Robin elimination needs at least 3 subdivisions "
-                "per axis")
+    if isinstance(bc, (Neumann, Robin)) and (grid.nx < 4 or grid.ny < 4):
+        raise UnsupportedBC("Neumann/Robin elimination needs at least 3 "
+                            "subdivisions per axis")
     return bvals
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr as ex
 from .config import parse_config
-from .errors import EvalDomainError
+from .errors import ConesolveError, EvalDomainError, InvalidSpec
 from .fixedpoint import (ProblemInstance, _below, certify,
                          check_supersolution, construct_subsolution,
                          monotone_iterate)
@@ -414,11 +414,19 @@ class CriterionResult:
 
 
 def run_criterion(crit: Criterion, ctx: VerifyContext) -> CriterionResult:
-    passed, detail = crit.runner(ctx)
+    """The criterion's result; an error it raises, such as a step that does
+    not divide the square, is its FAIL line."""
+    try:
+        passed, detail = crit.runner(ctx)
+    except ConesolveError as err:
+        passed, detail = False, f"error: {err}"
     return CriterionResult(crit.cid, crit.title,
                            "PASS" if passed else "FAIL", detail)
 
 
 def run_all(h_override: float | None = None) -> list:
-    ctx = VerifyContext(h_override if h_override is not None else REFERENCE_H)
+    h = REFERENCE_H if h_override is None else h_override
+    if not (h > 0):
+        raise InvalidSpec(f"mesh step must be positive, got {h}")
+    ctx = VerifyContext(h)
     return [run_criterion(crit, ctx) for crit in CRITERIA]

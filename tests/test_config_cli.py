@@ -14,10 +14,10 @@ import pytest
 from conesolve import cli
 from conesolve.cli import _write_csv, build_parser, main
 from conesolve.config import (COEFFICIENTS, MAX_SAMPLES, SETTINGS,
-                              format_domain, load_config, parse_config)
+                              load_config, parse_config)
 from conesolve.errors import (ConfigError, MonotonicityViolation,
                               NoConvergence)
-from conesolve.geometry import Rectangle, UnitDisk
+from conesolve.geometry import Rectangle, UnitDisk, format_domain
 from conesolve.operator import Dirichlet, Neumann, Robin
 
 SYSTEM_CFG = """
@@ -508,6 +508,28 @@ def test_verify_on_a_coarse_grid_skips_nothing(capsys):
     assert all(line.startswith("[PASS]") for line in lines), lines
 
 
+def test_verify_reports_every_criterion_at_a_step_the_square_refuses(
+        capsys):
+    # h = 0.3 does not divide the unit square: the two criteria that build
+    # it report the grid's error as their FAIL line, and the rest still run
+    assert main(["verify", "--h", "0.3"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 10
+    refused = [line for line in lines if "error:" in line]
+    assert [line.split()[1] for line in refused] == ["3", "8"]
+    assert all(line.startswith("[FAIL]") and line.endswith(
+        ": error: mesh step h=0.3 does not divide the x extent 1.0")
+        for line in refused), refused
+
+
+@pytest.mark.parametrize("h", ["0", "-0.25", "nan"])
+def test_verify_refuses_a_step_that_is_not_positive(capsys, h):
+    assert main(["verify", "--h", h]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: mesh step must be positive, got {float(h)}\n"
+
+
 @pytest.mark.parametrize("command", ["lambda-range", "solve"])
 def test_reports_are_bit_identical(tmp_path, capsys, command):
     cfg = write(tmp_path, "system.cfg", SYSTEM_CFG)
@@ -646,15 +668,15 @@ def _growth_ladder(cfg):
 @pytest.mark.parametrize("case", GROWTH_CASES)
 def test_growth_sweep_draws_once_and_matches_the_nested_loop(monkeypatch,
                                                               case):
-    from conesolve import cli, nonlinearity
+    from conesolve import cli
     cfg = _growth_case_config(case)
     delta_ref, rho0_ref, rep_ref = _nested_growth_sweep(cfg)
 
     draws, checks = [], []
-    sample_domain = nonlinearity.sample_domain
+    sample = type(cfg.domain).sample
     check_growth = cli.check_growth
-    monkeypatch.setattr(nonlinearity, "sample_domain",
-                        lambda *a: draws.append(1) or sample_domain(*a))
+    monkeypatch.setattr(type(cfg.domain), "sample",
+                        lambda *a: draws.append(1) or sample(*a))
     monkeypatch.setattr(cli, "check_growth",
                         lambda *a: checks.append(1) or check_growth(*a))
     delta, rho0, rep = cli._growth_parameters(cfg)
@@ -808,11 +830,15 @@ def test_a_non_m_matrix_is_one_stdout_warning(tmp_path, command,
      64, "lambda1 must be positive and finite"),
     (SYSTEM_CFG.replace("delta = 10", "delta = inf"), [],
      64, "delta must be positive and finite"),
+    # grid errors name the domain as the grid: line writes it
     (ROBIN_CFG.replace("rectangle 0 1 0 1", "rectangle 0 inf 0 1"), [],
-     65, "must be finite"),
+     65, "rectangle bounds must be finite: rectangle 0.0 inf 0.0 1.0"),
     (ROBIN_CFG.replace("rectangle 0 1 0 1", "rectangle 0 1e308 0 1e308"),
-     [], 65, "can index"),
-    (SYSTEM_CFG, ["--h", "1e-300"], 65, "can index"),
+     [], 65, "nodes on rectangle 0.0 1e+308 0.0 1e+308, more than the "
+     "2147483647 a grid can index"),
+    (SYSTEM_CFG, ["--h", "1e-300"], 65, "h=1e-300 gives a lattice of about "
+     "2e+300 x 2e+300 nodes on unitdisk, more than the 2147483647 a grid "
+     "can index"),
     (ROBIN_CFG.replace('b1 = "2"', 'b1 = "1e308"'), [], 65, "overflows"),
     # elliptic: the stencil weight, not the eigenvalue, overflows
     (ROBIN_CFG.replace('a11 = "1 + 0.5*x1"', 'a11 = "1e308"'),
@@ -840,11 +866,17 @@ def test_a_non_m_matrix_is_one_stdout_warning(tmp_path, command,
       for deep in ("(" * 200 + "u2" + ")" * 200,
                    "sqrt(" * 170 + "u2" + ")" * 170, "-" * 1000 + "u2",
                    "+".join(["u2"] * 2001))),
+    (ROBIN_CFG.replace("rectangle 0 1 0 1", "rectangle 1 0 0 1"), [], 65,
+     "error: rectangle bounds are inverted: rectangle 1.0 0.0 0.0 1.0"),
+    (ROBIN_CFG.replace("rectangle 0 1 0 1", "rectangle 0 1 0 5"),
+     ["--h", "1"], 65,
+     "error: no interior nodes for rectangle 0.0 1.0 0.0 5.0 at h=1.0"),
 ], ids=["rho1 inf", "lambda1 inf", "delta inf", "rectangle to inf",
         "rectangle of 1e308", "h 1e-300", "b1 1e308", "a11 1e308",
         "a11 sqrt(x1)", "a11 sqrt(x1 - 2)", "bc sqrt(x1 - 2)",
         "f2 sqrt at u2 = 0", "rho1 1e308",
-        "200 parentheses", "170 sqrt", "1000 minus signs", "2001 terms"])
+        "200 parentheses", "170 sqrt", "1000 minus signs", "2001 terms",
+        "inverted rectangle", "rectangle with no interior node"])
 def test_bad_input_exits_with_one_error_line(tmp_path, text, extra, code,
                                              fragment):
     cfg = write(tmp_path, "bad.cfg", text)

@@ -5,7 +5,8 @@ import pytest
 
 from conesolve import Rectangle, UnitDisk, build_grid
 from conesolve.errors import DegenerateGrid, InvalidSpec
-from conesolve.geometry import BOUNDARY, EAST, INTERIOR, NORTH, SOUTH, WEST
+from conesolve.geometry import (BOUNDARY, DOMAINS, EAST, INTERIOR, NORTH,
+                                SOUTH, WEST)
 
 
 def enumerate_disk_lattice(h):
@@ -146,12 +147,33 @@ def test_lattice_node_limit_is_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(geometry, "MAX_LATTICE_NODES", 100)
     assert build_grid(Rectangle(0, 1, 0, 1), 1 / 8).nx == 9     # 81 nodes
     built = []
-    for name in ("_build_rectangle", "_build_disk"):
-        monkeypatch.setattr(geometry, name, lambda *a: built.append(a))
+    for cls in geometry.DOMAINS.values():
+        monkeypatch.setattr(cls, "build", lambda *a: built.append(a))
     for spec, h in ((Rectangle(0, 1, 0, 1), 1 / 16), (UnitDisk(), 1 / 4)):
         with pytest.raises(InvalidSpec):
             build_grid(spec, h)     # 289 and 121 lattice nodes
     assert built == []
+
+
+# a domain of each config word, with its closed set as a predicate
+SAMPLED = {
+    "rectangle": (Rectangle(-0.5, 2.0, 1.0, 1.25),
+                  lambda x, y: (-0.5 <= x) & (x <= 2.0)
+                  & (1.0 <= y) & (y <= 1.25)),
+    "unitdisk": (UnitDisk(), lambda x, y: x * x + y * y <= 1.0),
+}
+
+
+@pytest.mark.parametrize("word", sorted(DOMAINS))
+def test_each_domain_samples_inside_itself(word):
+    spec, inside = SAMPLED[word]
+    assert type(spec) is DOMAINS[word]
+    x, y = spec.sample(np.random.default_rng(0), 10_000)
+    assert x.shape == y.shape == (10_000,)
+    assert np.all(inside(x, y))
+    px, py = spec.sweep_points()
+    assert px.shape == py.shape and px.size > 0
+    assert np.all(inside(px, py))
 
 
 def test_degenerate_grid_rejected():

@@ -7,7 +7,7 @@ from conesolve import (Nonlinearity, Rectangle, UnitDisk, build_grid,
                        check_growth, check_monotone, max_over_domain,
                        nemytskii_apply)
 from conesolve.errors import BoxViolation, EvalDomainError, GridMismatch
-from conesolve.nonlinearity import growth_sample, sample_domain
+from conesolve.nonlinearity import growth_sample
 
 RHO = 15 * math.pi / 64
 M1 = math.sqrt(RHO) + math.tan(RHO)          # 1.7644326998289304
@@ -135,7 +135,7 @@ def test_growth_sample_scaled_by_rho0_is_a_fresh_draw(domain):
     for k in range(1, 21):
         rho0 = RHO * 0.5 ** k
         rng = np.random.default_rng(7)
-        px, py = sample_domain(domain, rng, 1000)
+        px, py = domain.sample(rng, 1000)
         u = rng.uniform(0.0, rho0, (nl.n, 1000))
         assert (x1.tobytes(), x2.tobytes()) == (px.tobytes(), py.tobytes())
         assert (rho0 * unit).tobytes() == u.tobytes()

@@ -249,6 +249,50 @@ def test_each_slack_is_read_by_one_function():
                      "ORDER_SLACK": [("fixedpoint.py", "_below")]}
 
 
+DOMAIN_TYPES = {"Rectangle", "UnitDisk", "DomainSpec"}
+
+
+def domain_type_checks(tree):
+    """Line of each place tree branches on a domain's type: an isinstance
+    call whose class argument names Rectangle, UnitDisk or DomainSpec, and
+    a match class pattern of one of them.  Building a domain is no such
+    branch."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and len(node.args) == 2
+                and getattr(node.func, "id", None) == "isinstance"):
+            classes = node.args[1]
+        elif isinstance(node, ast.MatchClass):
+            classes = node.cls
+        else:
+            continue
+        if {getattr(n, "id", getattr(n, "attr", None))
+                for n in ast.walk(classes)} & DOMAIN_TYPES:
+            yield node.lineno
+
+
+def test_the_check_finds_a_domain_type_check():
+    tree = ast.parse("isinstance(s, Rectangle)\n"
+                     "isinstance(s, (int, geometry.UnitDisk))\n"
+                     "isinstance(s, DomainSpec)\n"
+                     "isinstance(s, Grid)\n"
+                     "spec = UnitDisk() if k else Rectangle(0, 1, 0, 1)\n"
+                     "match s:\n"
+                     "    case Rectangle(x_min=0):\n        pass\n"
+                     "    case Grid():\n        pass\n")
+    assert sorted(domain_type_checks(tree)) == [1, 2, 3, 7]
+
+
+def test_only_geometry_branches_on_a_domain_type():
+    """Each domain class owns what depends on its shape, so a new domain
+    touches geometry.py alone."""
+    found = [f"{path.name}:{line}" for path in SOURCES
+             if path.name != "geometry.py"
+             for line in domain_type_checks(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert SOURCES
+    assert found == []
+
+
 def syntax_errors(paths, version=(3, 10)):
     """(path, line, message) for each file in paths that the grammar of
     Python `version` does not parse."""
