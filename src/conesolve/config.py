@@ -240,10 +240,10 @@ def _parse_bc(item) -> BoundarySpec:
     value, lineno = item
     parts = value.split(None, 1)
     kind = parts[0].lower()
-    if kind == "dirichlet":
-        return Dirichlet()
-    if kind == "neumann":
-        return Neumann()
+    if kind in ("dirichlet", "neumann"):
+        if len(parts) == 2:
+            raise ConfigError(f"line {lineno}: '{kind}' takes no coefficient")
+        return Dirichlet() if kind == "dirichlet" else Neumann()
     if kind == "robin":
         if len(parts) != 2:
             raise ConfigError(

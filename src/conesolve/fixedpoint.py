@@ -29,7 +29,7 @@ from .greens import SpectralEstimate, apply_K
 from .nonlinearity import Nonlinearity, box_violation, nemytskii_apply
 from .operator import DiscreteOperator
 
-ORDER_SLACK = 1e-12      # tolerated roundoff in nodewise comparisons
+ORDER_SLACK = 1e-12      # tolerated roundoff per unit of max(1, max rho_j)
 NONZERO_FACTOR = 10      # a norm <= NONZERO_FACTOR * tol is negligible
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10_000
@@ -42,9 +42,10 @@ def negligible(norm: float, tol: float) -> bool:
     return bool(norm <= NONZERO_FACTOR * tol)
 
 
-def _below(small, large) -> bool:
-    """Whether small <= large nodewise, up to ORDER_SLACK."""
-    return bool(np.all(small <= large + ORDER_SLACK))
+def _below(p: ProblemInstance, small, large) -> bool:
+    """Whether small <= large nodewise, up to ORDER_SLACK times p's scale
+    max(1, max_j rho_j), so a few ulps of the box's largest value pass."""
+    return bool(np.all(small <= large + ORDER_SLACK * max(1.0, *p.nl.box)))
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def check_supersolution(p: ProblemInstance, beta):
     """Return (ok, margin) for T beta <= beta; margin is the worst nodewise
     value of beta - T beta over all components."""
     t_beta = apply_T(p, beta)
-    return _below(t_beta, beta), float((beta - t_beta).min())
+    return _below(p, t_beta, beta), float((beta - t_beta).min())
 
 
 def construct_subsolution(p: ProblemInstance, spectrum: SpectralEstimate,
@@ -164,19 +165,19 @@ def construct_subsolution(p: ProblemInstance, spectrum: SpectralEstimate,
     for k in range(21):
         alpha = np.zeros((p.nl.n, phi.size))
         alpha[i0] = np.clip(rho0 * 0.5 ** k * phi, 0.0, None)
-        if _below(alpha, apply_T(p, alpha)):
+        if _below(p, alpha, apply_T(p, alpha)):
             return alpha
     return None
 
 
-def _bounds(v, tv, lower, what: str, proposed=()) -> list:
+def _bounds(p, v, tv, lower, what: str, proposed=()) -> list:
     """Which halves of the stacked block v, with images tv, are bounds: the
     lower half a subsolution (T v >= v), the upper a supersolution (T v <=
     v).  lower indexes the lower half, or is None when it is absent.  A
     half not in `proposed` must be one, or MonotonicityViolation is raised;
     for a plain step v = T u this is alpha_k <= alpha_{k+1} and beta_{k+1}
     <= beta_k one step ahead."""
-    bound = [_below(v[k], tv[k]) if k == lower else _below(tv[k], v[k])
+    bound = [_below(p, v[k], tv[k]) if k == lower else _below(p, tv[k], v[k])
              for k in range(len(v))]
     for k, ok in enumerate(bound):
         if not (ok or k in proposed):
@@ -187,28 +188,21 @@ def _bounds(v, tv, lower, what: str, proposed=()) -> list:
     return bound
 
 
-def _crossed(tv, lower) -> bool:
+def _crossed(p, tv, lower) -> bool:
     """Whether T v_lower <= T v_upper fails, the upper half being the last;
     False without a lower half."""
-    return lower is not None and not _below(tv[lower], tv[-1])
+    return lower is not None and not _below(p, tv[lower], tv[-1])
 
 
 class _Anderson:
     """One half's Anderson(m) proposer (type II, undamped; Walker & Ni
     2011, SIAM J. Numer. Anal. 49): it keeps the last ANDERSON_M
     differences of the accepted states' residuals f = T x - x and images
-    g = T x, flattened, in ring buffers, and proposes w = g - dG gamma with
+    g = T x, flattened, oldest first, and proposes w = g - dG gamma with
     gamma the least-squares solution of dF gamma ~ f."""
 
-    def __init__(self, f, g, work):
-        self.df = np.empty((ANDERSON_M, f.size))
-        self.dg = np.empty((ANDERSON_M, f.size))
-        self.count = 0           # differences held
-        self.oldest = 0          # ring slot of the oldest difference
-        # (ANDERSON_M + 1, f.size) scratch, which the halves share: its
-        # rows are the columns [dF | f] of the least-squares problem, so
-        # its transpose is the Fortran-ordered matrix geqrf factors in place
-        self.work = work
+    def __init__(self, f, g):
+        self.df, self.dg = [], []
         self.f, self.g = f, g
         self.rest = 0            # plain steps left before the next proposal
         self.failures = 0        # candidates rejected in a row
@@ -216,42 +210,33 @@ class _Anderson:
 
     def push(self, f, g):
         """Record the next accepted state's flat residual f and image g."""
-        slot = (self.oldest + self.count) % ANDERSON_M
-        np.subtract(f, self.f, out=self.df[slot])
-        np.subtract(g, self.g, out=self.dg[slot])
-        if self.count < ANDERSON_M:
-            self.count += 1
-        else:
-            self.oldest = (self.oldest + 1) % ANDERSON_M
+        self.df.append(f - self.f)
+        self.dg.append(g - self.g)
+        if len(self.df) > ANDERSON_M:
+            del self.df[0], self.dg[0]
         self.f, self.g = f, g
 
     def candidate(self):
         """The next candidate as a flat array, or None while the half has
         no history or rests after rejections."""
-        if self.rest or not self.count:
+        if self.rest or not self.df:
             self.rest = max(self.rest - 1, 0)
             return None
         self.proposed += 1
-        return self.g - self._gamma() @ self.dg[:self.count]
+        return self.g - self._gamma() @ np.array(self.dg)
 
     def _gamma(self):
         """gamma by one Householder QR of [dF | f], oldest difference
-        first, as coefficients of the ring slots.  dF = Q R, so the
-        problem reduces to R gamma ~ (Q^T f)[:m], and R has the singular
-        values of dF: its minimum-norm solution under lstsq's default
-        cutoff for dF, eps * max(rows, cols) * sigma_max, is lstsq's."""
-        m = self.count
-        order = [(self.oldest + j) % ANDERSON_M for j in range(m)]
-        for j, slot in enumerate(order):
-            self.work[j] = self.df[slot]
-        self.work[m] = self.f
-        qr = lapack.dgeqrf(self.work[:m + 1].T, overwrite_a=1)[0]
+        first, factored in place as the Fortran-ordered transpose of the
+        stacked rows.  dF = Q R, so the problem reduces to R gamma ~
+        (Q^T f)[:m], and R has the singular values of dF: its minimum-norm
+        solution under lstsq's default cutoff for dF, eps * max(rows,
+        cols) * sigma_max, is lstsq's."""
+        m = len(self.df)
+        qr = lapack.dgeqrf(np.array(self.df + [self.f]).T, overwrite_a=1)[0]
         r, qtf = np.triu(qr[:m, :m]), qr[:m, m]   # R of dF, (Q^T f)[:m]
         cutoff = np.finfo(float).eps * max(self.f.size, m)
-        gamma = np.linalg.lstsq(r, qtf, rcond=cutoff)[0]
-        slots = np.empty(m)
-        slots[order] = gamma
-        return slots
+        return np.linalg.lstsq(r, qtf, rcond=cutoff)[0]
 
     def judge(self, accepted: bool):
         """Count the verdict on the last candidate; after j rejections in a
@@ -302,12 +287,11 @@ def monotone_iterate(p: ProblemInstance, beta, *, alpha=None,
     lower = None if alpha is None else 0
     u = np.stack([np.asarray(start, dtype=float) for start in starts])
     tu = apply_T(p, u)
-    _bounds(u, tu, lower, "start is not admissible")
-    if _crossed(tu, lower):
+    _bounds(p, u, tu, lower, "start is not admissible")
+    if _crossed(p, tu, lower):
         raise MonotonicityViolation(
             "start is not admissible: lower iterate exceeded upper iterate")
-    work = np.empty((ANDERSON_M + 1, u[0].size))
-    proposers = [_Anderson((tu[k] - u[k]).ravel(), tu[k].ravel(), work)
+    proposers = [_Anderson((tu[k] - u[k]).ravel(), tu[k].ravel())
                  for k in range(len(starts))]
     history = [np.abs(u).max(axis=(1, 2))]
     iterates = [u] if record_iterates else None
@@ -323,14 +307,14 @@ def monotone_iterate(p: ProblemInstance, beta, *, alpha=None,
                 proposed.append(k)
         ts = apply_T(p, slots)
         # a candidate moves only if it is admissible; a plain slot must be
-        moved = _bounds(slots, ts, lower, what, proposed)
+        moved = _bounds(p, slots, ts, lower, what, proposed)
         v, tv = _advance(u, tu, slots, ts, moved)
         # judged once, and again only after the moved candidates revert
-        crossed = _crossed(tv, lower)
+        crossed = _crossed(p, tv, lower)
         if crossed and any(moved[k] for k in proposed):
             moved = [k not in proposed for k in range(len(starts))]
             v, tv = _advance(u, tu, slots, ts, moved)
-            crossed = _crossed(tv, lower)
+            crossed = _crossed(p, tv, lower)
         if crossed:
             raise MonotonicityViolation(
                 f"{what}: lower iterate exceeded upper iterate")

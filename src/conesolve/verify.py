@@ -187,7 +187,7 @@ def _crit_end_to_end(ctx: VerifyContext):
                               max_iter=cfg.max_iter, record_iterates=True)
     iterates = report.upper.iterates
     # independent nodewise re-check of the recorded sequence
-    decreasing = all(_below(later, earlier)
+    decreasing = all(_below(problem, later, earlier)
                      for earlier, later in zip(iterates, iterates[1:]))
     cert = certify(problem, report.upper.solution, tol=cfg.tol)
     return cert.certified and decreasing, (

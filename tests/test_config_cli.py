@@ -247,6 +247,48 @@ def test_lower_half_failure_is_a_warning(tmp_path, capsys):
     assert not (out / "solution_lower.csv").exists()
 
 
+GELFAND_CFG = """
+domain = unitdisk
+h = 0.03125
+n = 1
+f1 = "exp(s/(1+0.1*s))"
+rho1 = 20000
+lambda1 = 2
+i0 = 1
+"""
+
+
+def test_order_slack_scales_with_the_box(tmp_path, capsys):
+    # |u| is about 1e4 here, so an order test can fail by a few ulps of it;
+    # an absolute slack of 1e-12 broke the stacked run at iteration 11 and
+    # dropped the lower half, although f is monotone and A an M-matrix
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write(tmp_path, "gelfand.cfg",
+                                            GELFAND_CFG),
+                 "--out", str(out), "--csv"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert not [line for line in printed if line.startswith("warning:")]
+    assert "iterations:        14" in printed
+    assert ("bracket: lower limit norm 0.981397 <= upper limit norm "
+            "10850.1") in printed
+    assert (out / "solution_lower.csv").exists()
+
+
+def test_both_halves_violating_order_aborts_with_exit_1(tmp_path,
+                                                        monkeypatch):
+    def violating(*args, **kwargs):
+        raise MonotonicityViolation("planted")
+
+    monkeypatch.setattr(cli, "monotone_iterate", violating)
+    out = tmp_path / "o"
+    code, printed, err, _ = _run_quietly(
+        ["solve", "--config", write(tmp_path, "system.cfg", SYSTEM_CFG),
+         "--out", str(out), "--csv"])
+    assert code == 1 and err == ""
+    assert "iteration aborted: planted" in printed.splitlines()
+    assert sorted(p.name for p in out.iterdir()) == ["checks.csv"]
+
+
 @pytest.mark.parametrize("text,k,lam,code", [
     # above lambda2's bound the supersolution check fails; below lambda1's
     # the run still certifies, since the bounds are only sufficient
@@ -443,6 +485,46 @@ def test_unvalidated_growth_is_a_warning_in_lambda_range(tmp_path, capsys):
 def test_malformed_config_exit_64(tmp_path):
     cfg = write(tmp_path, "broken.cfg", "h = 0.5\n")
     assert main(["solve", "--config", cfg]) == 64
+
+
+@pytest.mark.parametrize("text,message", [
+    (SYSTEM_CFG + "garbage\n", "line 18: expected 'key = value': 'garbage'"),
+    (SYSTEM_CFG.replace("tol = 1e-9", "tol ="),
+     "line 15: empty key or value: 'tol ='"),
+    (SYSTEM_CFG.replace('"sqrt(max(u1,u2)) + tan(max(u1,u2))"', '"sqrt(u1'),
+     "line 6: unterminated string for 'f1'"),
+    (SYSTEM_CFG.replace("bc = dirichlet", "bc = periodic"),
+     "line 4: unknown boundary condition 'periodic'"),
+    (SYSTEM_CFG.replace("rho0 = 0.01", "rho0 = 0.9"),
+     "rho0 must lie strictly between 0 and min rho"),
+    (SYSTEM_CFG.replace('"max(u1,u2)^2"', '"1.2.3 * u2"'),
+     "bad nonlinearity: malformed number '1.2.3' (column 1)"),
+    (SYSTEM_CFG.replace('"max(u1,u2)^2"', '"u2 $ 1"'),
+     "bad nonlinearity: unexpected character '$' (column 4)"),
+    (SYSTEM_CFG.replace("bc = dirichlet", 'bc = dirichlet "1"'),
+     "line 4: 'dirichlet' takes no coefficient"),
+    (SYSTEM_CFG.replace("bc = dirichlet", 'bc = neumann "1"'),
+     "line 4: 'neumann' takes no coefficient"),
+], ids=["no equals sign", "empty value", "unterminated string",
+        "unknown bc", "rho0 above rho", "malformed number",
+        "unexpected character", "dirichlet with text", "neumann with text"])
+def test_config_errors_exit_64(tmp_path, text, message):
+    out = tmp_path / "o"
+    code, printed, err, _ = _run_quietly(
+        ["solve", "--config", write(tmp_path, "bad.cfg", text),
+         "--out", str(out)])
+    assert (code, printed, err) == (64, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_robin_elimination_on_too_coarse_a_grid_exits_65(tmp_path):
+    text = (ROBIN_CFG.replace('bc = robin "1 + x1"', 'bc = robin "1"')
+            .replace("h = 0.03125", "h = 0.5"))
+    code, _, err, _ = _run_quietly(
+        ["solve", "--config", write(tmp_path, "coarse.cfg", text),
+         "--out", str(tmp_path / "o")])
+    assert (code, err) == (65, "error: Neumann/Robin elimination needs at "
+                               "least 3 subdivisions per axis\n")
 
 
 def test_overflowing_literal_in_config_exit_64(tmp_path, capsys):

@@ -34,14 +34,12 @@ COUNTS = {
 
 def lstsq_gap(proposer, w):
     """How far the candidate w lies from the one np.linalg.lstsq builds
-    from the ring buffers (oldest difference first), relative to the size
-    of its terms, max(|g|, |dG| |gamma|).  Early on the lower half
-    g - dG gamma cancels to 1e-3 of that size, and there two LAPACK
-    least-squares drivers (gelsd and gelsy) differ by 1e-12 of |w|."""
-    order = [(proposer.oldest + j) % ANDERSON_M
-             for j in range(proposer.count)]
-    dg = proposer.dg[order].T
-    gamma = np.linalg.lstsq(proposer.df[order].T, proposer.f,
+    from the proposer's history, relative to the size of its terms,
+    max(|g|, |dG| |gamma|).  Early on the lower half g - dG gamma cancels
+    to 1e-3 of that size, and there two LAPACK least-squares drivers
+    (gelsd and gelsy) differ by 1e-12 of |w|."""
+    dg = np.array(proposer.dg).T
+    gamma = np.linalg.lstsq(np.array(proposer.df).T, proposer.f,
                             rcond=None)[0]
     scale = max(np.abs(proposer.g).max(), (np.abs(dg) @ np.abs(gamma)).max())
     return float(np.abs(w - (proposer.g - dg @ gamma)).max() / scale)
@@ -55,28 +53,34 @@ def per_row_csv(header, columns):
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Per config: the iteration report, the (relative gap to lstsq, ring
-    wrapped) pair of every candidate, the output directory, the limits
-    unfolded onto every node as {table: u}, and the grid."""
+    """Per config: the iteration report, the (relative gap to lstsq,
+    oldest difference dropped) pair of every candidate, the output
+    directory, the limits unfolded onto every node as {table: u}, and the
+    grid."""
     out = {}
     patch = pytest.MonkeyPatch()
-    propose = _Anderson.candidate
+    propose, record = _Anderson.candidate, _Anderson.push
     iterate = cli.monotone_iterate
     for name, text in CONFIGS.items():
-        gaps, reports = [], []
+        gaps, reports, pushes = [], [], {}
 
         def checked(self):
             w = propose(self)
             if w is not None:
                 gaps.append((lstsq_gap(self, w),
-                             self.oldest != 0))
+                             pushes.get(id(self), 0) > ANDERSON_M))
             return w
+
+        def counted(self, f, g):
+            pushes[id(self)] = pushes.get(id(self), 0) + 1
+            record(self, f, g)
 
         def recorded(*args, **kwargs):
             reports.append(iterate(*args, **kwargs))
             return reports[-1]
 
         patch.setattr(_Anderson, "candidate", checked)
+        patch.setattr(_Anderson, "push", counted)
         patch.setattr(cli, "monotone_iterate", recorded)
         tmp = tmp_path_factory.mktemp(name)
         (tmp / "problem.cfg").write_text(text)
@@ -107,28 +111,32 @@ def test_qr_candidates_match_lstsq(runs, name):
     assert len(gaps) == COUNTS[name][1][1] + COUNTS[name][2][1]
     assert max(gap for gap, _ in gaps) <= 1e-12
     if name == "system_disk":
-        assert any(wrapped for _, wrapped in gaps)
+        assert any(dropped for _, dropped in gaps)
 
 
 def test_qr_candidate_on_a_rank_deficient_history():
     rng = np.random.default_rng(3)
     size = 2 * 500
     f, g = rng.standard_normal(size), rng.standard_normal(size)
-    proposer = _Anderson(f, g, np.empty((ANDERSON_M + 1, size)))
+    proposer = _Anderson(f, g)
     d, e = rng.standard_normal((2, size))
     p, q = rng.standard_normal((2, size))
+    pushes = 0
     # differences d, e, d and 0 in dF, with p, q, p and 0 in dG
     for df, dg in ((d, p), (e, q), (d, p), (0.0, 0.0)):
         f, g = f + df, g + dg
         proposer.push(f, g)
+        pushes += 1
     proposer.f = f + rng.standard_normal(size)
     w = proposer.candidate()
     assert lstsq_gap(proposer, w) <= 1e-12
-    # two more differences wrap the ring past the first d
+    # two more differences drop the first d from the history
     for _ in range(2):
         f, g = f + rng.standard_normal(size), g + rng.standard_normal(size)
         proposer.push(f, g)
-    assert proposer.oldest != 0
+        pushes += 1
+    assert pushes > ANDERSON_M
+    assert np.allclose(proposer.df[0], e) and np.allclose(proposer.dg[0], q)
     w = proposer.candidate()
     assert lstsq_gap(proposer, w) <= 1e-12
 
